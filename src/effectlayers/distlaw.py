@@ -23,7 +23,7 @@ from .monads import (
     free_term_monad,
 )
 from .normal_forms import QuotientMonad
-from .terms import App, Const, FiniteAlgebra, Signature, Term, TermError
+from .terms import App, Const, Signature, Term, TermError
 
 
 PASS = "PASS"
@@ -92,23 +92,6 @@ class RhoLaw:
 
 def extend_to_rho(sl: SigmaLaw) -> RhoLaw:
     return RhoLaw(sl)
-
-
-# ---------------------------------------------------------------------------
-# lifted algebras (same construction as preservation.lift_interp, kept at the
-# algebra level so law modules need no import cycle)
-
-@dataclass(frozen=True)
-class LiftedAlgebra:
-    base: FiniteAlgebra
-    outer: MonadInstance
-    algebra: FiniteAlgebra
-
-
-def lift_algebra(T: MonadInstance, A: FiniteAlgebra, b: Bound) -> LiftedAlgebra:
-    from .preservation import lifted_algebra
-
-    return LiftedAlgebra(A, T, lifted_algebra(T, A, b))
 
 
 # ---------------------------------------------------------------------------

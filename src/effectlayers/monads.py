@@ -294,15 +294,28 @@ def _graft(t: Term) -> Term:
 
 def _term_enumerate_factory(sig: Signature):
     def enum(carrier, bound: Bound):
-        grid = [g for g in bound.prob_grid]
-        levels = [[Const(x) for x in sort_values(carrier)]]
+        grid = list(bound.prob_grid)
+
+        def copies(o):  # one term per grid point for parameterized operations
+            return len(grid) if o.param else 1
+
+        # Depth-1 terms are the carrier and the constants; each deeper level
+        # applies every operation to all shallower terms.  The guard counts
+        # the terms so far plus those applications, before any is built.
+        n_leaves = len(carrier) + sum(copies(o) for o in sig.ops if o.arity == 0)
+        n_terms = n_leaves
+        for _ in range(bound.max_term_depth - 1):
+            size = sum(n_terms**o.arity * copies(o) for o in sig.ops if o.arity)
+            _guard("terms", n_terms + size, bound)
+            n_terms = n_leaves + size
+
+        all_terms = [Const(x) for x in sort_values(carrier)]
         for o in sig.ops:
             if o.arity == 0:
                 if o.param:
-                    levels[0].extend(App(o, (), g) for g in grid)
+                    all_terms.extend(App(o, (), g) for g in grid)
                 else:
-                    levels[0].append(App(o, ()))
-        all_terms = list(levels[0])
+                    all_terms.append(App(o, ()))
         for _ in range(bound.max_term_depth - 1):
             prev = all_terms
             new = []
@@ -314,9 +327,8 @@ def _term_enumerate_factory(sig: Signature):
                         new.extend(App(o, args, g) for g in grid)
                     else:
                         new.append(App(o, args))
-                    _guard("terms", len(all_terms) + len(new), bound)
-            fresh = [t for t in new if t not in set(all_terms)]
-            all_terms = all_terms + fresh
+            known = set(prev)
+            all_terms = prev + [t for t in new if t not in known]
         return all_terms
 
     return enum
@@ -333,16 +345,3 @@ def free_term_monad(sig: Signature) -> MonadInstance:
         inner_only=True,
         is_finitary_truncation=True,
     )
-
-
-# ---------------------------------------------------------------------------
-# nested enumeration helper
-
-def nested_values(T: MonadInstance, carrier, bound: Bound, depth: int):
-    """Enumerate T^depth applied to the carrier, shrinking bounds per level."""
-    values = list(carrier)
-    b = bound
-    for level in range(depth):
-        values = T.enumerate(values, b)
-        b = b.shrink()
-    return values

@@ -10,6 +10,7 @@ congruence-closure fallback covers theories without a known normal form.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -282,44 +283,62 @@ def _tm_eval(v: MultiSet, leaf: Callable) -> MultiSet:
     return out
 
 
+def _tm_word_count(n_atoms: int, n_sums: int, max_len: int) -> int:
+    """Canonical words of length <= max_len; a lone nested sum is not a word."""
+    return sum(n_atoms**k for k in range(max_len + 1)) - n_sums
+
+
+def _tm_words(atoms, max_len: int):
+    return [
+        w
+        for k in range(max_len + 1)
+        for w in itertools.product(atoms, repeat=k)
+        # canonical words never consist of a lone sum
+        if not (k == 1 and isinstance(w[0], SumAtom))
+    ]
+
+
+def _tm_nfs(words, min_total: int, max_total: int):
+    return [
+        MultiSet(combo)
+        for total in range(min_total, max_total + 1)
+        for combo in itertools.combinations_with_replacement(words, total)
+    ]
+
+
 def _tm_enumerate(carrier, bound: Bound):
-    def words_over(atoms, b: Bound):
-        out = []
-        for k in range(b.max_word_len + 1):
-            _guard("two-monoid words", len(out) + len(atoms) ** k, b)
-            for w in itertools.product(atoms, repeat=k):
-                # canonical words never consist of a lone sum
-                if len(w) == 1 and isinstance(w[0], SumAtom):
-                    continue
-                out.append(w)
-        return out
+    # Every size is counted in closed form and guarded before any value is
+    # built.  Distinct combinations of distinct words are distinct multisets,
+    # and there are comb(W+S, S) multisets of at most S words out of W.
+    carrier = list(carrier)
+    n_sums = sum(isinstance(x, SumAtom) for x in carrier)
+    nest = bound.max_term_depth >= 2
+    ib = bound.shrink()
+    n_nested = 0
+    if nest:
+        n_inner = _tm_word_count(len(carrier), n_sums, ib.max_word_len)
+        _guard("two-monoid words", n_inner, ib)
+        n_inner_nfs = math.comb(n_inner + ib.max_set_size, ib.max_set_size)
+        _guard("two-monoid normal forms", n_inner_nfs, ib)
+        n_nested = n_inner_nfs - 1 - n_inner  # the sums: total >= 2
+    n_words = _tm_word_count(
+        len(carrier) + n_nested, n_sums + n_nested, bound.max_word_len
+    )
+    _guard("two-monoid words", n_words, bound)
+    _guard(
+        "two-monoid normal forms",
+        math.comb(n_words + bound.max_set_size, bound.max_set_size),
+        bound,
+    )
 
-    def nfs_over(atoms, b: Bound):
-        words = words_over(atoms, b)
-        out = []
-        for total in range(b.max_set_size + 1):
-            for combo in itertools.combinations_with_replacement(words, total):
-                out.append(MultiSet(combo))
-                _guard("two-monoid normal forms", len(out), b)
-        return out
-
-    atoms = list(carrier)
-    nest = max(bound.max_term_depth - 1, 0)
-    inner_bound = bound.shrink()
-    for _ in range(nest):
-        nested = [
-            SumAtom(m)
-            for m in nfs_over(list(carrier), inner_bound)
-            if m.total() >= 2
+    atoms = carrier
+    if nest:
+        inner_words = _tm_words(carrier, ib.max_word_len)
+        atoms = carrier + [
+            SumAtom(m) for m in _tm_nfs(inner_words, 2, ib.max_set_size)
         ]
-        atoms = list(carrier) + nested
-    seen = set()
-    out = []
-    for v in nfs_over(atoms, bound):
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return sort_values(out)
+    nfs = _tm_nfs(_tm_words(atoms, bound.max_word_len), 0, bound.max_set_size)
+    return sort_values(dict.fromkeys(nfs))
 
 
 def _tm_monad() -> MonadInstance:

@@ -1,7 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
+from effectlayers import normal_forms
 from effectlayers.monads import (
     Bound,
     BoundExplosionError,
@@ -15,8 +18,13 @@ from effectlayers.monads import (
     multiset,
 )
 from effectlayers.distlaw import verify_monad, verify_monoidal
-from effectlayers.theories import monoid_theory
-from effectlayers.values import Dist, MultiSet
+from effectlayers.normal_forms import quotient_monad
+from effectlayers.theories import (
+    convex_theory,
+    monoid_theory,
+    two_monoids_absorption_theory,
+)
+from effectlayers.values import Dist, MultiSet, SumAtom
 
 GRID3 = (F(0), F(1, 2), F(1))
 B = Bound(max_word_len=2, max_set_size=3, max_multiplicity=2, prob_grid=GRID3)
@@ -106,3 +114,118 @@ class TestEnumerators:
         assert Dist({"a": F(1, 2), "b": F(1, 2)}) in dists
         assert len(dists) == 3
         assert all(sum(w for _, w in d.items()) == 1 for d in dists)
+
+
+def _words(n, max_len):
+    return sum(n**k for k in range(max_len + 1))
+
+
+def _two_monoid_count(n, b):
+    """Closed-form count of two-monoid normal forms over n plain atoms."""
+    nested = 0
+    if b.max_term_depth >= 2:
+        nb = b.shrink()
+        inner = _words(n, nb.max_word_len)
+        # multisets of total >= 2 over the inner words become nested sums
+        nested = comb(inner + nb.max_set_size, nb.max_set_size) - 1 - inner
+    # a lone nested sum is not a word
+    words = _words(n + nested, b.max_word_len) - nested
+    return comb(words + b.max_set_size, b.max_set_size)
+
+
+def _term_count(sig, n, b):
+    """Closed-form count of free terms of depth <= 2."""
+    grid = len(b.prob_grid)
+    leaves = n + sum(grid if o.param else 1 for o in sig.ops if o.arity == 0)
+    return leaves + sum(
+        leaves**o.arity * (grid if o.param else 1) for o in sig.ops if o.arity
+    )
+
+
+TWO_MONOIDS = quotient_monad(two_monoids_absorption_theory()).monad
+TM1 = Bound(max_word_len=2, max_set_size=2, max_term_depth=1, prob_grid=GRID3)
+TM2_SMALL = Bound(max_word_len=1, max_set_size=3, max_term_depth=2, prob_grid=GRID3)
+T2 = Bound(max_term_depth=2, prob_grid=GRID3)
+
+# (name, monad, bound, closed-form count over n atoms); bounds keep every
+# enumeration below a few thousand values
+COUNTED = [
+    ("word", free_monoid(), B, lambda n, b: _words(n, b.max_word_len)),
+    (
+        "powerset",
+        fin_powerset(),
+        B,
+        lambda n, b: sum(comb(n, k) for k in range(min(n, b.max_set_size) + 1)),
+    ),
+    (
+        "multiset",
+        multiset(),
+        B,
+        lambda n, b: sum(
+            comb(n, k) * b.max_multiplicity**k
+            for k in range(min(n, b.max_set_size) + 1)
+        ),
+    ),
+    ("two-monoids depth 1", TWO_MONOIDS, TM1, _two_monoid_count),
+    ("two-monoids depth 2", TWO_MONOIDS, TM2_SMALL, _two_monoid_count),
+    (
+        "terms(seq,skip)",
+        free_term_monad(monoid_theory().signature),
+        T2,
+        lambda n, b: _term_count(monoid_theory().signature, n, b),
+    ),
+    (
+        "terms(oplus)",
+        free_term_monad(convex_theory().signature),
+        T2,
+        lambda n, b: _term_count(convex_theory().signature, n, b),
+    ),
+]
+
+
+class TestClosedFormCounts:
+    """Each enumerator refuses exactly when its closed-form size exceeds the
+    ceiling, and reports that size."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "T,b,count", [c[1:] for c in COUNTED], ids=[c[0] for c in COUNTED]
+    )
+    def test_count_is_exact_and_decides_refusal(self, T, b, count, n):
+        X = tuple("abc"[:n])
+        expected = count(n, b)
+        assert len(T.enumerate(X, replace(b, ceiling=10**12))) == expected
+        assert len(T.enumerate(X, replace(b, ceiling=expected))) == expected
+        with pytest.raises(BoundExplosionError) as exc:
+            T.enumerate(X, replace(b, ceiling=expected - 1))
+        assert exc.value.count == expected
+
+    def test_nested_sums_reach_the_counted_fragment(self):
+        b = Bound(max_word_len=2, max_set_size=2, max_term_depth=2, prob_grid=GRID3)
+        values = TWO_MONOIDS.enumerate(("a",), b)
+        assert len(values) == _two_monoid_count(1, b) == 1378
+        assert any(
+            isinstance(atom, SumAtom)
+            for v in values
+            for word in v
+            for atom in word
+        )
+
+    def test_refused_two_monoid_enumeration_builds_nothing(
+        self, small_bound, monkeypatch
+    ):
+        built = []
+
+        class CountingMultiSet(normal_forms.MultiSet):
+            __slots__ = ()
+
+            def __init__(self, items=()):
+                built.append(1)
+                super().__init__(items)
+
+        monkeypatch.setattr(normal_forms, "MultiSet", CountingMultiSet)
+        b = replace(small_bound, ceiling=20_000)
+        with pytest.raises(BoundExplosionError) as exc:
+            TWO_MONOIDS.enumerate(("a", "b"), b)
+        assert exc.value.count == 123_536_120 == _two_monoid_count(2, b)
+        assert built == []
