@@ -5,8 +5,15 @@
     effectlayers verify-laws SPEC  DL.1-4, naturality, monad and axiom checks
     effectlayers eval SPEC -e PROG [--stage N]
 
-Exit codes: 0 = all verified, 1 = equations dropped but composite verified,
-2 = unverified composite or failed law, 3 = input error.
+Exit codes:
+    check        0 = nothing dropped, 1 = equations dropped
+    compose      0 = all verified and nothing dropped, 1 = equations
+                 dropped but composite verified, 2 = unverified composite
+                 or failed law
+    verify-laws  0 = every law report passed, 2 = a law report failed or
+                 is missing (drops do not count)
+    eval         0
+    all          3 = input error
 """
 
 from __future__ import annotations

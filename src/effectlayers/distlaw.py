@@ -9,7 +9,7 @@ laws) is checked by exhaustive enumeration on bounded finite fragments.
 
 from __future__ import annotations
 
-import itertools
+from itertools import product
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -19,8 +19,8 @@ from .monads import (
     Bound,
     BoundExplosionError,
     MonadInstance,
-    fubini_tuples,
     free_term_monad,
+    lift,
 )
 from .normal_forms import QuotientMonad
 from .terms import App, Const, Signature, Term, TermError
@@ -57,8 +57,7 @@ class SigmaLaw:
         op = self.signature[op_name]
         if len(values) != op.arity:
             raise TermError(f"{op_name!r} expects {op.arity} arguments")
-        combined = fubini_tuples(self.outer, op.arity, list(values))
-        return self.outer.map(lambda xs: App(op, tuple(xs), param), combined)
+        return lift(self.outer, lambda xs: App(op, xs, param), values)
 
 
 def build_sigma_law(sig: Signature, T: MonadInstance) -> SigmaLaw:
@@ -83,10 +82,7 @@ class RhoLaw:
             return T.map(Const, t.value)
         if isinstance(t, App):
             arg_values = [self.apply(a) for a in t.args]
-            combined = fubini_tuples(T, len(arg_values), arg_values)
-            return T.map(
-                lambda parts: App(t.op, tuple(parts), t.param), combined
-            )
+            return lift(T, lambda parts: App(t.op, parts, t.param), arg_values)
         raise TermError("distributive laws apply to ground terms only")
 
 
@@ -197,16 +193,16 @@ def _enum(en, carrier, b: Bound, cap: Optional[int] = None):
             max_term_depth=1,
         ),
     )
-    vs = None
     for cb in candidates:
         try:
             vs = en(tuple(carrier), cb)
-            break
-        except BoundExplosionError:
+        except BoundExplosionError as exc:
+            refused = exc
             continue
-    if vs is None:
-        raise BoundExplosionError("law-verification fragment", -1, b.ceiling)
-    return _sample(vs, cap)
+        return _sample(vs, cap)
+    raise BoundExplosionError(
+        "law-verification fragment", refused.count, b.ceiling
+    ) from refused
 
 
 def _sample(vs, cap: Optional[int]):
@@ -214,6 +210,26 @@ def _sample(vs, cap: Optional[int]):
         return vs
     stride = len(vs) // cap
     return vs[::stride][:cap]
+
+
+def _law(axiom: str, cases, witness, frag: str) -> LawReport:
+    """PASS, or FAIL with the witness of the first case that breaks the
+    axiom; `witness(*case)` is None when the case satisfies it."""
+    for case in cases:
+        w = witness(*case)
+        if w is not None:
+            return LawReport(axiom, FAIL, w, frag)
+    return LawReport(axiom, PASS, None, frag)
+
+
+def _sides(lhs, rhs):
+    """Witness that the two sides of an equation agree on one input."""
+
+    def witness(v):
+        l, r = lhs(v), rhs(v)
+        return {"input": v, "lhs": l, "rhs": r} if l != r else None
+
+    return witness
 
 
 def verify_distlaw(law: QuotientLaw, fragments, cap: int = 240) -> list:
@@ -224,77 +240,54 @@ def verify_distlaw(law: QuotientLaw, fragments, cap: int = 240) -> list:
     """
     S, T = law.inner.monad, law.outer
     lam = law.apply
+    # DL.1: lambda o S(eta_T) = eta_T at SX
+    dl1 = _sides(lambda s: lam(S.map(T.unit, s)), T.unit)
+    # DL.2: lambda o eta_S at TX = T(eta_S)
+    dl2 = _sides(lambda t: lam(S.unit(t)), lambda t: T.map(S.unit, t))
+    # DL.3: lambda o S(mu_T) = mu_T o T(lambda) o lambda at S(TT X)
+    dl3 = _sides(
+        lambda s: lam(S.map(T.mult, s)), lambda s: T.mult(T.map(lam, lam(s)))
+    )
+    # DL.4: lambda o mu_S at TX = T(mu_S) o lambda o S(lambda) at SS(T X)
+    dl4 = _sides(
+        lambda s: lam(S.mult(s)), lambda s: T.map(S.mult, lam(S.map(lam, s)))
+    )
+
+    # naturality: lambda o S(T f) = T(S f) o lambda for all f: X -> Y
+    def natural(f, s):
+        fn = lambda x: f[x]
+        l = lam(S.map(lambda t: T.map(fn, t), s))
+        r = T.map(lambda v: S.map(fn, v), lam(s))
+        return {"f": f, "input": s, "lhs": l, "rhs": r} if l != r else None
+
     reports = []
-
-    def check(axiom, inputs, lhs_fn, rhs_fn, frag):
-        for v in inputs:
-            l, r = lhs_fn(v), rhs_fn(v)
-            if l != r:
-                reports.append(LawReport(axiom, FAIL, {"input": v, "lhs": l, "rhs": r}, frag))
-                return
-        reports.append(LawReport(axiom, PASS, None, frag))
-
     for X, b in fragments:
         X = tuple(X)
         nb = b.shrink()
         frag = f"|X|={len(X)}, {b.max_word_len}/{b.max_set_size} bounds"
         sx = _enum(S.enumerate, X, b)
         tx = T.enumerate(X, b)
-        # DL.1: lambda o S(eta_T) = eta_T at SX
-        check("DL1", sx, lambda s: lam(S.map(T.unit, s)), T.unit, frag)
-        # DL.2: lambda o eta_S at TX = T(eta_S)
-        check("DL2", tx, lambda t: lam(S.unit(t)), lambda t: T.map(S.unit, t), frag)
-        # DL.3: lambda o S(mu_T) = mu_T o T(lambda) o lambda at S(TT X)
+        reports.append(_law("DL1", product(sx), dl1, frag))
+        reports.append(_law("DL2", product(tx), dl2, frag))
         ttx = _enum(T.enumerate, tx, nb, cap=8)
         sttx = _enum(S.enumerate, ttx, nb, cap=cap)
-        check(
-            "DL3",
-            sttx,
-            lambda s: lam(S.map(T.mult, s)),
-            lambda s: T.mult(T.map(lam, lam(s))),
-            frag + " (shrunk for TT nesting)",
-        )
-        # DL.4: lambda o mu_S at TX = T(mu_S) o lambda o S(lambda) at SS(T X)
+        tt_frag = frag + " (shrunk for TT nesting)"
+        reports.append(_law("DL3", product(sttx), dl3, tt_frag))
         stx = _enum(S.enumerate, tx, nb, cap=16)
         sstx = _enum(S.enumerate, stx, nb, cap=cap)
-        check(
-            "DL4",
-            sstx,
-            lambda s: lam(S.mult(s)),
-            lambda s: T.map(S.mult, lam(S.map(lam, s))),
-            frag + " (shrunk for SS nesting)",
-        )
-        # naturality: lambda o S(T f) = T(S f) o lambda for all f: X -> Y
-        nat_fail = None
+        ss_frag = frag + " (shrunk for SS nesting)"
+        reports.append(_law("DL4", product(sstx), dl4, ss_frag))
         small = X[: min(len(X), 2)]
         stx_small = _enum(S.enumerate, T.enumerate(small, nb), nb, cap=40)
-        for Y in (small[:1], small):
-            for f in _functions(small, Y):
-                fn = lambda x: f[x]
-                for s in stx_small:
-                    l = lam(S.map(lambda t: T.map(fn, t), s))
-                    r = T.map(lambda v: S.map(fn, v), lam(s))
-                    if l != r:
-                        nat_fail = {"f": f, "input": s, "lhs": l, "rhs": r}
-                        break
-                if nat_fail:
-                    break
-            if nat_fail:
-                break
-        reports.append(
-            LawReport(
-                "NATURALITY",
-                FAIL if nat_fail else PASS,
-                nat_fail,
-                f"functions on carriers <= {len(small)}",
-            )
-        )
+        fs = [f for Y in (small[:1], small) for f in _functions(small, Y)]
+        nat_frag = f"functions on carriers <= {len(small)}"
+        reports.append(_law("NATURALITY", product(fs, stx_small), natural, nat_frag))
     return reports
 
 
 def _functions(domain, codomain):
     domain, codomain = tuple(domain), tuple(codomain)
-    for images in itertools.product(codomain, repeat=len(domain)):
+    for images in product(codomain, repeat=len(domain)):
         yield dict(zip(domain, images))
 
 
@@ -337,7 +330,6 @@ class CompositeMonad:
                 fubini=None,
                 enumerate=enum,
                 inner_only=True,
-                is_finitary_truncation=True,
             ),
         )
 
@@ -354,6 +346,45 @@ def verify_monoidal(T: MonadInstance, fragments) -> list:
     multiplication square, SYM symmetry with the twist map.
     """
     T.require_outer()
+    unit1 = T.unit(())
+
+    def mf1(f, g, u, v):
+        ff, gg = (lambda x: f[x]), (lambda x: g[x])
+        lhs = T.fubini(T.map(ff, u), T.map(gg, v))
+        rhs = T.map(lambda p: (ff(p[0]), gg(p[1])), T.fubini(u, v))
+        return {"f": f, "g": g, "u": u, "v": v} if lhs != rhs else None
+
+    def mf2(u, v, w):
+        lhs = T.map(
+            lambda p: (p[0][0], (p[0][1], p[1])), T.fubini(T.fubini(u, v), w)
+        )
+        rhs = T.fubini(u, T.fubini(v, w))
+        if lhs != rhs:
+            return {"u": u, "v": v, "w": w, "lhs": lhs, "rhs": rhs}
+        return None
+
+    def mf3(v):
+        left = T.map(lambda p: p[1], T.fubini(unit1, v))
+        right = T.map(lambda p: p[0], T.fubini(v, unit1))
+        if left != v or right != v:
+            return {"value": v, "left-unit": left, "right-unit": right}
+        return None
+
+    def mm1(x, y):
+        if T.fubini(T.unit(x), T.unit(y)) != T.unit((x, y)):
+            return {"x": x, "y": y}
+        return None
+
+    def mm2(uu, vv):
+        lhs = T.fubini(T.mult(uu), T.mult(vv))
+        rhs = T.mult(T.map(lambda p: T.fubini(p[0], p[1]), T.fubini(uu, vv)))
+        return {"uu": uu, "vv": vv, "lhs": lhs, "rhs": rhs} if lhs != rhs else None
+
+    def sym(u, v):
+        if T.map(lambda p: (p[1], p[0]), T.fubini(u, v)) != T.fubini(v, u):
+            return {"u": u, "v": v}
+        return None
+
     reports = []
     for X, b in fragments:
         X = tuple(X)
@@ -362,115 +393,40 @@ def verify_monoidal(T: MonadInstance, fragments) -> list:
         tx = T.enumerate(X, b)
         small = X[: min(len(X), 2)]
         tsmall = T.enumerate(small, nb)
-
-        fail = None
-        for f in _functions(small, small):
-            for g in _functions(small, small):
-                ff, gg = (lambda m: lambda x: m[x])(f), (lambda m: lambda x: m[x])(g)
-                for u in tsmall:
-                    for v in tsmall:
-                        lhs = T.fubini(T.map(ff, u), T.map(gg, v))
-                        rhs = T.map(lambda p: (ff(p[0]), gg(p[1])), T.fubini(u, v))
-                        if lhs != rhs:
-                            fail = {"f": f, "g": g, "u": u, "v": v}
-                        if fail:
-                            break
-                    if fail:
-                        break
-                if fail:
-                    break
-            if fail:
-                break
-        reports.append(LawReport("MF1", FAIL if fail else PASS, fail, frag))
-
-        fail = None
-        for u in tsmall:
-            for v in tsmall:
-                for w in tsmall:
-                    lhs = T.map(
-                        lambda p: (p[0][0], (p[0][1], p[1])),
-                        T.fubini(T.fubini(u, v), w),
-                    )
-                    rhs = T.fubini(u, T.fubini(v, w))
-                    if lhs != rhs:
-                        fail = {"u": u, "v": v, "w": w, "lhs": lhs, "rhs": rhs}
-                        break
-                if fail:
-                    break
-            if fail:
-                break
-        reports.append(LawReport("MF2", FAIL if fail else PASS, fail, frag))
-
-        fail = None
-        unit1 = T.unit(())
-        for v in tx:
-            left = T.map(lambda p: p[1], T.fubini(unit1, v))
-            right = T.map(lambda p: p[0], T.fubini(v, unit1))
-            if left != v or right != v:
-                fail = {"value": v, "left-unit": left, "right-unit": right}
-                break
-        reports.append(LawReport("MF3", FAIL if fail else PASS, fail, frag))
-
-        fail = None
-        for x in X:
-            for y in X:
-                if T.fubini(T.unit(x), T.unit(y)) != T.unit((x, y)):
-                    fail = {"x": x, "y": y}
-                    break
-            if fail:
-                break
-        reports.append(LawReport("MM1", FAIL if fail else PASS, fail, frag))
-
-        fail = None
+        fs = list(_functions(small, small))
+        reports.append(_law("MF1", product(fs, fs, tsmall, tsmall), mf1, frag))
+        reports.append(_law("MF2", product(tsmall, repeat=3), mf2, frag))
+        reports.append(_law("MF3", product(tx), mf3, frag))
+        reports.append(_law("MM1", product(X, repeat=2), mm1, frag))
         ttsmall = _enum(T.enumerate, tsmall, nb, cap=8)
-        for uu in ttsmall:
-            for vv in ttsmall:
-                lhs = T.fubini(T.mult(uu), T.mult(vv))
-                rhs = T.mult(
-                    T.map(lambda p: T.fubini(p[0], p[1]), T.fubini(uu, vv))
-                )
-                if lhs != rhs:
-                    fail = {"uu": uu, "vv": vv, "lhs": lhs, "rhs": rhs}
-                    break
-            if fail:
-                break
-        reports.append(
-            LawReport("MM2", FAIL if fail else PASS, fail, frag + " (nested, sampled)")
-        )
-
-        fail = None
-        for u in tx:
-            for v in tx:
-                lhs = T.map(lambda p: (p[1], p[0]), T.fubini(u, v))
-                if lhs != T.fubini(v, u):
-                    fail = {"u": u, "v": v}
-                    break
-            if fail:
-                break
-        reports.append(LawReport("SYM", FAIL if fail else PASS, fail, frag))
+        nested = frag + " (nested, sampled)"
+        reports.append(_law("MM2", product(ttsmall, repeat=2), mm2, nested))
+        reports.append(_law("SYM", product(tx, repeat=2), sym, frag))
     return reports
 
 
 def verify_monad(M: MonadInstance, fragments) -> list:
     """Unit and associativity laws of a monad, exhaustively on fragments."""
+
+    def unit_laws(v):
+        if M.mult(M.unit(v)) != v:
+            return {"axiom": "mult o unit_M = id", "input": v}
+        if M.mult(M.map(M.unit, v)) != v:
+            return {"axiom": "mult o M(unit) = id", "input": v}
+        return None
+
+    def assoc(v):
+        if M.mult(M.mult(v)) != M.mult(M.map(M.mult, v)):
+            return {"axiom": "mult o mult_M = mult o M(mult)", "input": v}
+        return None
+
     reports = []
     for X, b in fragments:
         X = tuple(X)
         nb = b.shrink()
         frag = f"|X|={len(X)}"
         mx = _enum(M.enumerate, X, b)
-        fail = None
-        for v in mx:
-            if M.mult(M.unit(v)) != v:
-                fail = {"axiom": "mult o unit_M = id", "input": v}
-                break
-            if M.mult(M.map(M.unit, v)) != v:
-                fail = {"axiom": "mult o M(unit) = id", "input": v}
-                break
-        reports.append(
-            LawReport("MONAD_UNIT", FAIL if fail else PASS, fail, frag)
-        )
-        fail = None
+        reports.append(_law("MONAD_UNIT", product(mx), unit_laws, frag))
         # triple nesting explodes combinatorially: the number of values and
         # the size of each value.  Keep level-1 exhaustive; build the deeper
         # levels with flat bounds so individual values stay small.
@@ -483,16 +439,6 @@ def verify_monad(M: MonadInstance, fragments) -> list:
         )
         mmx = _enum(M.enumerate, _sample(mx, 8), flat, cap=120)
         mmmx = _enum(M.enumerate, _sample(mmx, 8), flat, cap=120)
-        for v in mmmx:
-            if M.mult(M.mult(v)) != M.mult(M.map(M.mult, v)):
-                fail = {"axiom": "mult o mult_M = mult o M(mult)", "input": v}
-                break
-        reports.append(
-            LawReport(
-                "MONAD_ASSOC",
-                FAIL if fail else PASS,
-                fail,
-                frag + " (shrunk nesting)",
-            )
-        )
+        assoc_frag = frag + " (shrunk nesting)"
+        reports.append(_law("MONAD_ASSOC", product(mmmx), assoc, assoc_frag))
     return reports

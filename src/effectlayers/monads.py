@@ -79,7 +79,6 @@ class MonadInstance:
     fubini: Optional[Callable]  # (tx, ty) -> T(X x Y) of pairs; None if inner-only
     enumerate: Callable  # (carrier: Sequence, Bound) -> list
     inner_only: bool = False
-    is_finitary_truncation: bool = False
 
     def require_outer(self):
         if self.inner_only or self.fubini is None:
@@ -109,6 +108,11 @@ def fubini_tuples(T: MonadInstance, k: int, values) -> object:
         paired = T.fubini(acc, v)
         acc = T.map(lambda p: p[0] + (p[1],), paired)
     return acc
+
+
+def lift(T: MonadInstance, f: Callable, values):
+    """T(f) o psi^(k): apply `f` to each k-tuple drawn from the k T-values."""
+    return T.map(f, fubini_tuples(T, len(values), values))
 
 
 def fubini_k(T: MonadInstance, k: int, values):
@@ -141,7 +145,6 @@ def free_monoid() -> MonadInstance:
         fubini=None,  # pointwise zip is unsound; no monoidal structure is provided
         enumerate=_word_enumerate,
         inner_only=True,
-        is_finitary_truncation=True,
     )
 
 
@@ -169,7 +172,6 @@ def fin_powerset() -> MonadInstance:
         mult=lambda uu: frozenset(x for u in uu for x in u),
         fubini=lambda u, v: frozenset((x, y) for x in u for y in v),
         enumerate=_set_enumerate,
-        is_finitary_truncation=True,
     )
 
 
@@ -212,7 +214,6 @@ def multiset() -> MonadInstance:
         mult=_mset_mult,
         fubini=_mset_fubini,
         enumerate=_mset_enumerate,
-        is_finitary_truncation=True,
     )
 
 
@@ -274,7 +275,6 @@ def fin_distribution() -> MonadInstance:
         mult=_dist_mult,
         fubini=_dist_fubini,
         enumerate=_dist_enumerate,
-        is_finitary_truncation=True,
     )
 
 
@@ -299,15 +299,16 @@ def _term_enumerate_factory(sig: Signature):
         def copies(o):  # one term per grid point for parameterized operations
             return len(grid) if o.param else 1
 
-        # Depth-1 terms are the carrier and the constants; each deeper level
-        # applies every operation to all shallower terms.  The guard counts
-        # the terms so far plus those applications, before any is built.
+        # Depth-1 terms are the carrier and the constants; a term of depth
+        # <= d is a leaf or an operation applied to terms of depth <= d - 1.
+        # The guard counts them for every level before any is built.
         n_leaves = len(carrier) + sum(copies(o) for o in sig.ops if o.arity == 0)
         n_terms = n_leaves
         for _ in range(bound.max_term_depth - 1):
-            size = sum(n_terms**o.arity * copies(o) for o in sig.ops if o.arity)
-            _guard("terms", n_terms + size, bound)
-            n_terms = n_leaves + size
+            n_terms = n_leaves + sum(
+                n_terms**o.arity * copies(o) for o in sig.ops if o.arity
+            )
+            _guard("terms", n_terms, bound)
 
         all_terms = [Const(x) for x in sort_values(carrier)]
         for o in sig.ops:
@@ -316,19 +317,24 @@ def _term_enumerate_factory(sig: Signature):
                     all_terms.extend(App(o, (), g) for g in grid)
                 else:
                     all_terms.append(App(o, ()))
+        # each level adds the applications with an argument from the level
+        # before; the others were built at a shallower level
+        older = 0
         for _ in range(bound.max_term_depth - 1):
             prev = all_terms
-            new = []
+            all_terms = list(prev)
             for o in sig.ops:
                 if o.arity == 0:
                     continue
-                for args in itertools.product(prev, repeat=o.arity):
+                for idx in itertools.product(range(len(prev)), repeat=o.arity):
+                    if max(idx) < older:
+                        continue
+                    args = tuple(prev[i] for i in idx)
                     if o.param:
-                        new.extend(App(o, args, g) for g in grid)
+                        all_terms.extend(App(o, args, g) for g in grid)
                     else:
-                        new.append(App(o, args))
-            known = set(prev)
-            all_terms = prev + [t for t in new if t not in known]
+                        all_terms.append(App(o, args))
+            older = len(prev)
         return all_terms
 
     return enum
@@ -343,5 +349,4 @@ def free_term_monad(sig: Signature) -> MonadInstance:
         fubini=None,  # free term monads over nontrivial signatures are not commutative
         enumerate=_term_enumerate_factory(sig),
         inner_only=True,
-        is_finitary_truncation=True,
     )

@@ -9,6 +9,7 @@ congruence-closure fallback covers theories without a known normal form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from .monads import (
 from .terms import (
     App,
     Const,
+    FiniteAlgebra,
     OpSymbol,
     Term,
     TermError,
@@ -79,6 +81,14 @@ class QuotientMonad:
     def representative(self, value) -> Term:
         """Canonical term mapping to `value` under q (deterministic)."""
         return _REPRESENTATIVE[self.kind](self.roles, value)
+
+    def algebra(self, carrier=(), name: str = "") -> FiniteAlgebra:
+        """The canonical algebra structure on an explicit carrier of SY."""
+        interp = {
+            o.name: functools.partial(self.apply_op, o.name)
+            for o in self.theory.signature.ops
+        }
+        return FiniteAlgebra(tuple(carrier), interp, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +203,6 @@ def _sow_monad() -> MonadInstance:
         fubini=None,
         enumerate=_sow_enumerate,
         inner_only=True,
-        is_finitary_truncation=True,
     )
 
 
@@ -227,7 +236,6 @@ def _mow_monad() -> MonadInstance:
         fubini=None,
         enumerate=_mow_enumerate,
         inner_only=True,
-        is_finitary_truncation=True,
     )
 
 
@@ -350,7 +358,6 @@ def _tm_monad() -> MonadInstance:
         fubini=None,
         enumerate=_tm_enumerate,
         inner_only=True,
-        is_finitary_truncation=True,
     )
 
 
@@ -662,7 +669,6 @@ def generic_quotient_monad(theory: Theory) -> QuotientMonad:
         fubini=None,
         enumerate=enum,
         inner_only=True,
-        is_finitary_truncation=True,
     )
     _, roles = recognize_theory(theory)
 

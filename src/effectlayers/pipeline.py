@@ -33,6 +33,7 @@ from .preservation import (
     UNKNOWN,
     MonadProfile,
     check_preservation,
+    lift_interp,
     profile_monad,
 )
 from .terms import (
@@ -70,9 +71,6 @@ class WeakenedTheory:
     dropped: tuple       # (Equation, Verdict) pairs
     generated: tuple     # distributivity axioms of the combined language
     signature: Signature  # union of inner and outer signatures
-
-    def inner_theory(self, name: str, inner_sig: Signature) -> Theory:
-        return Theory(inner_sig, self.kept, name=name)
 
 
 @dataclass(frozen=True)
@@ -184,20 +182,7 @@ def composite_algebra(
 ) -> FiniteAlgebra:
     """Interpret inner ops by lifting through T and outer ops by T's own
     canonical algebra, on an explicit (possibly sampled) carrier of T(SX)."""
-    from .monads import fubini_tuples
-
-    interp = {}
-    for f in S.theory.signature.ops:
-        def fhat(args, param=None, _f=f):
-            combined = fubini_tuples(T, len(args), list(args))
-            return T.map(lambda xs: S.apply_op(_f.name, xs, param), combined)
-
-        interp[f.name] = fhat
-    for g in outer_q.theory.signature.ops:
-        def ghat(args, param=None, _g=g):
-            return outer_q.apply_op(_g.name, args, param)
-
-        interp[g.name] = ghat
+    interp = lift_interp(T, S.algebra()) | outer_q.algebra().interp
     return FiniteAlgebra(tuple(carrier), interp, name="composite")
 
 
@@ -364,51 +349,26 @@ def eval_term(report: CompositionReport, t: Term, stage: int, atoms) -> object:
     if stage == 0:
         seed = report.layers[0]
         qm = quotient_monad(seed.theory, seed.normalizer)
-        sig = seed.theory.signature
-
-        def go0(u: Term):
-            if isinstance(u, Const):
-                if u.value not in atom_set:
-                    raise TermError(f"unbound atom {u.value!r}")
-                return qm.monad.unit(u.value)
-            if isinstance(u, App):
-                if u.op.name not in sig:
-                    raise TermError(
-                        f"operation {u.op.name!r} is not available at stage 0"
-                    )
-                return qm.apply_op(u.op.name, [go0(a) for a in u.args], u.param)
-            raise TermError("programs must be closed terms")
-
-        return go0(t)
-
-    s = report.stages[stage - 1]
-    if s.inner_monad is None:
-        raise TermError(f"stage {stage} has no normal-form monad")
-    from .monads import fubini_tuples
-
-    T = s.outer_monad.monad
-    S = s.inner_monad
-    inner_sig = S.theory.signature
-    outer_sig = s.outer_monad.theory.signature
+        unit, interp = qm.monad.unit, qm.algebra().interp
+    else:
+        s = report.stages[stage - 1]
+        if s.inner_monad is None:
+            raise TermError(f"stage {stage} has no normal-form monad")
+        T, S = s.outer_monad.monad, s.inner_monad
+        unit = lambda x: T.unit(S.monad.unit(x))
+        interp = composite_algebra(T, S, s.outer_monad, ()).interp
 
     def go(u: Term):
         if isinstance(u, Const):
             if u.value not in atom_set:
                 raise TermError(f"unbound atom {u.value!r}")
-            return T.unit(S.monad.unit(u.value))
+            return unit(u.value)
         if isinstance(u, App):
-            name = u.op.name
-            args = [go(a) for a in u.args]
-            if name in outer_sig:
-                return s.outer_monad.apply_op(name, args, u.param)
-            if name in inner_sig:
-                combined = fubini_tuples(T, len(args), args)
-                return T.map(
-                    lambda xs: S.apply_op(name, xs, u.param), combined
+            if u.op.name not in interp:
+                raise TermError(
+                    f"operation {u.op.name!r} is not available at stage {stage}"
                 )
-            raise TermError(
-                f"operation {name!r} is not available at stage {stage}"
-            )
+            return interp[u.op.name]([go(a) for a in u.args], u.param)
         raise TermError("programs must be closed terms")
 
     return go(t)

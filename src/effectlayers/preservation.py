@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .monads import Bound, MonadInstance, fubini_k, fubini_tuples
+from .monads import Bound, MonadInstance, fubini_k, fubini_tuples, lift
 from .terms import (
     Equation,
     FiniteAlgebra,
@@ -28,7 +28,6 @@ from .values import canon_key
 
 HOLDS_ON_FRAGMENT = "HOLDS_ON_FRAGMENT"
 FAILS = "FAILS"
-DECLARED = "DECLARED"
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,7 @@ class ProbeResult:
 
     @property
     def holds(self) -> bool:
-        return self.status in (HOLDS_ON_FRAGMENT, DECLARED)
+        return self.status == HOLDS_ON_FRAGMENT
 
 
 @dataclass(frozen=True)
@@ -158,17 +157,10 @@ def residual_commutes(T: MonadInstance, t, V, X, b: Bound) -> ProbeResult:
 def lift_interp(T: MonadInstance, A: FiniteAlgebra):
     """Interpretations on T(carrier): op-hat = T(op) o psi^(arity)."""
 
-    def lifted(op_name):
-        base = A.op(op_name)
+    def lifted(base):
+        return lambda args, param=None: lift(T, lambda xs: base(xs, param), args)
 
-        def go(args, param=None):
-            k = len(args)
-            combined = fubini_tuples(T, k, list(args))
-            return T.map(lambda xs: base(tuple(xs), param), combined)
-
-        return go
-
-    return {name: lifted(name) for name in A.interp}
+    return {name: lifted(A.op(name)) for name in A.interp}
 
 
 def lifted_algebra(T: MonadInstance, A: FiniteAlgebra, b: Bound) -> FiniteAlgebra:
@@ -341,13 +333,7 @@ def _free_algebra_violation(T: MonadInstance, inner: Theory, e: Equation, X, b: 
         return None, ""
     if len(carrier) > _FREE_CARRIER_CAP:
         return None, ""
-    interp = {
-        o.name: (lambda name: lambda args, param=None: S.apply_op(name, args, param))(
-            o.name
-        )
-        for o in inner.signature.ops
-    }
-    A = FiniteAlgebra(carrier, interp, name=f"free-{kind.lower()}({len(X)} atoms)")
+    A = S.algebra(carrier, name=f"free-{kind.lower()}({len(X)} atoms)")
     try:
         LA = lifted_algebra(T, A, b)
     except BoundExplosionError:

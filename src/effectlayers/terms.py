@@ -215,10 +215,6 @@ def subst_vars(t: Term, env: Mapping[str, Term]) -> Term:
     return App(t.op, tuple(subst_vars(a, env) for a in t.args), t.param)
 
 
-def rename_vars(t: Term, mapping: Mapping[str, str]) -> Term:
-    return subst_vars(t, {x: Var(y) for x, y in mapping.items()})
-
-
 def instantiate_params(t: Term, env: Mapping[str, Fraction]) -> Term:
     """Replace parameter expressions by concrete rationals (may raise
     ParamDivisionByZero, in which case the instance is skipped)."""

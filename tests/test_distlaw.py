@@ -5,6 +5,7 @@ import pytest
 from effectlayers.distlaw import (
     LawRefusedError,
     QuotientLaw,
+    _enum,
     build_quotient_law,
     build_sigma_law,
     compose,
@@ -12,7 +13,12 @@ from effectlayers.distlaw import (
     verify_distlaw,
     verify_monad,
 )
-from effectlayers.monads import Bound, fin_distribution, fin_powerset
+from effectlayers.monads import (
+    Bound,
+    BoundExplosionError,
+    fin_distribution,
+    fin_powerset,
+)
 from effectlayers.normal_forms import quotient_monad
 from effectlayers.preservation import check_preservation, profile_monad
 from effectlayers.theories import (
@@ -105,6 +111,16 @@ class TestRefusal:
             build_quotient_law(S, T, rho, FRAGS, verdicts=verdicts)
         assert "idem(+)" in str(exc.value)
         assert exc.value.verdicts
+
+
+class TestFallback:
+    def test_refusal_of_every_fallback_gives_the_flattest_size(self):
+        with pytest.raises(BoundExplosionError) as exc:
+            _enum(fin_powerset().enumerate, range(20), Bound(ceiling=3))
+        # the flattest attempt allows sets of at most one of the 20 values
+        assert exc.value.count == 21
+        assert "-1" not in str(exc.value)
+        assert isinstance(exc.value.__cause__, BoundExplosionError)
 
 
 class TestComposite:

@@ -134,18 +134,23 @@ def _two_monoid_count(n, b):
 
 
 def _term_count(sig, n, b):
-    """Closed-form count of free terms of depth <= 2."""
+    """Count of free terms up to the bound's depth: a term of depth <= d is
+    a leaf or an operation applied to terms of depth <= d - 1."""
     grid = len(b.prob_grid)
     leaves = n + sum(grid if o.param else 1 for o in sig.ops if o.arity == 0)
-    return leaves + sum(
-        leaves**o.arity * (grid if o.param else 1) for o in sig.ops if o.arity
-    )
+    count = leaves
+    for _ in range(b.max_term_depth - 1):
+        count = leaves + sum(
+            count**o.arity * (grid if o.param else 1) for o in sig.ops if o.arity
+        )
+    return count
 
 
 TWO_MONOIDS = quotient_monad(two_monoids_absorption_theory()).monad
 TM1 = Bound(max_word_len=2, max_set_size=2, max_term_depth=1, prob_grid=GRID3)
 TM2_SMALL = Bound(max_word_len=1, max_set_size=3, max_term_depth=2, prob_grid=GRID3)
 T2 = Bound(max_term_depth=2, prob_grid=GRID3)
+T3 = Bound(max_term_depth=3, prob_grid=GRID3)
 
 # (name, monad, bound, closed-form count over n atoms); bounds keep every
 # enumeration below a few thousand values
@@ -175,6 +180,12 @@ COUNTED = [
         lambda n, b: _term_count(monoid_theory().signature, n, b),
     ),
     (
+        "terms(seq,skip) depth 3",
+        free_term_monad(monoid_theory().signature),
+        T3,
+        lambda n, b: _term_count(monoid_theory().signature, n, b),
+    ),
+    (
         "terms(oplus)",
         free_term_monad(convex_theory().signature),
         T2,
@@ -199,6 +210,13 @@ class TestClosedFormCounts:
         with pytest.raises(BoundExplosionError) as exc:
             T.enumerate(X, replace(b, ceiling=expected - 1))
         assert exc.value.count == expected
+
+    def test_deeper_terms_extend_the_shallower_universe(self):
+        T = free_term_monad(monoid_theory().signature)
+        deep = T.enumerate(("a", "b"), T3)
+        shallow = T.enumerate(("a", "b"), T2)
+        assert deep[: len(shallow)] == shallow
+        assert len(set(deep)) == len(deep) == 147
 
     def test_nested_sums_reach_the_counted_fragment(self):
         b = Bound(max_word_len=2, max_set_size=2, max_term_depth=2, prob_grid=GRID3)

@@ -13,7 +13,7 @@ from effectlayers.pipeline import (
     nondet_layer,
     prob_layer,
 )
-from effectlayers.terms import Const, TermError, app, render_term
+from effectlayers.terms import Const, TermError, Var, app, render_term
 from effectlayers.theories import (
     idem_semiring_theory,
     monoid_theory,
@@ -186,7 +186,7 @@ class TestEvalTerm:
         )
 
     def test_unbound_atom_is_an_error(self, flagship):
-        with pytest.raises(TermError):
+        with pytest.raises(TermError, match="unbound atom 'z'"):
             eval_term(flagship, Const("z"), 0, ("a", "b"))
 
     def test_op_not_at_stage_is_an_error(self, flagship):
@@ -194,5 +194,19 @@ class TestEvalTerm:
         from effectlayers.terms import App
 
         prog = App(sig2["⊕"], (Const("a"), Const("b")), F(1, 2))
-        with pytest.raises(TermError):
+        with pytest.raises(
+            TermError, match="operation '⊕' is not available at stage 1"
+        ):
             eval_term(flagship, prog, 1, ("a", "b"))
+
+    @pytest.mark.parametrize("stage", [-1, 3])
+    def test_stage_out_of_range_is_an_error(self, flagship, stage):
+        with pytest.raises(TermError, match=f"stage {stage} out of range"):
+            eval_term(flagship, Const("a"), stage, ("a", "b"))
+
+    @pytest.mark.parametrize("stage", [0, 1, 2])
+    def test_open_program_is_an_error(self, flagship, stage):
+        seq = flagship.layers[0].theory.signature[";"]
+        prog = app(seq, Const("a"), Var("x"))
+        with pytest.raises(TermError, match="programs must be closed terms"):
+            eval_term(flagship, prog, stage, ("a", "b"))
