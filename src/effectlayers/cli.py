@@ -13,7 +13,9 @@ Exit codes:
     verify-laws  0 = every law report passed, 2 = a law report failed or
                  is missing (drops do not count)
     eval         0
-    all          3 = input error
+    all          2 = the distributive law was refused (compose and
+                 verify-laws), 3 = input error or inconclusive
+                 normalization
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ import json
 import sys
 from fractions import Fraction
 
+from .distlaw import LawRefusedError
 from .monads import Bound, BoundExplosionError, InnerOnlyMonadError
+from .normal_forms import InconclusiveNormalization
 from .pipeline import compose_stack, eval_term
 from .render import render_value
 from .reports import (
@@ -107,52 +111,31 @@ def main(argv=None) -> int:
         return 3
 
     try:
-        if args.command == "check":
-            report = compose_stack(
-                spec.layers,
-                atoms=spec.atoms,
-                bound=bound,
-                keep_unknown=args.keep_unknown,
-                build_laws=False,
-            )
-            doc = check_document(report)
-            _emit(doc, args.json_path, sys.stdout)
-            return doc.data["exit_code"]
-
-        if args.command == "compose":
-            report = compose_stack(
-                spec.layers,
-                atoms=spec.atoms,
-                bound=bound,
-                keep_unknown=args.keep_unknown,
-                law_cap=60,
-                algebra_cap=12,
-            )
-            doc = composition_document(report)
-            _emit(doc, args.json_path, sys.stdout)
-            return report.exit_code
-
-        if args.command == "verify-laws":
-            report = compose_stack(
-                spec.layers,
-                atoms=spec.atoms,
-                bound=bound,
-                keep_unknown=args.keep_unknown,
-                law_cap=60,
-                algebra_cap=12,
-            )
-            doc = laws_document(report)
-            _emit(doc, args.json_path, sys.stdout)
-            return doc.data["exit_code"]
-
-        # eval
         report = compose_stack(
             spec.layers,
             atoms=spec.atoms,
             bound=bound,
             keep_unknown=args.keep_unknown,
-            build_laws=False,
+            law_cap=60,
+            algebra_cap=12,
+            build_laws=args.command in ("compose", "verify-laws"),
         )
+        if args.command == "check":
+            doc = check_document(report)
+            _emit(doc, args.json_path, sys.stdout)
+            return doc.data["exit_code"]
+
+        if args.command == "compose":
+            doc = composition_document(report)
+            _emit(doc, args.json_path, sys.stdout)
+            return report.exit_code
+
+        if args.command == "verify-laws":
+            doc = laws_document(report)
+            _emit(doc, args.json_path, sys.stdout)
+            return doc.data["exit_code"]
+
+        # eval
         stage = args.stage if args.stage is not None else len(report.stages)
         program = parse_program(args.program, spec.signature_at(stage), spec.atoms)
         value = eval_term(report, program, stage, spec.atoms)
@@ -169,10 +152,17 @@ def main(argv=None) -> int:
             with open(args.json_path, "w", encoding="utf-8") as fh:
                 fh.write(doc.to_json() + "\n")
         return 0
-    except (SpecParseError, TermError, ValueError_) as exc:
+    except LawRefusedError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (BoundExplosionError, InnerOnlyMonadError) as exc:
+        return 2
+    except (
+        SpecParseError,
+        TermError,
+        ValueError_,
+        BoundExplosionError,
+        InnerOnlyMonadError,
+        InconclusiveNormalization,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

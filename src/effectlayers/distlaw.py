@@ -19,6 +19,7 @@ from .monads import (
     Bound,
     BoundExplosionError,
     MonadInstance,
+    composite,
     free_term_monad,
     lift,
 )
@@ -302,36 +303,9 @@ class CompositeMonad:
     monad: MonadInstance = field(init=False)
 
     def __post_init__(self):
-        T, S, lam = self.outer, self.inner.monad, self.law.apply
-
-        def unit(x):
-            return T.unit(S.unit(x))
-
-        def mmap(f, v):
-            return T.map(lambda s: S.map(f, s), v)
-
-        def mult(v):
-            # T S T S -> T T S S -> T S S -> T S
-            step1 = T.map(lam, v)
-            step2 = T.mult(step1)
-            return T.map(S.mult, step2)
-
-        def enum(carrier, b: Bound):
-            return T.enumerate(tuple(S.enumerate(tuple(carrier), b)), b)
-
-        object.__setattr__(
-            self,
-            "monad",
-            MonadInstance(
-                name=f"{T.name}({S.name})",
-                unit=unit,
-                map=mmap,
-                mult=mult,
-                fubini=None,
-                enumerate=enum,
-                inner_only=True,
-            ),
-        )
+        T, S = self.outer, self.inner.monad
+        monad = composite(T, S, self.law.apply, f"{T.name}({S.name})")
+        object.__setattr__(self, "monad", monad)
 
 
 def compose(T: MonadInstance, S: QuotientMonad, law: QuotientLaw) -> CompositeMonad:

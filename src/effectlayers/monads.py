@@ -124,6 +124,26 @@ def fubini_k(T: MonadInstance, k: int, values):
 
 
 # ---------------------------------------------------------------------------
+# composite monad of a distributive law (Beck)
+
+def composite(T: MonadInstance, S: MonadInstance, lam: Callable, name: str) -> MonadInstance:
+    """T∘S for a distributive law lam: S T -> T S.
+
+    Unit T(eta_S) o eta_T, map T(S f), and mult T(mu_S) o mu_T o T(lam)
+    on T S T S -> T T S S -> T S S -> T S.
+    """
+    return MonadInstance(
+        name=name,
+        unit=lambda x: T.unit(S.unit(x)),
+        map=lambda f, v: T.map(lambda s: S.map(f, s), v),
+        mult=lambda v: T.map(S.mult, T.mult(T.map(lam, v))),
+        fubini=None,
+        enumerate=lambda X, b: T.enumerate(tuple(S.enumerate(tuple(X), b)), b),
+        inner_only=True,
+    )
+
+
+# ---------------------------------------------------------------------------
 # free monoid (words) -- non-commutative, inner-only
 
 def _word_enumerate(carrier, bound: Bound):

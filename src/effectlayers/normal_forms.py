@@ -20,10 +20,12 @@ from .monads import (
     Bound,
     MonadInstance,
     _guard,
+    composite,
     fin_distribution,
     fin_powerset,
     free_monoid,
     free_term_monad,
+    fubini_tuples,
     multiset,
 )
 from .terms import (
@@ -42,17 +44,6 @@ from .values import Dist, MultiSet, SumAtom, sort_values
 
 class InconclusiveNormalization(Exception):
     """Bounded congruence closure could not decide; no silent answer."""
-
-
-CANONICAL_KINDS = (
-    "MONOID",
-    "SEMILATTICE",
-    "COMM_MONOID",
-    "CONVEX",
-    "IDEM_SEMIRING",
-    "SEMIRING",
-    "TWO_MONOIDS_ABSORB",
-)
 
 
 @dataclass(frozen=True)
@@ -75,12 +66,12 @@ class QuotientMonad:
 
     def apply_op(self, op_name: str, args, param=None):
         """Canonical algebra structure on SY for any carrier Y."""
-        shallow = _SHALLOW[self.kind]
+        shallow = _KINDS[self.kind][1]
         return self.monad.mult(shallow(self.roles, op_name, tuple(args), param))
 
     def representative(self, value) -> Term:
         """Canonical term mapping to `value` under q (deterministic)."""
-        return _REPRESENTATIVE[self.kind](self.roles, value)
+        return _KINDS[self.kind][2](self.roles, value)
 
     def algebra(self, carrier=(), name: str = "") -> FiniteAlgebra:
         """The canonical algebra structure on an explicit carrier of SY."""
@@ -162,81 +153,13 @@ def _sh_semiring(roles: Roles, op, args, param):
     raise TermError(f"semiring normal forms do not interpret {op!r}")
 
 
-_sh_two_monoids = _sh_semiring  # same one-layer shape, different mult
-
-_SHALLOW = {
-    "MONOID": _sh_monoid,
-    "SEMILATTICE": _sh_semilattice,
-    "COMM_MONOID": _sh_comm_monoid,
-    "CONVEX": _sh_convex,
-    "IDEM_SEMIRING": _sh_idem_semiring,
-    "SEMIRING": _sh_semiring,
-    "TWO_MONOIDS_ABSORB": _sh_two_monoids,
-}
-
-
 # ---------------------------------------------------------------------------
-# set-of-words (idempotent semiring) and multiset-of-words (semiring) monads
+# set-of-words (idempotent semiring) and multiset-of-words (semiring) monads:
+# the composite C∘W of words inside C, glued by the Fubini law, which sends
+# a word of C-values to a C-value of words
 
-def _sow_mult(outer: frozenset) -> frozenset:
-    # outer: set of words whose letters are themselves sets of words
-    out = set()
-    for word in outer:
-        partial = [()]
-        for letter in word:
-            partial = [w + u for w in partial for u in letter]
-        out.update(partial)
-    return frozenset(out)
-
-
-def _sow_enumerate(carrier, bound: Bound):
-    words = free_monoid().enumerate(carrier, bound)
-    return fin_powerset().enumerate(words, bound)
-
-
-def _sow_monad() -> MonadInstance:
-    return MonadInstance(
-        name="set-of-words",
-        unit=lambda x: frozenset([(x,)]),
-        map=lambda f, v: frozenset(tuple(f(x) for x in w) for w in v),
-        mult=_sow_mult,
-        fubini=None,
-        enumerate=_sow_enumerate,
-        inner_only=True,
-    )
-
-
-def _mow_mult(outer: MultiSet) -> MultiSet:
-    counts: dict = {}
-    for word, n in outer.items():
-        partial = {(): 1}
-        for letter in word:
-            nxt: dict = {}
-            for w, i in partial.items():
-                for u, j in letter.items():
-                    key = w + u
-                    nxt[key] = nxt.get(key, 0) + i * j
-            partial = nxt
-        for w, i in partial.items():
-            counts[w] = counts.get(w, 0) + n * i
-    return MultiSet(counts)
-
-
-def _mow_enumerate(carrier, bound: Bound):
-    words = free_monoid().enumerate(carrier, bound)
-    return multiset().enumerate(words, bound)
-
-
-def _mow_monad() -> MonadInstance:
-    return MonadInstance(
-        name="multiset-of-words",
-        unit=lambda x: MultiSet([(x,)]),
-        map=lambda f, v: v.map(lambda w: tuple(f(x) for x in w)),
-        mult=_mow_mult,
-        fubini=None,
-        enumerate=_mow_enumerate,
-        inner_only=True,
-    )
+def _words_in(C: MonadInstance, name: str) -> MonadInstance:
+    return composite(C, free_monoid(), lambda w: fubini_tuples(C, len(w), w), name)
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +296,17 @@ def _fold_left(f: OpSymbol, terms, empty: Term) -> Term:
     return acc
 
 
-def _rep_monoid(roles: Roles, word) -> Term:
-    return _fold_left(roles.seq, [Const(x) for x in word], app(roles.skip))
+def _word_term(roles: Roles, word, atom_rep=Const) -> Term:
+    return _fold_left(roles.seq, [atom_rep(a) for a in word], app(roles.skip))
 
 
-def _rep_semilattice(roles: Roles, v: frozenset) -> Term:
-    elems = sort_values(v)
-    return _fold_left(roles.plus, [Const(x) for x in elems], app(roles.abort))
+def _summands(v):
+    # a MultiSet is stored in canonical order; a set is sorted
+    return sort_values(v) if isinstance(v, frozenset) else v
 
 
-def _rep_comm_monoid(roles: Roles, v: MultiSet) -> Term:
-    return _fold_left(roles.plus, [Const(x) for x in v], app(roles.abort))
+def _rep_sum(roles: Roles, v) -> Term:
+    return _fold_left(roles.plus, [Const(x) for x in _summands(v)], app(roles.abort))
 
 
 def _rep_convex(roles: Roles, d: Dist) -> Term:
@@ -397,59 +320,44 @@ def _rep_convex(roles: Roles, d: Dist) -> Term:
     return App(roles.oplus, (Const(x), _rep_convex(roles, tail)), w)
 
 
-def _word_term(roles: Roles, word, atom_rep) -> Term:
-    return _fold_left(roles.seq, [atom_rep(a) for a in word], app(roles.skip))
+def _rep_words(roles: Roles, v) -> Term:
+    """Sum of words; a nested sum (two monoids) is a sum in parentheses."""
 
-
-def _rep_idem_semiring(roles: Roles, v: frozenset) -> Term:
-    words = sort_values(v)
-    return _fold_left(
-        roles.plus,
-        [_word_term(roles, w, Const) for w in words],
-        app(roles.abort),
-    )
-
-
-def _rep_semiring(roles: Roles, v: MultiSet) -> Term:
-    return _fold_left(
-        roles.plus,
-        [_word_term(roles, w, Const) for w in v],
-        app(roles.abort),
-    )
-
-
-def _rep_two_monoids(roles: Roles, v: MultiSet) -> Term:
     def atom_rep(a):
         if isinstance(a, SumAtom):
-            return _rep_two_monoids(roles, a.summands)
+            return _rep_words(roles, a.summands)
         return Const(a)
 
     return _fold_left(
         roles.plus,
-        [_word_term(roles, w, atom_rep) for w in v],
+        [_word_term(roles, w, atom_rep) for w in _summands(v)],
         app(roles.abort),
     )
 
 
-_REPRESENTATIVE = {
-    "MONOID": _rep_monoid,
-    "SEMILATTICE": _rep_semilattice,
-    "COMM_MONOID": _rep_comm_monoid,
-    "CONVEX": _rep_convex,
-    "IDEM_SEMIRING": _rep_idem_semiring,
-    "SEMIRING": _rep_semiring,
-    "TWO_MONOIDS_ABSORB": _rep_two_monoids,
+# ---------------------------------------------------------------------------
+# kind -> (monad factory, shallow one-layer application, representative)
+
+_KINDS = {
+    "MONOID": (free_monoid, _sh_monoid, _word_term),
+    "SEMILATTICE": (fin_powerset, _sh_semilattice, _rep_sum),
+    "COMM_MONOID": (multiset, _sh_comm_monoid, _rep_sum),
+    "CONVEX": (fin_distribution, _sh_convex, _rep_convex),
+    "IDEM_SEMIRING": (
+        lambda: _words_in(fin_powerset(), "set-of-words"),
+        _sh_idem_semiring,
+        _rep_words,
+    ),
+    "SEMIRING": (
+        lambda: _words_in(multiset(), "multiset-of-words"),
+        _sh_semiring,
+        _rep_words,
+    ),
+    # same one-layer shape as the semiring, different mult
+    "TWO_MONOIDS_ABSORB": (_tm_monad, _sh_semiring, _rep_words),
 }
 
-_MONAD_FOR_KIND = {
-    "MONOID": free_monoid,
-    "SEMILATTICE": fin_powerset,
-    "COMM_MONOID": multiset,
-    "CONVEX": fin_distribution,
-    "IDEM_SEMIRING": _sow_monad,
-    "SEMIRING": _mow_monad,
-    "TWO_MONOIDS_ABSORB": _tm_monad,
-}
+CANONICAL_KINDS = tuple(_KINDS)
 
 
 def quotient_monad(theory: Theory, kind: Optional[str] = None) -> QuotientMonad:
@@ -467,7 +375,7 @@ def quotient_monad(theory: Theory, kind: Optional[str] = None) -> QuotientMonad:
         )
     if kind == "GENERIC":
         return generic_quotient_monad(theory)
-    return QuotientMonad(kind, theory, roles, _MONAD_FOR_KIND[kind]())
+    return QuotientMonad(kind, theory, roles, _KINDS[kind][0]())
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,7 @@ class CompositionReport:
     layers: tuple
     stages: tuple
     final_theory: Theory
+    seed_monad: QuotientMonad  # the seed's own normal forms (stage 0)
 
     @property
     def dropped_any(self) -> bool:
@@ -228,7 +229,7 @@ def compose_stack(
     fragments = [(tuple(atoms), b)]
 
     current = layers[0].theory
-    quotient_monad(current, layers[0].normalizer)  # seed must normalize
+    seed_monad = quotient_monad(current, layers[0].normalizer)  # seed must normalize
     stages = []
     for index, layer in enumerate(layers[1:], start=1):
         clash = [
@@ -330,7 +331,7 @@ def compose_stack(
             )
         )
         current = combined
-    return CompositionReport(layers, tuple(stages), current)
+    return CompositionReport(layers, tuple(stages), current, seed_monad)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +348,7 @@ def eval_term(report: CompositionReport, t: Term, stage: int, atoms) -> object:
     if stage < 0 or stage > len(report.stages):
         raise TermError(f"stage {stage} out of range (stack has {len(report.stages)} outer layers)")
     if stage == 0:
-        seed = report.layers[0]
-        qm = quotient_monad(seed.theory, seed.normalizer)
+        qm = report.seed_monad
         unit, interp = qm.monad.unit, qm.algebra().interp
     else:
         s = report.stages[stage - 1]

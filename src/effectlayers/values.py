@@ -85,15 +85,6 @@ class MultiSet:
     def items(self):
         return self._items
 
-    def elements(self):
-        return tuple(e for e, _ in self._items)
-
-    def count(self, e):
-        for x, n in self._items:
-            if x == e:
-                return n
-        return 0
-
     def total(self):
         return sum(n for _, n in self._items)
 
@@ -163,15 +154,6 @@ class Dist:
     def items(self):
         return self._items
 
-    def support(self):
-        return tuple(e for e, _ in self._items)
-
-    def weight(self, e) -> Fraction:
-        for x, w in self._items:
-            if x == e:
-                return w
-        return Fraction(0)
-
     def __eq__(self, other):
         return isinstance(other, Dist) and self._items == other._items
 
@@ -187,18 +169,6 @@ class Dist:
         for e, w in self._items:
             fe = f(e)
             weights[fe] = weights.get(fe, 0) + w
-        return Dist(weights)
-
-    def mix(self, other: "Dist", lam: Fraction) -> "Dist":
-        """Convex combination lam*self + (1-lam)*other."""
-        lam = Fraction(lam)
-        if not 0 <= lam <= 1:
-            raise ValueError_(f"mixing weight {lam} outside [0,1]")
-        weights: dict = {}
-        for e, w in self._items:
-            weights[e] = weights.get(e, 0) + lam * w
-        for e, w in other.items():
-            weights[e] = weights.get(e, 0) + (1 - lam) * w
         return Dist(weights)
 
 

@@ -106,3 +106,49 @@ class TestInputErrors:
             "--bounds", str(bounds),
         )
         assert code == 0 and out.strip() == "{a, b}"
+
+
+_NONDET = """
+layer nondeterminism {
+  op "+" : 2;
+  op "abort" : 0;
+  eq abort + x = x;
+  eq x + abort = x;
+  eq x + x = x;
+  eq x + y = y + x;
+  eq x + (y + z) = (x + y) + z;
+  normalizer semilattice;
+}
+"""
+
+
+class TestErrorPaths:
+    def test_inconclusive_normalization_exits_3(self, capsys, tmp_path):
+        # no canonical normal form: the seed falls back to bounded
+        # congruence closure, whose universe has no coin of weight 1/3
+        spec = tmp_path / "generic.layers"
+        spec.write_text(
+            "atoms a b;\nlayer seed {\n"
+            '  op "m" : 2;\n  op "⊕" : 2 param;\n'
+            "  eq m(x, m(y, z)) = m(m(x, y), z);\n}\n" + _NONDET,
+            encoding="utf-8",
+        )
+        code, _, err = run(
+            capsys, "eval", str(spec), "-e", "a (+)[1/3] b", "--stage", "0"
+        )
+        assert code == 3
+        assert err.startswith("error: term outside the bounded universe")
+
+    @pytest.mark.parametrize("command", ["compose", "verify-laws"])
+    def test_refused_law_exits_2(self, capsys, tmp_path, command):
+        spec = tmp_path / "skew.layers"
+        spec.write_text(
+            "atoms a b;\nlayer coin {\n"
+            '  op "⊕" : 2 param;\n'
+            "  eq x (+)[l] x = x;\n"
+            "  eq x (+)[l] y = y (+)[1 - l] x;\n}\n" + _NONDET,
+            encoding="utf-8",
+        )
+        code, _, err = run(capsys, command, str(spec))
+        assert code == 2
+        assert err.startswith("error: well-definedness check failed")

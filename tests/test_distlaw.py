@@ -18,12 +18,15 @@ from effectlayers.monads import (
     BoundExplosionError,
     fin_distribution,
     fin_powerset,
+    multiset,
 )
 from effectlayers.normal_forms import quotient_monad
 from effectlayers.preservation import check_preservation, profile_monad
 from effectlayers.theories import (
+    idem_semiring_theory,
     monoid_theory,
     semilattice_theory,
+    semiring_theory,
     two_monoids_absorption_theory,
 )
 
@@ -136,3 +139,24 @@ class TestComposite:
         law, _ = monoid_over(T)
         M = compose(T, law.inner, law).monad
         assert M.unit("a") == frozenset({("a",)})
+
+    @pytest.mark.parametrize(
+        "T, theory",
+        [(fin_powerset(), idem_semiring_theory), (multiset(), semiring_theory)],
+        ids=["powerset", "multiset"],
+    )
+    def test_words_in_container_match_the_semiring_normal_forms(self, T, theory):
+        # the representative-based law on words against the Fubini law psi
+        law, _ = monoid_over(T)
+        M = compose(T, law.inner, law).monad
+        N = quotient_monad(theory()).monad
+        level1 = M.enumerate(X, B)
+        assert level1 == N.enumerate(X, B)
+        f = {"a": "b", "b": "b"}.get
+        for v in level1:
+            assert M.map(f, v) == N.map(f, v)
+        assert M.unit("a") == N.unit("a")
+        level2 = _enum(M.enumerate, level1[:6], B.shrink(), cap=200)
+        assert level2
+        for vv in level2:
+            assert M.mult(vv) == N.mult(vv)

@@ -1,22 +1,29 @@
-"""Byte-for-byte guards on two reports.
+"""Byte-for-byte guards on three reports.
 
 `golden/check.json` is the `--json` report of `effectlayers check` on the
 shipped spec; `golden/flagship_laws.json` is the laws report of the
-conftest flagship. A change that alters either report on purpose
-regenerates both from the repository root, and the diff is reviewed with
-the change:
+conftest flagship; `golden/eval.txt` holds one line per evaluator-corpus
+program and stage 0, 1, 2 of the shipped spec: the rendered value, or the
+`TermError` message. A change that alters a report on purpose regenerates
+it from the repository root, and the diff is reviewed with the change:
 
     PYTHONPATH=src python -m effectlayers.cli check specs/probnetkat.layers \\
         --json tests/golden/check.json
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py        # flagship_laws.json
+    PYTHONPATH=src python tests/test_golden.py eval   # eval.txt
 """
 
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
-from effectlayers import Bound, compose_stack, probnetkat_stack
-from effectlayers.cli import main
+from effectlayers import Bound, compose_stack, eval_term, probnetkat_stack
+from effectlayers.cli import _load_bounds, main
+from effectlayers.render import render_value
 from effectlayers.reports import laws_document
+from effectlayers.specfile import parse_program, parse_spec
+from effectlayers.terms import TermError
+from test_acceptance import STAGE1_PROGRAMS, STAGE2_PROGRAMS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SPEC = str(Path(__file__).resolve().parent.parent / "specs" / "probnetkat.layers")
@@ -34,7 +41,32 @@ def test_flagship_laws_report_is_unchanged(flagship):
     assert text.encode() == (GOLDEN / "flagship_laws.json").read_bytes()
 
 
-if __name__ == "__main__":  # rewrite golden/flagship_laws.json
+def eval_lines() -> str:
+    """`program @ stage: value` for the corpus, composed as `eval` does."""
+    spec = parse_spec(Path(SPEC).read_text(encoding="utf-8"))
+    report = compose_stack(
+        spec.layers, atoms=spec.atoms, bound=_load_bounds(None), build_laws=False
+    )
+    sig = spec.signature_at(len(report.stages))
+    lines = []
+    for text in STAGE1_PROGRAMS + STAGE2_PROGRAMS:
+        program = parse_program(text, sig, spec.atoms)
+        for stage in (0, 1, 2):
+            try:
+                out = render_value(eval_term(report, program, stage, spec.atoms))
+            except TermError as exc:
+                out = f"TermError: {exc}"
+            lines.append(f"{text} @ {stage}: {out}\n")
+    return "".join(lines)
+
+
+def test_eval_outputs_are_unchanged():
+    assert eval_lines().encode() == (GOLDEN / "eval.txt").read_bytes()
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["eval"]:  # rewrite golden/eval.txt
+    (GOLDEN / "eval.txt").write_text(eval_lines(), encoding="utf-8")
+elif __name__ == "__main__":  # rewrite golden/flagship_laws.json
     # the conftest flagship fixture, built outside pytest
     bound = Bound(
         max_word_len=2, max_set_size=3, max_term_depth=2,

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from effectlayers.distlaw import _enum
+from effectlayers.distlaw import _enum, verify_monad
 from effectlayers.monads import Bound
 from effectlayers.normal_forms import generic_quotient_monad, quotient_monad
 from effectlayers.terms import App, Const, Var, eval_param
@@ -84,6 +84,11 @@ class TestQuotientSoundness:
         for v in _enum(q.monad.enumerate, ("a", "b"), NB, cap=200):
             t = q.representative(v)
             assert q.normalize(t) == v, t
+
+    def test_monad_laws(self, build, kind):
+        q = quotient_monad(build())
+        reports = verify_monad(q.monad, [(("a", "b"), NB)])
+        assert all(r.ok for r in reports), [r.counterexample for r in reports]
 
 
 class TestTwoMonoidsCanonicality:
