@@ -99,12 +99,21 @@ class QuotientLaw:
     inner: QuotientMonad  # S, with q and representatives
     outer: MonadInstance  # T
     rho: RhoLaw
+    # lambda of each S-value applied so far; a copy made with
+    # dataclasses.replace starts empty, and compose_stack empties it once
+    # the stage's law and monad checks are done
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def apply(self, sv):
         """lambda: S(T X) -> T(S X) via a canonical representative term."""
+        try:
+            return self.memo[sv]
+        except KeyError:
+            pass
         rep = self.inner.representative(sv)  # term over Const(T-value)
         tv = self.rho.apply(rep)             # T(term over Const(x))
-        return self.outer.map(self.inner.normalize, tv)
+        out = self.memo[sv] = self.outer.map(self.inner.normalize, tv)
+        return out
 
 
 class LawRefusedError(Exception):

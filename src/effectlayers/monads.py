@@ -220,10 +220,11 @@ def _mset_fubini(m1: MultiSet, m2: MultiSet) -> MultiSet:
 
 
 def _mset_mult(mm: MultiSet) -> MultiSet:
-    out = MultiSet()
+    counts: dict = {}
     for inner, n in mm.items():
-        out = out.union(inner.scale(n))
-    return out
+        for x, k in inner.items():
+            counts[x] = counts.get(x, 0) + n * k
+    return MultiSet(counts)
 
 
 def multiset() -> MonadInstance:

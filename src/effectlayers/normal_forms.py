@@ -178,10 +178,6 @@ def tm_unit(x) -> MultiSet:
     return MultiSet([(x,)])
 
 
-def tm_plus(a: MultiSet, b: MultiSet) -> MultiSet:
-    return a.union(b)
-
-
 def _tm_atomize(v: MultiSet):
     items = v.items()
     if len(items) == 1 and items[0][1] == 1:
@@ -201,7 +197,7 @@ def tm_seq(a: MultiSet, b: MultiSet) -> MultiSet:
 
 def _tm_eval(v: MultiSet, leaf: Callable) -> MultiSet:
     """Rebuild `v` with carrier atoms sent through `leaf`, renormalizing."""
-    out = tm_abort()
+    counts: dict = {}
     for word, n in v.items():
         wv = tm_skip()
         for atom in word:
@@ -210,8 +206,9 @@ def _tm_eval(v: MultiSet, leaf: Callable) -> MultiSet:
             else:
                 av = leaf(atom)
             wv = tm_seq(wv, av)
-        out = tm_plus(out, wv.scale(n))
-    return out
+        for w, k in wv.items():
+            counts[w] = counts.get(w, 0) + n * k
+    return MultiSet(counts)
 
 
 def _tm_word_count(n_atoms: int, n_sums: int, max_len: int) -> int:

@@ -10,7 +10,7 @@ distributivity axioms of the combined language.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .distlaw import (
@@ -190,10 +190,17 @@ def composite_algebra(
 def verify_generated_axioms(
     algebra: FiniteAlgebra, eqs: Sequence[Equation], param_grid=None
 ):
-    """holds() for each combined-language axiom on the composite algebra."""
+    """holds() for each combined-language axiom on the composite algebra.
+
+    Each operation of `algebra` is memoized for the length of this call:
+    the axioms interpret the same few applications many times over.
+    """
     from .terms import DEFAULT_PARAM_GRID
 
     grid = param_grid if param_grid is not None else DEFAULT_PARAM_GRID
+    algebra = replace(
+        algebra, interp={name: _memoized(op) for name, op in algebra.interp.items()}
+    )
     reports = []
     for e in eqs:
         witness = find_violation(algebra, e, grid)
@@ -206,6 +213,21 @@ def verify_generated_axioms(
             )
         )
     return reports
+
+
+def _memoized(op):
+    """`op(args, param)` computed once per distinct (args, param)."""
+    memo = {}
+
+    def cached(args, param=None):
+        key = (tuple(args), param)
+        try:
+            return memo[key]
+        except KeyError:
+            out = memo[key] = op(args, param)
+            return out
+
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +317,7 @@ def compose_stack(
             composite = compose(T, S, law).monad
             law_reports = (wd,) + tuple(verify_distlaw(law, fragments, cap=law_cap))
             monad_reports = tuple(verify_monad(composite, fragments))
+            law.memo.clear()  # the carrier and the axioms never apply lambda
             carrier = _enum(
                 composite.enumerate, tuple(atoms), b, cap=algebra_cap
             )

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .specfile import INFIX_PREC
+from .terms import Const, Term, Var, render_param
 from .values import Dist, MultiSet, SumAtom, ValueError_, sort_values
 
 EMPTY_WORD = "ε"
@@ -44,7 +46,29 @@ def render_value(v) -> str:
         return "(" + " + ".join(parts) + ")"
     if isinstance(v, Fraction):
         return render_fraction(v)
+    if isinstance(v, Term):
+        return _render_term(v)
     raise TypeError(f"no canonical rendering for {type(v).__name__}")
+
+
+def _render_term(t: Term, prec: int = 0) -> str:
+    """A term in program syntax, its constants rendered as values: the
+    infix operators associate to the left, every other operation is a call."""
+    if isinstance(t, Const):
+        return render_value(t.value)
+    if isinstance(t, Var):
+        return t.name
+    name = t.op.name
+    if t.op.arity == 0:
+        return name
+    shown = f"{name}[{render_param(t.param)}]" if t.op.param else name
+    my = INFIX_PREC.get(name)
+    if my is None or t.op.arity != 2:
+        return f"{shown}(" + ", ".join(_render_term(a) for a in t.args) + ")"
+    left = _render_term(t.args[0], my)
+    right = _render_term(t.args[1], my + 1)
+    body = f"{left}{shown}{right}" if name == ";" else f"{left} {shown} {right}"
+    return f"({body})" if my < prec else body
 
 
 def _render_word(w: tuple) -> str:

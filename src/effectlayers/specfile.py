@@ -54,7 +54,7 @@ NORMALIZER_NAMES = {
 
 KEYWORDS = {"atoms", "layer", "op", "eq", "normalizer"}
 
-_INFIX_PREC = {";": 30, "+": 20, "⊕": 10}
+INFIX_PREC = {";": 30, "+": 20, "⊕": 10}
 
 
 class SpecParseError(Exception):
@@ -227,9 +227,9 @@ def _parse_term(ts: _Stream, sig: Signature, leaf, prec: int = 0) -> Term:
     left = _parse_term_atom(ts, sig, leaf)
     while True:
         t = ts.peek()
-        if t.kind != "punct" or t.text not in _INFIX_PREC:
+        if t.kind != "punct" or t.text not in INFIX_PREC:
             return left
-        op_prec = _INFIX_PREC[t.text]
+        op_prec = INFIX_PREC[t.text]
         if op_prec <= prec:
             return left
         # ';' also terminates statements: only an operator before a term

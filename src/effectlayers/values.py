@@ -7,8 +7,8 @@ diagram checks can compare both legs bit-exactly.  Probabilities are
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 
 class ValueError_(Exception):
@@ -20,7 +20,32 @@ def canon_key(v):
 
     Keys are (tag, payload, prim) triples; cross-shape comparisons are decided
     by the tag, so heterogeneous carriers still sort deterministically.
+    `MultiSet` and `Dist` keep their key once computed.  The common shapes
+    are tested first: `Fraction`'s metaclass is `ABCMeta`, whose
+    `isinstance` test is slow.
     """
+    if isinstance(v, str):
+        return ("str", (), v)
+    if isinstance(v, tuple):
+        return ("tuple", tuple(canon_key(x) for x in v), ())
+    if isinstance(v, MultiSet):
+        if v._key is None:
+            v._key = ("mset", tuple((canon_key(e), n) for e, n in v._items), ())
+        return v._key
+    if isinstance(v, Dist):
+        if v._key is None:
+            v._key = (
+                "dist",
+                tuple(
+                    (canon_key(e), (w.numerator, w.denominator)) for e, w in v._items
+                ),
+                (),
+            )
+        return v._key
+    if isinstance(v, frozenset):
+        return ("set", tuple(sorted(canon_key(x) for x in v)), ())
+    if isinstance(v, SumAtom):
+        return ("sumatom", (canon_key(v.summands),), ())
     if v is None:
         return ("none", (), ())
     if isinstance(v, bool):
@@ -29,22 +54,6 @@ def canon_key(v):
         return ("int", (), v)
     if isinstance(v, Fraction):
         return ("frac", (), (v.numerator, v.denominator))
-    if isinstance(v, str):
-        return ("str", (), v)
-    if isinstance(v, tuple):
-        return ("tuple", tuple(canon_key(x) for x in v), ())
-    if isinstance(v, frozenset):
-        return ("set", tuple(sorted(canon_key(x) for x in v)), ())
-    if isinstance(v, MultiSet):
-        return ("mset", tuple((canon_key(e), n) for e, n in v.items()), ())
-    if isinstance(v, Dist):
-        return (
-            "dist",
-            tuple((canon_key(e), (w.numerator, w.denominator)) for e, w in v.items()),
-            (),
-        )
-    if isinstance(v, SumAtom):
-        return ("sumatom", (canon_key(v.summands),), ())
     # Terms and other frozen dataclasses: fall back to their fields.
     if hasattr(v, "__dataclass_fields__"):
         return (
@@ -59,16 +68,23 @@ def sort_values(vs):
     return sorted(vs, key=canon_key)
 
 
+def _canonical(value, items: dict):
+    """Fill `value`'s slots from merged, already-valid items: sort and hash."""
+    value._items = tuple(sorted(items.items(), key=lambda p: canon_key(p[0])))
+    value._hash = hash(value._items)
+    value._key = None
+    return value
+
+
 class MultiSet:
     """Finite multiset with positive multiplicities, canonically ordered."""
 
-    __slots__ = ("_items", "_hash")
+    __slots__ = ("_items", "_hash", "_key")
 
     def __init__(self, items=()):
         counts: dict = {}
-        if isinstance(items, Mapping):
-            pairs = items.items()
-        elif isinstance(items, MultiSet):
+        # dict first: it needs no ABC test
+        if isinstance(items, (dict, MultiSet, Mapping)):
             pairs = items.items()
         else:
             pairs = [(e, 1) for e in items]
@@ -79,8 +95,7 @@ class MultiSet:
                 raise ValueError_(f"negative multiplicity {n}")
             if n:
                 counts[e] = counts.get(e, 0) + n
-        self._items = tuple(sorted(counts.items(), key=lambda p: canon_key(p[0])))
-        self._hash = hash(self._items)
+        _canonical(self, counts)
 
     def items(self):
         return self._items
@@ -114,7 +129,7 @@ class MultiSet:
         for e, n in self._items:
             fe = f(e)
             counts[fe] = counts.get(fe, 0) + n
-        return MultiSet(counts)
+        return _canonical(object.__new__(MultiSet), counts)
 
     def union(self, other: "MultiSet") -> "MultiSet":
         counts = dict(self._items)
@@ -129,11 +144,12 @@ class MultiSet:
 class Dist:
     """Finitely supported distribution with exact rational weights summing to 1."""
 
-    __slots__ = ("_items", "_hash")
+    __slots__ = ("_items", "_hash", "_key")
 
     def __init__(self, items):
         weights: dict = {}
-        pairs = items.items() if isinstance(items, (Mapping, Dist)) else items
+        # dict first: it needs no ABC test
+        pairs = items.items() if isinstance(items, (dict, Dist, Mapping)) else items
         for e, w in pairs:
             w = Fraction(w)
             if w < 0:
@@ -144,8 +160,7 @@ class Dist:
             raise ValueError_(
                 f"weights sum to {sum(weights.values())}, expected 1"
             )
-        self._items = tuple(sorted(weights.items(), key=lambda p: canon_key(p[0])))
-        self._hash = hash(self._items)
+        _canonical(self, weights)
 
     @staticmethod
     def dirac(e) -> "Dist":
@@ -169,7 +184,7 @@ class Dist:
         for e, w in self._items:
             fe = f(e)
             weights[fe] = weights.get(fe, 0) + w
-        return Dist(weights)
+        return _canonical(object.__new__(Dist), weights)
 
 
 class SumAtom:

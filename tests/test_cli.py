@@ -122,22 +122,33 @@ layer nondeterminism {
 """
 
 
+# no canonical normal form: the seed falls back to bounded congruence
+# closure, whose values are representative terms
+_GENERIC_SEED = (
+    "atoms a b;\nlayer seed {\n"
+    '  op "m" : 2;\n  op "⊕" : 2 param;\n'
+    "  eq m(x, m(y, z)) = m(m(x, y), z);\n}\n" + _NONDET
+)
+
+
 class TestErrorPaths:
     def test_inconclusive_normalization_exits_3(self, capsys, tmp_path):
-        # no canonical normal form: the seed falls back to bounded
-        # congruence closure, whose universe has no coin of weight 1/3
+        # the closure's universe has no coin of weight 1/3
         spec = tmp_path / "generic.layers"
-        spec.write_text(
-            "atoms a b;\nlayer seed {\n"
-            '  op "m" : 2;\n  op "⊕" : 2 param;\n'
-            "  eq m(x, m(y, z)) = m(m(x, y), z);\n}\n" + _NONDET,
-            encoding="utf-8",
-        )
+        spec.write_text(_GENERIC_SEED, encoding="utf-8")
         code, _, err = run(
             capsys, "eval", str(spec), "-e", "a (+)[1/3] b", "--stage", "0"
         )
         assert code == 3
         assert err.startswith("error: term outside the bounded universe")
+
+    @pytest.mark.parametrize("program", ["a", "m(a, b)"])
+    def test_generic_values_render_as_programs(self, capsys, tmp_path, program):
+        spec = tmp_path / "generic.layers"
+        spec.write_text(_GENERIC_SEED, encoding="utf-8")
+        code, out, _ = run(capsys, "eval", str(spec), "-e", program, "--stage", "0")
+        assert code == 0
+        assert out.strip() == program
 
     @pytest.mark.parametrize("command", ["compose", "verify-laws"])
     def test_refused_law_exits_2(self, capsys, tmp_path, command):

@@ -1,7 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from effectlayers.distlaw import _enum
 from effectlayers.pipeline import (
     INNER_SEED,
     VERIFIED,
@@ -102,6 +104,24 @@ class TestStageTwo(object):
         assert "idem(+)" not in names
         assert "distrib-left(;,+)" not in names
         assert flagship.exit_code == 1
+
+
+class TestLambdaMemo:
+    def test_no_stage_keeps_a_memo(self, choice_over_choice):
+        laws = [s.law for s in choice_over_choice.stages]
+        assert laws and all(law is not None and law.memo == {} for law in laws)
+
+    def test_cached_lambda_equals_the_first_call(self, choice_over_choice, small_bound):
+        for stage in choice_over_choice.stages:
+            law = replace(stage.law)
+            assert law.memo == {} and law.memo is not stage.law.memo
+            S, T = law.inner, law.outer
+            for s in _enum(S.monad.enumerate, ("a", "b"), small_bound):
+                sv = S.monad.map(T.unit, s)  # a DL.1 input
+                first = law.apply(sv)
+                assert sv in law.memo
+                assert law.apply(sv) == first
+                assert first == T.map(S.normalize, law.rho.apply(S.representative(sv)))
 
 
 class TestGeneratedAxioms:

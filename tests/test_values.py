@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effectlayers.render import parse_value, render_value
+from effectlayers.specfile import parse_program
+from effectlayers.terms import OpSymbol, Signature, Var, app
 from effectlayers.values import Dist, MultiSet, SumAtom, ValueError_, canon_key, sort_values
 
 atoms = st.sampled_from(["a", "b", "c"])
@@ -34,6 +36,41 @@ def dists(draw):
 
 
 any_value = st.one_of(words, sum_words, sets_of_words, msets, dists())
+nested_values = st.one_of(
+    any_value,
+    st.lists(st.one_of(msets, dists()), max_size=3).map(frozenset),
+    st.lists(any_value, max_size=2).map(tuple),
+    st.lists(st.one_of(dists(), sets_of_words), max_size=3).map(MultiSet),
+)
+
+
+def reference_key(v):
+    """`canon_key` without the cached keys: recomputed on every call."""
+    if v is None:
+        return ("none", (), ())
+    if isinstance(v, bool):
+        return ("bool", (), v)
+    if isinstance(v, int):
+        return ("int", (), v)
+    if isinstance(v, F):
+        return ("frac", (), (v.numerator, v.denominator))
+    if isinstance(v, str):
+        return ("str", (), v)
+    if isinstance(v, tuple):
+        return ("tuple", tuple(reference_key(x) for x in v), ())
+    if isinstance(v, frozenset):
+        return ("set", tuple(sorted(reference_key(x) for x in v)), ())
+    if isinstance(v, MultiSet):
+        return ("mset", tuple((reference_key(e), n) for e, n in v.items()), ())
+    if isinstance(v, Dist):
+        return (
+            "dist",
+            tuple((reference_key(e), (w.numerator, w.denominator)) for e, w in v.items()),
+            (),
+        )
+    if isinstance(v, SumAtom):
+        return ("sumatom", (reference_key(v.summands),), ())
+    raise TypeError(type(v).__name__)
 
 
 class TestCanonKey:
@@ -47,6 +84,36 @@ class TestCanonKey:
     @given(st.lists(any_value, max_size=6))
     def test_sort_deterministic(self, vs):
         assert sort_values(vs) == sort_values(list(reversed(vs)))
+
+
+class TestCachedKeys:
+    @given(nested_values)
+    def test_cached_key_equals_reference(self, v):
+        expected = reference_key(v)
+        assert canon_key(v) == expected
+        sort_values([v, v])
+        assert canon_key(v) == expected
+
+    @given(st.lists(nested_values, max_size=6))
+    def test_sort_order_unchanged(self, vs):
+        assert sort_values(vs) == sorted(vs, key=reference_key)
+
+    @given(st.data(), st.one_of(msets, dists()))
+    def test_map_equals_validating_constructor(self, data, v):
+        elements = [e for e, _ in v.items()]
+        images = data.draw(
+            st.lists(nested_values, min_size=len(elements), max_size=len(elements))
+        )
+        f = dict(zip(elements, images)).__getitem__
+        mapped = v.map(f)
+        if isinstance(v, Dist):
+            checked = Dist([(f(e), w) for e, w in v.items()])
+        else:
+            checked = MultiSet([f(e) for e in v])
+        assert mapped == checked
+        assert hash(mapped) == hash(checked)
+        assert mapped.items() == checked.items()
+        assert canon_key(mapped) == reference_key(checked)
 
 
 class TestMultiSet:
@@ -96,6 +163,27 @@ class TestRendering:
     def test_canonical_forms(self, value, text):
         assert render_value(value) == text
         assert parse_value(text) == value
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a",
+            "a;b;c",
+            "a;(b;c)",
+            "(a + b);c",
+            "a;b + c",
+            "a ⊕[1/3] (b ⊕[1/2] c)",
+            "a + abort ⊕[0] m(a, skip;b)",
+            "a;(b ⊕[1/2] c + a)",
+        ],
+    )
+    def test_terms_render_as_programs(self, text):
+        ops = [OpSymbol(";", 2), OpSymbol("+", 2), OpSymbol("⊕", 2, param=True)]
+        ops += [OpSymbol("m", 2), OpSymbol("skip", 0), OpSymbol("abort", 0)]
+        sig = Signature(tuple(ops))
+        t = parse_program(text, sig, ("a", "b", "c"))
+        assert render_value(t) == text
+        assert render_value(app(sig["m"], t, Var("x"))) == f"m({text}, x)"
 
     @settings(max_examples=300)
     @given(any_value)
