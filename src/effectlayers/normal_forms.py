@@ -12,13 +12,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .monads import (
     Bound,
     MonadInstance,
+    _graft,
     _guard,
     composite,
     fin_distribution,
@@ -33,13 +34,19 @@ from .terms import (
     Const,
     FiniteAlgebra,
     OpSymbol,
+    ParamDivisionByZero,
     Term,
     TermError,
     Theory,
+    Var,
     app,
+    instantiate_params,
+    map_consts,
+    term_depth,
+    term_vars,
 )
 from .theories import Roles, recognize_theory
-from .values import Dist, MultiSet, SumAtom, sort_values
+from .values import Dist, MultiSet, SumAtom, canon_key, sort_values
 
 
 class InconclusiveNormalization(Exception):
@@ -378,27 +385,6 @@ def quotient_monad(theory: Theory, kind: Optional[str] = None) -> QuotientMonad:
 # ---------------------------------------------------------------------------
 # GENERIC: bounded congruence closure
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-            return True
-        return False
-
-
 @dataclass
 class CongruenceClosure:
     """Equality of ground terms inside a bounded universe.
@@ -407,6 +393,14 @@ class CongruenceClosure:
     relation is a finitary truncation: it may fail to identify terms whose
     proof needs intermediates deeper than the bound, but every identification
     it does make is justified by the theory.
+
+    The universe is closed under subterms, so an instance relates two of its
+    terms exactly when each side matches one of them and the two matches
+    bind the shared variables alike; matching is syntactic, so the instances
+    are found once, before any merge.  Congruence is then closed by a
+    signature table (Downey, Sethi & Tarjan, JACM 1980): each round keys
+    every application by its operation, parameter and argument classes and
+    merges it with the first term of its key, until a round merges nothing.
     """
 
     theory: Theory
@@ -414,110 +408,107 @@ class CongruenceClosure:
     bound: Bound
 
     def __post_init__(self):
-        from .terms import (
-            ParamDivisionByZero,
-            Var,
-            instantiate_params,
-            subst_vars,
-            term_vars,
-        )
-
         universe = free_term_monad(self.theory.signature).enumerate(
             self.carrier, self.bound
         )
-        uni_set = set(universe)
-        uf = _UnionFind()
-        for t in universe:
-            uf.add(t)
-        grid = self.bound.prob_grid
+        index = {t: i for i, t in enumerate(universe)}
+        # an application as (head id, argument ids); a leaf as None
+        heads: dict = {}
+        nodes = [
+            (
+                heads.setdefault((t.op, t.param), len(heads)),
+                tuple(index[a] for a in t.args),
+            )
+            if isinstance(t, App)
+            else None
+            for t in universe
+        ]
 
-        def match(pat: Term, t: Term, env: dict) -> bool:
+        def match(pat: Term, i: int, env: dict) -> bool:
             if isinstance(pat, Var):
-                if pat.name in env:
-                    return env[pat.name] == t
-                env[pat.name] = t
-                return True
+                return env.setdefault(pat.name, i) == i
             if isinstance(pat, Const):
-                return pat == t
+                return index.get(pat) == i
+            node = nodes[i]
             return (
-                isinstance(t, App)
-                and t.op == pat.op
-                and t.param == pat.param
-                and all(match(p, a, env) for p, a in zip(pat.args, t.args))
+                node is not None
+                and node[0] == heads.get((pat.op, pat.param))
+                and all(match(p, a, env) for p, a in zip(pat.args, node[1]))
             )
 
-        # Ground instances of each axiom whose pattern side already appears in
-        # the universe; variables the pattern does not mention range over the
-        # whole universe.  This visits exactly the instances that can relate
-        # in-universe terms, instead of substituting blindly.
-        sides = []
+        def matches(pat: Term, shared):
+            """Universe terms matching `pat`, keyed by the shared bindings."""
+            out: dict = {}
+            for i in range(len(universe)):
+                env: dict = {}
+                if match(pat, i, env):
+                    out.setdefault(tuple(env[v] for v in shared), []).append(i)
+            return out
+
+        parent = list(range(len(universe)))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        def union(i: int, j: int) -> bool:
+            ri, rj = find(i), find(j)
+            parent[ri] = rj
+            return ri != rj
+
+        grid = self.bound.prob_grid
         for e in self.theory.equations:
             pnames = e.param_names()
-            penvs = [
-                dict(zip(pnames, combo))
-                for combo in itertools.product(grid, repeat=len(pnames))
-            ] or [{}]
-            for penv in penvs:
+            for combo in itertools.product(grid, repeat=len(pnames)):
+                penv = dict(zip(pnames, combo))
                 try:
-                    li = instantiate_params(e.lhs, penv)
-                    ri = instantiate_params(e.rhs, penv)
+                    lhs = instantiate_params(e.lhs, penv)
+                    rhs = instantiate_params(e.rhs, penv)
                 except ParamDivisionByZero:
                     continue
-                sides.append((li, ri, e.context))
-                sides.append((ri, li, e.context))
+                shared = [v for v in term_vars(lhs) if v in term_vars(rhs)]
+                right = matches(rhs, shared)
+                for key, left in matches(lhs, shared).items():
+                    for i, j in itertools.product(left, right.get(key, ())):
+                        union(i, j)
 
-        changed = True
-        while changed:
-            changed = False
-            for pat, other_side, ctx in sides:
-                free = [v for v in ctx if v not in term_vars(pat)]
-                for t in universe:
-                    env: dict = {}
-                    if not match(pat, t, env):
-                        continue
-                    for extra in itertools.product(universe, repeat=len(free)):
-                        env.update(zip(free, extra))
-                        inst = subst_vars(other_side, env)
-                        if inst in uni_set and uf.union(t, inst):
-                            changed = True
-            # congruence step
-            for t in universe:
-                if isinstance(t, App) and t.args:
-                    for other in universe:
-                        if (
-                            isinstance(other, App)
-                            and other.op == t.op
-                            and other.param == t.param
-                            and other is not t
-                            and all(
-                                uf.find(a) == uf.find(b)
-                                for a, b in zip(t.args, other.args)
-                            )
-                        ):
-                            if uf.union(t, other):
-                                changed = True
-        self._uf = uf
+        apps = [(i, node) for i, node in enumerate(nodes) if node and node[1]]
+        merged = True
+        while merged:
+            merged = False
+            table: dict = {}
+            for i, (head, args) in apps:
+                first = table.setdefault((head, *map(find, args)), i)
+                merged |= union(first, i)
+
+        classes: dict = {}
+        for i in range(len(universe)):
+            classes.setdefault(find(i), []).append(i)
+
+        def rep_key(i: int):
+            return term_depth(universe[i]), canon_key(universe[i])
+
+        reps = list(universe)  # a term alone in its class stands for itself
+        for members in classes.values():
+            if len(members) > 1:
+                # the least key, computed once per member; ties keep
+                # universe order
+                rep = universe[min(members, key=rep_key)]
+                for i in members:
+                    reps[i] = rep
+        self._index = index
+        self._reps = reps
         self._universe = universe
-        from .terms import term_depth as _depth
-        from .values import canon_key
-
-        def rep_key(t):
-            return (_depth(t), canon_key(t))
-
-        reps: dict = {}
-        for t in universe:
-            r = uf.find(t)
-            cur = reps.get(r)
-            if cur is None or rep_key(t) < rep_key(cur):
-                reps[r] = t
-        self._rep_of_root = reps
 
     def normal_form(self, t: Term) -> Term:
-        if t not in self._uf.parent:
+        i = self._index.get(t)
+        if i is None:
             raise InconclusiveNormalization(
                 "term outside the bounded universe; enlarge max_term_depth"
             )
-        return self._rep_of_root[self._uf.find(t)]
+        return self._reps[i]
 
 
 def generic_quotient_monad(theory: Theory) -> QuotientMonad:
@@ -532,39 +523,27 @@ def generic_quotient_monad(theory: Theory) -> QuotientMonad:
         return closures[key]
 
     default_bound = Bound()
+    bounds: dict = {}  # by depth: building a Bound validates its grid
 
     def norm_term(t: Term):
-        from dataclasses import replace
-        from .terms import term_depth
-
         carrier = tuple(sort_values(set(_consts(t))))
         depth = max(default_bound.max_term_depth, term_depth(t))
-        b = replace(default_bound, max_term_depth=depth)
-        return closure(carrier, b).normal_form(t)
+        if depth not in bounds:
+            bounds[depth] = replace(default_bound, max_term_depth=depth)
+        return closure(carrier, bounds[depth]).normal_form(t)
 
     def unit(x):
         return Const(x)
 
     def mmap(f, t):
-        from .terms import map_consts
-
         return norm_term(map_consts(t, f))
 
     def mult(tt):
-        from .monads import _graft
-
         return norm_term(_graft(tt))
 
     def enum(carrier, bound: Bound):
-        cl = closure(carrier, bound)
-        seen = set()
-        out = []
-        for t in cl._universe:
-            r = cl.normal_form(t)
-            if r not in seen:
-                seen.add(r)
-                out.append(r)
-        return out
+        # one normal form per class, in the order the universe meets them
+        return list(dict.fromkeys(closure(carrier, bound)._reps))
 
     monad = MonadInstance(
         name=f"generic({theory.name or 'theory'})",

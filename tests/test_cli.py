@@ -150,6 +150,16 @@ class TestErrorPaths:
         assert code == 0
         assert out.strip() == program
 
+    def test_depth_three_generic_term_evaluates(self, capsys, tmp_path):
+        # its closure spans every term of depth <= 3 over a, b: 4,058 terms
+        spec = tmp_path / "generic.layers"
+        spec.write_text(_GENERIC_SEED, encoding="utf-8")
+        code, out, _ = run(
+            capsys, "eval", str(spec), "-e", "a (+)[1/2] m(a, b)", "--stage", "0"
+        )
+        assert code == 0
+        assert out.strip() == "a ⊕[1/2] m(a, b)"
+
     @pytest.mark.parametrize("command", ["compose", "verify-laws"])
     def test_refused_law_exits_2(self, capsys, tmp_path, command):
         spec = tmp_path / "skew.layers"

@@ -4,9 +4,28 @@ from itertools import product
 import pytest
 
 from effectlayers.distlaw import _enum, verify_monad
-from effectlayers.monads import Bound
-from effectlayers.normal_forms import generic_quotient_monad, quotient_monad
-from effectlayers.terms import App, Const, Var, eval_param
+from effectlayers.monads import Bound, free_term_monad
+from effectlayers.normal_forms import (
+    CongruenceClosure,
+    generic_quotient_monad,
+    quotient_monad,
+)
+from effectlayers.terms import (
+    App,
+    Const,
+    OpSymbol,
+    ParamDivisionByZero,
+    Signature,
+    Theory,
+    Var,
+    app,
+    equation,
+    eval_param,
+    instantiate_params,
+    subst_vars,
+    term_depth,
+    term_vars,
+)
 from effectlayers.theories import (
     comm_monoid_theory,
     convex_theory,
@@ -16,7 +35,7 @@ from effectlayers.theories import (
     semiring_theory,
     two_monoids_absorption_theory,
 )
-from effectlayers.values import SumAtom
+from effectlayers.values import SumAtom, canon_key
 
 GRID3 = (F(0), F(1, 2), F(1))
 NB = Bound(max_word_len=2, max_set_size=2, max_multiplicity=2, prob_grid=GRID3)
@@ -134,3 +153,138 @@ def _subst(t, env):
     if isinstance(t, Const):
         return t
     return App(t.op, tuple(_subst(a, env) for a in t.args), t.param)
+
+
+# ---------------------------------------------------------------------------
+# CongruenceClosure against a naive reference fixpoint
+
+
+def _naive_normal_forms(theory, carrier, bound):
+    """Reference closure: every round re-matches every equation side against
+    the whole universe and compares every pair of applications."""
+    universe = free_term_monad(theory.signature).enumerate(carrier, bound)
+    uni_set = set(universe)
+    parent = {t: t for t in universe}
+
+    def find(t):
+        while parent[t] != t:
+            t = parent[t]
+        return t
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        parent[ra] = rb
+        return ra != rb
+
+    def match(pat, t, env):
+        if isinstance(pat, Var):
+            return env.setdefault(pat.name, t) == t
+        if isinstance(pat, Const):
+            return pat == t
+        return (
+            isinstance(t, App)
+            and t.op == pat.op
+            and t.param == pat.param
+            and all(match(p, a, env) for p, a in zip(pat.args, t.args))
+        )
+
+    sides = []
+    for e in theory.equations:
+        pnames = e.param_names()
+        for combo in product(bound.prob_grid, repeat=len(pnames)):
+            penv = dict(zip(pnames, combo))
+            try:
+                li = instantiate_params(e.lhs, penv)
+                ri = instantiate_params(e.rhs, penv)
+            except ParamDivisionByZero:
+                continue
+            sides += [(li, ri, e.context), (ri, li, e.context)]
+
+    changed = True
+    while changed:
+        changed = False
+        for pat, other_side, ctx in sides:
+            free = [v for v in ctx if v not in term_vars(pat)]
+            for t in universe:
+                env = {}
+                if not match(pat, t, env):
+                    continue
+                for extra in product(universe, repeat=len(free)):
+                    env.update(zip(free, extra))
+                    inst = subst_vars(other_side, env)
+                    if inst in uni_set:
+                        changed |= union(t, inst)
+        for t in universe:
+            for other in universe:
+                if (
+                    isinstance(t, App)
+                    and t.args
+                    and isinstance(other, App)
+                    and (other.op, other.param) == (t.op, t.param)
+                    and all(find(a) == find(b) for a, b in zip(t.args, other.args))
+                ):
+                    changed |= union(t, other)
+
+    reps = {}
+    for t in universe:
+        r = find(t)
+        if r not in reps or (term_depth(t), canon_key(t)) < (
+            term_depth(reps[r]),
+            canon_key(reps[r]),
+        ):
+            reps[r] = t
+    return {t: reps[find(t)] for t in universe}
+
+
+_X, _Y, _Z = Var("x"), Var("y"), Var("z")
+_M = OpSymbol("m", 2)
+_COIN = OpSymbol("⊕", 2, param=True)
+
+
+def _semigroup():
+    star = OpSymbol("*", 2)
+    assoc = equation(
+        app(star, _X, app(star, _Y, _Z)), app(star, app(star, _X, _Y), _Z), "assoc(*)"
+    )
+    return Theory(Signature((star,)), (assoc,), "semigroup")
+
+
+def _generic_seed():
+    # the GENERIC seed of the CLI tests: m associative, ⊕ free
+    assoc = equation(app(_M, _X, app(_M, _Y, _Z)), app(_M, app(_M, _X, _Y), _Z))
+    return Theory(Signature((_M, _COIN)), (assoc,), "seed")
+
+
+def _projection():
+    # y occurs on one side only, so its instances range over the universe
+    return Theory(Signature((_M,)), (equation(app(_M, _X, _Y), _X, "proj"),), "proj")
+
+
+CLOSURE_CASES = [
+    ("semigroup", _semigroup, ("a", "b"), 1),
+    ("semigroup", _semigroup, ("a", "b"), 2),
+    ("semigroup", _semigroup, ("a", "b"), 3),
+    ("generic-seed", _generic_seed, ("a", "b"), 2),
+    ("generic-seed", _generic_seed, ("a",), 3),
+    ("projection", _projection, ("a", "b"), 2),
+    ("projection", _projection, ("a", "b"), 3),
+    ("convex", convex_theory, ("a", "b"), 2),
+    ("convex", convex_theory, ("a",), 3),
+    ("monoid", monoid_theory, ("a", "b"), 2),
+    ("monoid", monoid_theory, ("a",), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "build, carrier, depth",
+    [c[1:] for c in CLOSURE_CASES],
+    ids=[f"{name}-{len(atoms)}atoms-depth{d}" for name, _, atoms, d in CLOSURE_CASES],
+)
+def test_closure_matches_naive_fixpoint(build, carrier, depth):
+    theory = build()
+    bound = Bound(prob_grid=GRID3, max_term_depth=depth)
+    expected = _naive_normal_forms(theory, carrier, bound)
+    closure = CongruenceClosure(theory, carrier, bound)
+    assert set(closure._universe) == set(expected)
+    for t in closure._universe:
+        assert closure.normal_form(t) == expected[t], t
