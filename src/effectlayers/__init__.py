@@ -16,7 +16,6 @@ from .monads import (
     fin_powerset,
     free_monoid,
     free_term_monad,
-    fubini_k,
     fubini_tuples,
     multiset,
 )
@@ -50,12 +49,8 @@ from .distlaw import (
     LawRefusedError,
     LawReport,
     QuotientLaw,
-    RhoLaw,
-    SigmaLaw,
     build_quotient_law,
-    build_sigma_law,
     compose,
-    extend_to_rho,
     verify_distlaw,
     verify_monad,
     verify_monoidal,

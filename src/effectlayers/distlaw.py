@@ -1,10 +1,11 @@
 """Construction and exhaustive verification of distributive laws.
 
-The pipeline: a signature-level law (one psi per operation), its extension
-to free terms by structural recursion, the induced lifting of algebras, the
-quotiented law between the free-algebra monad and the outer monad, and the
-composite monad.  Every axiom (DL.1-4, naturality, well-definedness, monad
-laws) is checked by exhaustive enumeration on bounded finite fragments.
+The pipeline: rho, which lifts every operation of a free term through the
+outer monad (one psi per operation, by structural recursion), the quotiented
+law lambda = T(q) o rho between the free-algebra monad and the outer monad,
+taken on canonical representatives, and the composite monad.  Every axiom
+(DL.1-4, naturality, well-definedness, monad laws) is checked by exhaustive
+enumeration on bounded finite fragments.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .monads import (
     lift,
 )
 from .normal_forms import QuotientMonad
-from .terms import App, Const, Signature, Term, TermError
+from .terms import App, Const, Term, TermError
 
 
 PASS = "PASS"
@@ -44,65 +45,27 @@ class LawReport:
 
 
 # ---------------------------------------------------------------------------
-# signature-level law and its extension to free terms
-
-@dataclass(frozen=True)
-class SigmaLaw:
-    """One-step law: an operation applied to T-values becomes a T-value of
-    tagged argument tuples, via the iterated Fubini transformation."""
-
-    signature: Signature
-    outer: MonadInstance
-
-    def apply(self, op_name: str, values, param=None):
-        op = self.signature[op_name]
-        if len(values) != op.arity:
-            raise TermError(f"{op_name!r} expects {op.arity} arguments")
-        return lift(self.outer, lambda xs: App(op, xs, param), values)
-
-
-def build_sigma_law(sig: Signature, T: MonadInstance) -> SigmaLaw:
-    T.require_outer()
-    return SigmaLaw(sig, T)
-
-
-@dataclass(frozen=True)
-class RhoLaw:
-    """Extension of a SigmaLaw to all free terms by structural recursion."""
-
-    sigma: SigmaLaw
-
-    @property
-    def outer(self) -> MonadInstance:
-        return self.sigma.outer
-
-    def apply(self, t: Term):
-        """Term over T-value leaves -> T-value of terms over element leaves."""
-        T = self.outer
-        if isinstance(t, Const):
-            return T.map(Const, t.value)
-        if isinstance(t, App):
-            arg_values = [self.apply(a) for a in t.args]
-            return lift(T, lambda parts: App(t.op, parts, t.param), arg_values)
-        raise TermError("distributive laws apply to ground terms only")
-
-
-def extend_to_rho(sl: SigmaLaw) -> RhoLaw:
-    return RhoLaw(sl)
-
-
-# ---------------------------------------------------------------------------
 # quotient law between the free-algebra monad S and the outer monad T
 
 @dataclass(frozen=True)
 class QuotientLaw:
     inner: QuotientMonad  # S, with q and representatives
     outer: MonadInstance  # T
-    rho: RhoLaw
     # lambda of each S-value applied so far; a copy made with
     # dataclasses.replace starts empty, and compose_stack empties it once
     # the stage's law and monad checks are done
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def rho(self, t: Term):
+        """Term over T-value leaves -> T-value of terms over element leaves,
+        lifting each operation by the iterated Fubini transformation."""
+        T = self.outer
+        if isinstance(t, Const):
+            return T.map(Const, t.value)
+        if isinstance(t, App):
+            arg_values = [self.rho(a) for a in t.args]
+            return lift(T, lambda parts: App(t.op, parts, t.param), arg_values)
+        raise TermError("distributive laws apply to ground terms only")
 
     def apply(self, sv):
         """lambda: S(T X) -> T(S X) via a canonical representative term."""
@@ -111,7 +74,7 @@ class QuotientLaw:
         except KeyError:
             pass
         rep = self.inner.representative(sv)  # term over Const(T-value)
-        tv = self.rho.apply(rep)             # T(term over Const(x))
+        tv = self.rho(rep)                   # T(term over Const(x))
         out = self.memo[sv] = self.outer.map(self.inner.normalize, tv)
         return out
 
@@ -127,7 +90,6 @@ class LawRefusedError(Exception):
 def build_quotient_law(
     S: QuotientMonad,
     T: MonadInstance,
-    rho: RhoLaw,
     fragments: Sequence,
     verdicts=None,
 ):
@@ -136,6 +98,7 @@ def build_quotient_law(
     `verdicts` are preservation verdicts for S's equations; any non-preserved
     equation refuses the construction.  Returns (QuotientLaw, LawReport).
     """
+    T.require_outer()
     if verdicts is not None:
         bad = [v for v in verdicts if not v.preserved]
         if bad:
@@ -143,7 +106,7 @@ def build_quotient_law(
             raise LawRefusedError(
                 f"cannot quotient the law: non-preserved equations [{names}]", bad
             )
-    law = QuotientLaw(S, T, rho)
+    law = QuotientLaw(S, T)
     report = _well_defined_report(law, fragments)
     if not report.ok:
         # should be impossible when the preconditions hold; internal alarm
@@ -165,7 +128,7 @@ def _well_defined_report(law: QuotientLaw, fragments) -> LawReport:
         groups: dict = {}
         for t in terms:
             sv = S.normalize(t)
-            out = T.map(S.normalize, law.rho.apply(t))
+            out = T.map(S.normalize, law.rho(t))
             checked += 1
             if sv in groups:
                 if groups[sv][1] != out:

@@ -115,14 +115,6 @@ def lift(T: MonadInstance, f: Callable, values):
     return T.map(f, fubini_tuples(T, len(values), values))
 
 
-def fubini_k(T: MonadInstance, k: int, values):
-    """psi^(k) with the conventional identities psi^(0)=eta_1 and psi^(1)=id."""
-    if k == 1:
-        (v,) = values
-        return v
-    return fubini_tuples(T, k, values)
-
-
 # ---------------------------------------------------------------------------
 # composite monad of a distributive law (Beck)
 

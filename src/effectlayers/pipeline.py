@@ -19,9 +19,7 @@ from .distlaw import (
     QuotientLaw,
     _enum,
     build_quotient_law,
-    build_sigma_law,
     compose,
-    extend_to_rho,
     verify_distlaw,
     verify_monad,
     PASS,
@@ -188,22 +186,19 @@ def composite_algebra(
 
 
 def verify_generated_axioms(
-    algebra: FiniteAlgebra, eqs: Sequence[Equation], param_grid=None
+    algebra: FiniteAlgebra, eqs: Sequence[Equation], param_grid: Sequence
 ):
     """holds() for each combined-language axiom on the composite algebra.
 
     Each operation of `algebra` is memoized for the length of this call:
     the axioms interpret the same few applications many times over.
     """
-    from .terms import DEFAULT_PARAM_GRID
-
-    grid = param_grid if param_grid is not None else DEFAULT_PARAM_GRID
     algebra = replace(
         algebra, interp={name: _memoized(op) for name, op in algebra.interp.items()}
     )
     reports = []
     for e in eqs:
-        witness = find_violation(algebra, e, grid)
+        witness = find_violation(algebra, e, param_grid)
         reports.append(
             LawReport(
                 f"axiom:{e.describe()}",
@@ -285,10 +280,7 @@ def compose_stack(
             try:
                 # demonstrate that the unweakened theory admits no law
                 S_orig = quotient_monad(current)
-                rho_orig = extend_to_rho(
-                    build_sigma_law(current.signature, T)
-                )
-                build_quotient_law(S_orig, T, rho_orig, fragments, verdicts)
+                build_quotient_law(S_orig, T, fragments, verdicts=verdicts)
             except LawRefusedError as exc:
                 refusal = str(exc)
             except TermError as exc:  # no canonical normalizer either
@@ -311,9 +303,8 @@ def compose_stack(
         status = UNVERIFIED if has_unknown else VERIFIED
         S = quotient_monad(weak_inner)
         if build_laws and not has_unknown:
-            rho = extend_to_rho(build_sigma_law(weak_inner.signature, T))
             kept_verdicts = [v for v in verdicts if v.equation in kept]
-            law, wd = build_quotient_law(S, T, rho, fragments, kept_verdicts)
+            law, wd = build_quotient_law(S, T, fragments, verdicts=kept_verdicts)
             composite = compose(T, S, law).monad
             law_reports = (wd,) + tuple(verify_distlaw(law, fragments, cap=law_cap))
             monad_reports = tuple(verify_monad(composite, fragments))

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .monads import Bound, MonadInstance, fubini_k, fubini_tuples, lift
+from .monads import Bound, MonadInstance, fubini_tuples, lift
 from .terms import (
     Equation,
     FiniteAlgebra,
@@ -136,12 +136,9 @@ def residual_commutes(T: MonadInstance, t, V, X, b: Bound) -> ProbeResult:
     frag = f"res({T.name}, {len(V)} vars) on {sorted(map(str, X))}"
     values = T.enumerate(tuple(X), b)
     for tup in itertools.product(values, repeat=n):
-        left = fubini_k(T, k, [tup[i] for i in idx])
+        left = fubini_tuples(T, k, [tup[i] for i in idx])
         psi_all = fubini_tuples(T, n, list(tup))
-        if k == 1:
-            right = T.map(lambda xs: xs[idx[0]], psi_all)
-        else:
-            right = T.map(lambda xs: tuple(xs[i] for i in idx), psi_all)
+        right = T.map(lambda xs: tuple(xs[i] for i in idx), psi_all)
         if left != right:
             return ProbeResult(
                 FAILS,
@@ -227,13 +224,16 @@ class Verdict:
         return self.status in (PRESERVED_SYNTACTIC, PRESERVED_RESIDUAL)
 
 
+# brute force enumerates the inner theory's algebras up to this carrier size
+_MAX_BRUTE_CARRIER = 2
+
+
 def check_preservation(
     T: MonadInstance,
     e: Equation,
     profile: MonadProfile,
     fragments: Sequence,
     theory: Optional[Theory] = None,
-    max_brute_carrier: int = 2,
 ) -> Verdict:
     """Decision cascade for 'does the lifting through T preserve e?'.
 
@@ -283,7 +283,7 @@ def check_preservation(
     inner = theory or Theory(_signature_of(e), (e,))
     b = fragments[0][1] if fragments else Bound()
     if not any(o.param for o in inner.signature.ops):
-        for size in range(1, max_brute_carrier + 1):
+        for size in range(1, _MAX_BRUTE_CARRIER + 1):
             for A in enumerate_algebras(inner, size):
                 LA = lifted_algebra(T, A, b)
                 w = find_violation(LA, e)
@@ -310,7 +310,7 @@ def check_preservation(
                 evidence=(profile.relevant, profile.affine),
                 fragment=desc,
             )
-    searched = f"algebras up to carrier {max_brute_carrier}, bounded fragments"
+    searched = f"algebras up to carrier {_MAX_BRUTE_CARRIER}, bounded fragments"
     return Verdict(e, UNKNOWN, fragment=searched)
 
 

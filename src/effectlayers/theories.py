@@ -1,5 +1,7 @@
 """Standard algebraic theories and structural recognition of equation patterns.
 
+The named laws on plain binary operations are written once, in `_LAWS`; the
+theory builders, the equation names and recognition all read that table.
 Recognition drives two things: picking the canonical normal-form realization
 for a (possibly weakened) theory, and naming equations in reports
 ("assoc(;)", "idem(+)", ...).
@@ -85,84 +87,81 @@ def equation_matches(e: Equation, pat_lhs: Term, pat_rhs: Term) -> bool:
     return False
 
 
+# ---------------------------------------------------------------------------
+# named laws
+
 _x, _y, _z = Var("x"), Var("y"), Var("z")
 
-
-def is_assoc(e: Equation, f: OpSymbol) -> bool:
-    return equation_matches(e, app(f, _x, app(f, _y, _z)), app(f, app(f, _x, _y), _z))
-
-
-def is_comm(e: Equation, f: OpSymbol) -> bool:
-    return equation_matches(e, app(f, _x, _y), app(f, _y, _x))
-
-
-def is_idem(e: Equation, f: OpSymbol) -> bool:
-    return equation_matches(e, app(f, _x, _x), _x)
-
-
-def is_left_unit(e: Equation, f: OpSymbol, c: OpSymbol) -> bool:
-    return equation_matches(e, app(f, app(c), _x), _x)
-
-
-def is_right_unit(e: Equation, f: OpSymbol, c: OpSymbol) -> bool:
-    return equation_matches(e, app(f, _x, app(c)), _x)
-
-
-def is_left_absorb(e: Equation, f: OpSymbol, c: OpSymbol) -> bool:
-    return equation_matches(e, app(f, app(c), _x), app(c))
-
-
-def is_right_absorb(e: Equation, f: OpSymbol, c: OpSymbol) -> bool:
-    return equation_matches(e, app(f, _x, app(c)), app(c))
-
-
-def is_left_distrib(e: Equation, f: OpSymbol, g: OpSymbol) -> bool:
-    return equation_matches(
-        e, app(f, _x, app(g, _y, _z)), app(g, app(f, _x, _y), app(f, _x, _z))
-    )
+# The named laws on a plain binary operation f.  Each maps to the arity of
+# the law's second operation o (None: it has none; 0: a constant; 2: a
+# second plain binary operation) and a builder of the law's two sides.
+_LAWS = {
+    "assoc": (
+        None,
+        lambda f, o: (app(f, _x, app(f, _y, _z)), app(f, app(f, _x, _y), _z)),
+    ),
+    "comm": (None, lambda f, o: (app(f, _x, _y), app(f, _y, _x))),
+    "idem": (None, lambda f, o: (app(f, _x, _x), _x)),
+    "unit-left": (0, lambda f, o: (app(f, app(o), _x), _x)),
+    "unit-right": (0, lambda f, o: (app(f, _x, app(o)), _x)),
+    "absorb-left": (0, lambda f, o: (app(f, app(o), _x), app(o))),
+    "absorb-right": (0, lambda f, o: (app(f, _x, app(o)), app(o))),
+    "distrib-left": (
+        2,
+        lambda f, o: (
+            app(f, _x, app(o, _y, _z)),
+            app(o, app(f, _x, _y), app(f, _x, _z)),
+        ),
+    ),
+    "distrib-right": (
+        2,
+        lambda f, o: (
+            app(f, app(o, _y, _z), _x),
+            app(o, app(f, _y, _x), app(f, _z, _x)),
+        ),
+    ),
+}
 
 
-def is_right_distrib(e: Equation, f: OpSymbol, g: OpSymbol) -> bool:
-    return equation_matches(
-        e, app(f, app(g, _y, _z), _x), app(g, app(f, _y, _x), app(f, _z, _x))
-    )
+def _law_name(law: str, f: OpSymbol, o: Optional[OpSymbol] = None) -> str:
+    return f"{law}({f.name})" if o is None else f"{law}({f.name},{o.name})"
 
 
-def describe_equation(e: Equation, sig: Signature) -> str:
-    """Best-effort pattern name for reports; falls back to rendered terms."""
-    binaries = [o for o in sig.ops if o.arity == 2]
-    consts = [o for o in sig.ops if o.arity == 0]
-    for f in binaries:
+def _instances(f: OpSymbol, ops):
+    """(law, o) for each law on the plain binary f, its o drawn from `ops`."""
+    for law, (arity, _) in _LAWS.items():
+        if arity is None:
+            yield law, None
+            continue
+        for o in ops:
+            if o.arity == arity and not o.param and o != f:
+                yield law, o
+
+
+def _law(name: str, f: OpSymbol, other=None, label: str = "") -> Equation:
+    lhs, rhs = _LAWS[name][1](f, other)
+    return equation(lhs, rhs, name=label or _law_name(name, f, other))
+
+
+def _pattern_name(e: Equation, sig: Signature) -> Optional[str]:
+    """The named law `e` is an instance of, trying the operations in order."""
+    for f in sig.ops:
+        if f.arity != 2:
+            continue
         if f.param:
             name = _describe_param_equation(e, f)
             if name:
                 return name
             continue
-        if is_assoc(e, f):
-            return f"assoc({f.name})"
-        if is_comm(e, f):
-            return f"comm({f.name})"
-        if is_idem(e, f):
-            return f"idem({f.name})"
-        for c in consts:
-            if is_left_unit(e, f, c) and is_right_unit(e, f, c):
-                return f"unit({f.name},{c.name})"
-            if is_left_unit(e, f, c):
-                return f"unit-left({f.name},{c.name})"
-            if is_right_unit(e, f, c):
-                return f"unit-right({f.name},{c.name})"
-            if is_left_absorb(e, f, c):
-                return f"absorb-left({f.name},{c.name})"
-            if is_right_absorb(e, f, c):
-                return f"absorb-right({f.name},{c.name})"
-        for g in binaries:
-            if g is f:
-                continue
-            if is_left_distrib(e, f, g):
-                return f"distrib-left({f.name},{g.name})"
-            if is_right_distrib(e, f, g):
-                return f"distrib-right({f.name},{g.name})"
-    return e.describe()
+        for law, o in _instances(f, sig.ops):
+            if equation_matches(e, *_LAWS[law][1](f, o)):
+                return _law_name(law, f, o)
+    return None
+
+
+def describe_equation(e: Equation, sig: Signature) -> str:
+    """Best-effort pattern name for reports; falls back to rendered terms."""
+    return _pattern_name(e, sig) or e.describe()
 
 
 def _describe_param_equation(e: Equation, f: OpSymbol):
@@ -204,38 +203,26 @@ OPLUS = OpSymbol("⊕", 2, param=True)
 
 
 def monoid_theory(seq: OpSymbol = SEQ, unit: OpSymbol = SKIP) -> Theory:
-    sig = Signature((seq, unit))
-    f, c = seq, unit
     return Theory(
-        sig,
+        Signature((seq, unit)),
         (
-            equation(app(f, _x, app(c)), _x, name=f"unit-right({f.name})"),
-            equation(app(f, app(c), _x), _x, name=f"unit-left({f.name})"),
-            equation(
-                app(f, _x, app(f, _y, _z)),
-                app(f, app(f, _x, _y), _z),
-                name=f"assoc({f.name})",
-            ),
+            _law("unit-right", seq, unit, label=f"unit-right({seq.name})"),
+            _law("unit-left", seq, unit, label=f"unit-left({seq.name})"),
+            _law("assoc", seq),
         ),
         name="monoid",
     )
 
 
 def semilattice_theory(plus: OpSymbol = PLUS, unit: OpSymbol = ABORT) -> Theory:
-    sig = Signature((plus, unit))
-    f, c = plus, unit
     return Theory(
-        sig,
+        Signature((plus, unit)),
         (
-            equation(app(f, app(c), _x), _x, name=f"unit-left({f.name})"),
-            equation(app(f, _x, app(c)), _x, name=f"unit-right({f.name})"),
-            equation(app(f, _x, _x), _x, name=f"idem({f.name})"),
-            equation(app(f, _x, _y), app(f, _y, _x), name=f"comm({f.name})"),
-            equation(
-                app(f, _x, app(f, _y, _z)),
-                app(f, app(f, _x, _y), _z),
-                name=f"assoc({f.name})",
-            ),
+            _law("unit-left", plus, unit, label=f"unit-left({plus.name})"),
+            _law("unit-right", plus, unit, label=f"unit-right({plus.name})"),
+            _law("idem", plus),
+            _law("comm", plus),
+            _law("assoc", plus),
         ),
         name="semilattice",
     )
@@ -279,18 +266,10 @@ def idem_semiring_theory() -> Theory:
         monoid_theory().equations
         + semilattice_theory().equations
         + (
-            equation(
-                app(SEQ, _x, app(PLUS, _y, _z)),
-                app(PLUS, app(SEQ, _x, _y), app(SEQ, _x, _z)),
-                name="distrib-left(;,+)",
-            ),
-            equation(
-                app(SEQ, app(PLUS, _y, _z), _x),
-                app(PLUS, app(SEQ, _y, _x), app(SEQ, _z, _x)),
-                name="distrib-right(;,+)",
-            ),
-            equation(app(SEQ, _x, app(ABORT)), app(ABORT), name="absorb-right(;,abort)"),
-            equation(app(SEQ, app(ABORT), _x), app(ABORT), name="absorb-left(;,abort)"),
+            _law("distrib-left", SEQ, PLUS),
+            _law("distrib-right", SEQ, PLUS),
+            _law("absorb-right", SEQ, ABORT),
+            _law("absorb-left", SEQ, ABORT),
         )
     )
     return Theory(sig, eqs, name="idempotent semiring")
@@ -320,24 +299,6 @@ class Roles:
     oplus: Optional[OpSymbol] = None
 
 
-def _op_facts(theory: Theory, f: OpSymbol):
-    eqs = theory.equations
-    consts = [o for o in theory.signature.ops if o.arity == 0]
-    facts = {
-        "assoc": any(is_assoc(e, f) for e in eqs),
-        "comm": any(is_comm(e, f) for e in eqs),
-        "idem": any(is_idem(e, f) for e in eqs),
-        "unit": None,
-    }
-    for c in consts:
-        if any(is_left_unit(e, f, c) for e in eqs) and any(
-            is_right_unit(e, f, c) for e in eqs
-        ):
-            facts["unit"] = c
-            break
-    return facts
-
-
 def recognize_theory(theory: Theory):
     """Map a theory onto a canonical normal-form kind plus operation roles.
 
@@ -347,46 +308,40 @@ def recognize_theory(theory: Theory):
     sig = theory.signature
     param_ops = [o for o in sig.ops if o.param]
     binaries = [o for o in sig.ops if o.arity == 2 and not o.param]
-    eqs = theory.equations
+    consts = [o for o in sig.ops if o.arity == 0]
 
     if param_ops:
         if len(param_ops) == 1 and not binaries and param_ops[0].arity == 2:
             return "CONVEX", Roles(oplus=param_ops[0])
         return "GENERIC", Roles()
 
+    names = [_pattern_name(e, sig) for e in theory.equations]
+
+    def has(law, f, o=None) -> bool:
+        return _law_name(law, f, o) in names
+
+    def unit(f):
+        both = (c for c in consts if has("unit-left", f, c) and has("unit-right", f, c))
+        return next(both, None)
+
     def accounted(roles: Roles) -> bool:
-        fs = [o for o in (roles.seq, roles.plus) if o is not None]
-        for e in eqs:
-            ok = False
-            for f in fs:
-                if is_assoc(e, f) or is_comm(e, f) or is_idem(e, f):
-                    ok = True
-                for c in (roles.skip, roles.abort):
-                    if c is not None and (
-                        is_left_unit(e, f, c)
-                        or is_right_unit(e, f, c)
-                        or is_left_absorb(e, f, c)
-                        or is_right_absorb(e, f, c)
-                    ):
-                        ok = True
-            if roles.seq and roles.plus:
-                if is_left_distrib(e, roles.seq, roles.plus) or is_right_distrib(
-                    e, roles.seq, roles.plus
-                ):
-                    ok = True
-            if not ok:
-                return False
-        return True
+        """Every equation is a roles' law; nothing distributes over seq."""
+        ops = [o for o in (roles.skip, roles.abort, roles.plus) if o is not None]
+        laws = set()
+        for f in (roles.seq, roles.plus):
+            if f is not None:
+                laws.update(_law_name(law, f, o) for law, o in _instances(f, ops))
+        return all(n in laws for n in names)
 
     if len(binaries) == 1:
         f = binaries[0]
-        facts = _op_facts(theory, f)
-        if facts["assoc"] and facts["unit"] is not None:
-            roles = Roles(seq=f, skip=facts["unit"])
-            if facts["comm"]:
-                roles = Roles(plus=f, abort=facts["unit"])
-                kind = "SEMILATTICE" if facts["idem"] else "COMM_MONOID"
+        c = unit(f)
+        if has("assoc", f) and c is not None:
+            if has("comm", f):
+                roles = Roles(plus=f, abort=c)
+                kind = "SEMILATTICE" if has("idem", f) else "COMM_MONOID"
             else:
+                roles = Roles(seq=f, skip=c)
                 kind = "MONOID"
             if accounted(roles):
                 return kind, roles
@@ -394,26 +349,18 @@ def recognize_theory(theory: Theory):
 
     if len(binaries) == 2:
         for f, g in itertools.permutations(binaries):
-            ff, gf = _op_facts(theory, f), _op_facts(theory, g)
-            if not (ff["assoc"] and gf["assoc"] and gf["comm"]):
+            if not (has("assoc", f) and has("assoc", g) and has("comm", g)):
                 continue
-            if ff["unit"] is None or gf["unit"] is None:
+            c, d = unit(f), unit(g)
+            if c is None or d is None:
                 continue
-            absorbs = any(is_left_absorb(e, f, gf["unit"]) for e in eqs) and any(
-                is_right_absorb(e, f, gf["unit"]) for e in eqs
-            )
-            if not absorbs:
+            if not (has("absorb-left", f, d) and has("absorb-right", f, d)):
                 continue
-            distrib = any(is_left_distrib(e, f, g) for e in eqs) and any(
-                is_right_distrib(e, f, g) for e in eqs
-            )
-            roles = Roles(seq=f, skip=ff["unit"], plus=g, abort=gf["unit"])
+            roles = Roles(seq=f, skip=c, plus=g, abort=d)
             if not accounted(roles):
                 continue
-            if distrib and gf["idem"]:
-                return "IDEM_SEMIRING", roles
-            if distrib:
-                return "SEMIRING", roles
+            if has("distrib-left", f, g) and has("distrib-right", f, g):
+                return ("IDEM_SEMIRING" if has("idem", g) else "SEMIRING"), roles
             return "TWO_MONOIDS_ABSORB", roles
         return "GENERIC", Roles()
 

@@ -432,9 +432,9 @@ def test_criterion_7_naturality_spot_suite(flagship):
                 for t in tm.enumerate(tuple(tx), tb):  # rho naturality
                     lhs = T.map(
                         lambda u: map_consts(u, lambda x: fm[x]),
-                        law.rho.apply(t),
+                        law.rho(t),
                     )
-                    rhs = law.rho.apply(map_consts(t, tf))
+                    rhs = law.rho(map_consts(t, tf))
                     assert lhs == rhs, (stage.outer_name, fm, t)
                 for sv in S.monad.enumerate(tuple(tx), tb):  # lambda naturality
                     lhs = T.map(

@@ -130,6 +130,14 @@ _GENERIC_SEED = (
     "  eq m(x, m(y, z)) = m(m(x, y), z);\n}\n" + _NONDET
 )
 
+# a plain and a parameterized binary operation beside an equation that is
+# no named law
+_MIXED_SEED = (
+    "atoms a b;\nlayer seed {\n"
+    '  op "m" : 2;\n  op "⊕" : 2 param;\n'
+    "  eq m(x, y) = x;\n}\n" + _NONDET
+)
+
 
 class TestErrorPaths:
     def test_inconclusive_normalization_exits_3(self, capsys, tmp_path):
@@ -141,6 +149,14 @@ class TestErrorPaths:
         )
         assert code == 3
         assert err.startswith("error: term outside the bounded universe")
+
+    def test_unnamed_equation_beside_a_parameterized_operation(
+        self, capsys, tmp_path
+    ):
+        spec = tmp_path / "mixed.layers"
+        spec.write_text(_MIXED_SEED, encoding="utf-8")
+        code, _, err = run(capsys, "check", str(spec))
+        assert code == 1 and err == ""
 
     @pytest.mark.parametrize("program", ["a", "m(a, b)"])
     def test_generic_values_render_as_programs(self, capsys, tmp_path, program):

@@ -7,9 +7,7 @@ from effectlayers.distlaw import (
     QuotientLaw,
     _enum,
     build_quotient_law,
-    build_sigma_law,
     compose,
-    extend_to_rho,
     verify_distlaw,
     verify_monad,
 )
@@ -38,12 +36,11 @@ FRAGS = [(X, B)]
 
 def monoid_over(T):
     S = quotient_monad(monoid_theory())
-    rho = extend_to_rho(build_sigma_law(S.theory.signature, T))
     verdicts = [
         check_preservation(T, e, profile_monad(T, X, B), FRAGS, theory=S.theory)
         for e in S.theory.equations
     ]
-    return build_quotient_law(S, T, rho, FRAGS, verdicts=verdicts)
+    return build_quotient_law(S, T, FRAGS, verdicts=verdicts)
 
 
 class TestLambdaValues:
@@ -75,12 +72,11 @@ class TestVerification:
     def test_two_monoids_law_under_distribution(self):
         T = fin_distribution()
         S = quotient_monad(two_monoids_absorption_theory())
-        rho = extend_to_rho(build_sigma_law(S.theory.signature, T))
         verdicts = [
             check_preservation(T, e, profile_monad(T, X, B), FRAGS, theory=S.theory)
             for e in S.theory.equations
         ]
-        law, report = build_quotient_law(S, T, rho, FRAGS, verdicts=verdicts)
+        law, report = build_quotient_law(S, T, FRAGS, verdicts=verdicts)
         assert report.ok
         reports = verify_distlaw(law, FRAGS, cap=40)
         assert all(r.ok for r in reports), [r.axiom for r in reports if not r.ok]
@@ -94,7 +90,7 @@ class TestVerification:
                 # silently drop the empty word from every output set
                 return frozenset(w for w in out if w != ())
 
-        bad = Corrupted(law.inner, law.outer, law.rho)
+        bad = Corrupted(law.inner, law.outer)
         reports = verify_distlaw(bad, FRAGS, cap=60)
         assert any(not r.ok for r in reports)
         failed = next(r for r in reports if not r.ok)
@@ -105,13 +101,12 @@ class TestRefusal:
     def test_semilattice_over_powerset_is_refused(self):
         T = fin_powerset()
         S = quotient_monad(semilattice_theory())
-        rho = extend_to_rho(build_sigma_law(S.theory.signature, T))
         verdicts = [
             check_preservation(T, e, profile_monad(T, X, B), FRAGS, theory=S.theory)
             for e in S.theory.equations
         ]
         with pytest.raises(LawRefusedError) as exc:
-            build_quotient_law(S, T, rho, FRAGS, verdicts=verdicts)
+            build_quotient_law(S, T, FRAGS, verdicts=verdicts)
         assert "idem(+)" in str(exc.value)
         assert exc.value.verdicts
 

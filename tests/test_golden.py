@@ -1,20 +1,26 @@
-"""Byte-for-byte guards on three reports.
+"""Byte-for-byte guards on three reports and on theory recognition.
 
 `golden/check.json` is the `--json` report of `effectlayers check` on the
 shipped spec; `golden/flagship_laws.json` is the laws report of the
 conftest flagship; `golden/eval.txt` holds one line per evaluator-corpus
 program and stage 0, 1, 2 of the shipped spec: the rendered value, or the
-`TermError` message. A change that alters a report on purpose regenerates
-it from the repository root, and the diff is reviewed with the change:
+`TermError` message. `golden/recognition.txt` holds one line per builder
+theory and per copy of it with one or two equations removed: the
+recognized kind, the roles' operations and every equation's pattern name.
+A change that alters one on purpose regenerates it from the repository
+root, and the diff is reviewed with the change:
 
     PYTHONPATH=src python -m effectlayers.cli check specs/probnetkat.layers \\
         --json tests/golden/check.json
-    PYTHONPATH=src python tests/test_golden.py        # flagship_laws.json
-    PYTHONPATH=src python tests/test_golden.py eval   # eval.txt
+    PYTHONPATH=src python tests/test_golden.py               # flagship_laws.json
+    PYTHONPATH=src python tests/test_golden.py eval          # eval.txt
+    PYTHONPATH=src python tests/test_golden.py recognition   # recognition.txt
 """
 
 import sys
+from dataclasses import fields
 from fractions import Fraction as F
+from itertools import combinations
 from pathlib import Path
 
 from effectlayers import Bound, compose_stack, eval_term, probnetkat_stack
@@ -22,7 +28,18 @@ from effectlayers.cli import _load_bounds, main
 from effectlayers.render import render_value
 from effectlayers.reports import laws_document
 from effectlayers.specfile import parse_program, parse_spec
-from effectlayers.terms import TermError
+from effectlayers.terms import OpSymbol, Signature, TermError, Theory
+from effectlayers.theories import (
+    comm_monoid_theory,
+    convex_theory,
+    describe_equation,
+    idem_semiring_theory,
+    monoid_theory,
+    recognize_theory,
+    semilattice_theory,
+    semiring_theory,
+    two_monoids_absorption_theory,
+)
 from test_acceptance import STAGE1_PROGRAMS, STAGE2_PROGRAMS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -64,8 +81,51 @@ def test_eval_outputs_are_unchanged():
     assert eval_lines().encode() == (GOLDEN / "eval.txt").read_bytes()
 
 
+def recognition_lines() -> str:
+    """`theory (ops) - [removed]: KIND roles | names` per builder theory."""
+    idem = idem_semiring_theory()
+    theories = [
+        build()
+        for build in (
+            monoid_theory,
+            semilattice_theory,
+            comm_monoid_theory,
+            convex_theory,
+            idem_semiring_theory,
+            semiring_theory,
+            two_monoids_absorption_theory,
+        )
+    ] + [
+        semilattice_theory(OpSymbol("u", 2), OpSymbol("zero", 0)),
+        Theory(Signature(idem.signature.ops[::-1]), idem.equations, idem.name),
+    ]
+    lines = []
+    for theory in theories:
+        sig, eqs = theory.signature, theory.equations
+        label = f"{theory.name} ({' '.join(o.name for o in sig.ops)})"
+        for k in (0, 1, 2):
+            for gone in combinations(range(len(eqs)), k):
+                kept = tuple(e for i, e in enumerate(eqs) if i not in gone)
+                kind, roles = recognize_theory(Theory(sig, kept))
+                ops = [(f.name, getattr(roles, f.name)) for f in fields(roles)]
+                lines.append(
+                    f"{label} - [{', '.join(eqs[i].name for i in gone)}]: {kind}"
+                    + "".join(f" {role}={op.name}" for role, op in ops if op)
+                    + "".join(f" | {describe_equation(e, sig)}" for e in kept)
+                    + "\n"
+                )
+    return "".join(lines)
+
+
+def test_recognition_is_unchanged():
+    text = recognition_lines()
+    assert text.encode() == (GOLDEN / "recognition.txt").read_bytes()
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["eval"]:  # rewrite golden/eval.txt
     (GOLDEN / "eval.txt").write_text(eval_lines(), encoding="utf-8")
+elif __name__ == "__main__" and sys.argv[1:] == ["recognition"]:
+    (GOLDEN / "recognition.txt").write_text(recognition_lines(), encoding="utf-8")
 elif __name__ == "__main__":  # rewrite golden/flagship_laws.json
     # the conftest flagship fixture, built outside pytest
     bound = Bound(

@@ -13,7 +13,6 @@ from effectlayers.monads import (
     fin_powerset,
     free_monoid,
     free_term_monad,
-    fubini_k,
     fubini_tuples,
     multiset,
 )
@@ -95,12 +94,6 @@ class TestFubini:
     def test_iterated_fubini_produces_flat_tuples(self, T):
         vals = [T.unit("a"), T.unit("b"), T.unit("c")]
         assert fubini_tuples(T, 3, vals) == T.unit(("a", "b", "c"))
-
-    def test_fubini_k_identities(self):
-        P = fin_powerset()
-        v = frozenset({"a", "b"})
-        assert fubini_k(P, 1, [v]) is v
-        assert fubini_k(P, 0, []) == P.unit(())
 
 
 class TestEnumerators:

@@ -288,3 +288,26 @@ def test_closure_matches_naive_fixpoint(build, carrier, depth):
     assert set(closure._universe) == set(expected)
     for t in closure._universe:
         assert closure.normal_form(t) == expected[t], t
+
+
+# ---------------------------------------------------------------------------
+# canonical normal forms against congruence closure
+
+
+@pytest.mark.parametrize("build, kind", THEORIES, ids=[k for _, k in THEORIES])
+def test_normal_forms_agree_with_closure(build, kind):
+    theory = build()
+    q = quotient_monad(theory)
+    for depth in (2, 3):
+        closure = CongruenceClosure(
+            theory, ("a", "b"), Bound(max_term_depth=depth, prob_grid=GRID3)
+        )
+        classes: dict = {}
+        for t in closure._universe:
+            classes.setdefault(closure.normal_form(t), set()).add(q.normalize(t))
+        # sound: the closure identifies only terms with one normal form
+        assert all(len(nfs) == 1 for nfs in classes.values()), depth
+        # complete at depth 2: no normal form spans two classes.  The CONVEX
+        # normal forms identify a ⊕[1] b with a; the closure keeps them apart
+        if depth == 2 and kind != "CONVEX":
+            assert len(set().union(*classes.values())) == len(classes)

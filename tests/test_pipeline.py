@@ -121,7 +121,7 @@ class TestLambdaMemo:
                 first = law.apply(sv)
                 assert sv in law.memo
                 assert law.apply(sv) == first
-                assert first == T.map(S.normalize, law.rho.apply(S.representative(sv)))
+                assert first == T.map(S.normalize, law.rho(S.representative(sv)))
 
 
 class TestGeneratedAxioms:

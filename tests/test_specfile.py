@@ -38,6 +38,13 @@ layer nondeterminism {
 }
 """
 
+# a plain binary and a parameterized operation beside an equation that is
+# no named law: naming it must not build the parameterized one without a weight
+MIXED = (
+    'atoms a b;\nlayer seed {\n  op "m" : 2;\n  op %s;\n  eq m(x, y) = x;\n}\n'
+    + MINI[MINI.index("layer nondeterminism") :]
+)
+
 
 @pytest.fixture(scope="module")
 def shipped():
@@ -164,6 +171,12 @@ class TestMiniRoundTrip:
         k0, _ = recognize_theory(spec.layers[0].theory)
         k1, _ = recognize_theory(spec.layers[1].theory)
         assert (k0, k1) == ("MONOID", "SEMILATTICE")
+
+    @pytest.mark.parametrize("op", ['"⊕" : 2 param', '"c" : 0 param'])
+    def test_unnamed_equation_beside_a_parameterized_operation(self, op):
+        spec = parse_spec(MIXED % op)
+        (e,) = spec.layers[0].theory.equations
+        assert e.describe() == "m(x, y) = x"
 
     def test_param_expression_arithmetic(self, shipped):
         skew_assoc = shipped.layers[2].theory.equations[2]
