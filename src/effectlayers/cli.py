@@ -75,7 +75,8 @@ def _load_bounds(path) -> Bound:
     if path is None:
         return Bound(prob_grid=_DEFAULT_GRID, max_set_size=3)
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        # a decimal such as 0.1 is read exactly, never as a binary float
+        raw = json.load(fh, parse_float=Fraction)
     kwargs = {}
     for key in (
         "max_word_len",

@@ -50,6 +50,12 @@ class Bound:
         for f in ("max_word_len", "max_set_size", "max_multiplicity", "max_term_depth"):
             if getattr(self, f) < 1:
                 raise ValueError(f"{f} must be >= 1")
+        for g in self.prob_grid:
+            if isinstance(g, float):
+                raise ValueError(
+                    f"prob_grid entry {g!r} is a float; give a Fraction, an int "
+                    "or a string"
+                )
         grid = set(Fraction(g) for g in self.prob_grid)
         if not all(0 <= g <= 1 for g in grid):
             raise ValueError("prob_grid must lie in [0,1]")
@@ -205,18 +211,21 @@ def _mset_enumerate(carrier, bound: Bound):
     return sort_values(out)
 
 
+# The monad operations below build their results with `_trusted`,
+# without the constructors' checks: multiplicities are products and sums of
+# positive ints, and weights are products of positive Fractions summing to 1.
+
 def _mset_fubini(m1: MultiSet, m2: MultiSet) -> MultiSet:
-    return MultiSet(
-        {(a, b): i * j for a, i in m1.items() for b, j in m2.items()}
-    )
+    pairs = {(a, b): i * j for a, i in m1._d.items() for b, j in m2._d.items()}
+    return MultiSet._trusted(pairs)
 
 
 def _mset_mult(mm: MultiSet) -> MultiSet:
     counts: dict = {}
-    for inner, n in mm.items():
-        for x, k in inner.items():
+    for inner, n in mm._d.items():
+        for x, k in inner._d.items():
             counts[x] = counts.get(x, 0) + n * k
-    return MultiSet(counts)
+    return MultiSet._trusted(counts)
 
 
 def multiset() -> MonadInstance:
@@ -268,16 +277,15 @@ def _dist_enumerate(carrier, bound: Bound):
 
 def _dist_mult(dd: Dist) -> Dist:
     weights: dict = {}
-    for inner, w in dd.items():
-        for x, v in inner.items():
-            weights[x] = weights.get(x, 0) + w * v
-    return Dist(weights)
+    for inner, w in dd._d.items():
+        for x, v in inner._d.items():
+            weights[x] = weights[x] + w * v if x in weights else w * v
+    return Dist._trusted(weights)
 
 
 def _dist_fubini(d1: Dist, d2: Dist) -> Dist:
-    return Dist(
-        {(a, b): p * q for a, p in d1.items() for b, q in d2.items()}
-    )
+    pairs = {(a, b): p * q for a, p in d1._d.items() for b, q in d2._d.items()}
+    return Dist._trusted(pairs)
 
 
 def fin_distribution() -> MonadInstance:

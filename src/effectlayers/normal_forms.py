@@ -173,22 +173,27 @@ def _words_in(C: MonadInstance, name: str) -> MonadInstance:
 # two monoids with absorption: multisets of words over atoms, where an atom
 # is a carrier element or a nested sum (total >= 2) that does not distribute
 
+# The two-monoid operations build their normal forms with `_trusted`,
+# without the constructor's checks: multiplicities are products and sums of
+# positive ints.
+
 def tm_abort() -> MultiSet:
-    return MultiSet()
+    return MultiSet._trusted({})
 
 
 def tm_skip() -> MultiSet:
-    return MultiSet([()])
+    return MultiSet._trusted({(): 1})
 
 
 def tm_unit(x) -> MultiSet:
-    return MultiSet([(x,)])
+    return MultiSet._trusted({(x,): 1})
 
 
 def _tm_atomize(v: MultiSet):
-    items = v.items()
-    if len(items) == 1 and items[0][1] == 1:
-        return list(items[0][0])
+    if len(v._d) == 1:
+        ((word, n),) = v._d.items()
+        if n == 1:
+            return list(word)
     return [SumAtom(v)]
 
 
@@ -199,13 +204,13 @@ def tm_seq(a: MultiSet, b: MultiSet) -> MultiSet:
     if len(atoms) == 1 and isinstance(atoms[0], SumAtom):
         # a one-factor product of a sum is that sum (unit law of ;)
         return atoms[0].summands
-    return MultiSet([tuple(atoms)])
+    return MultiSet._trusted({tuple(atoms): 1})
 
 
 def _tm_eval(v: MultiSet, leaf: Callable) -> MultiSet:
     """Rebuild `v` with carrier atoms sent through `leaf`, renormalizing."""
     counts: dict = {}
-    for word, n in v.items():
+    for word, n in v._d.items():
         wv = tm_skip()
         for atom in word:
             if isinstance(atom, SumAtom):
@@ -213,9 +218,9 @@ def _tm_eval(v: MultiSet, leaf: Callable) -> MultiSet:
             else:
                 av = leaf(atom)
             wv = tm_seq(wv, av)
-        for w, k in wv.items():
+        for w, k in wv._d.items():
             counts[w] = counts.get(w, 0) + n * k
-    return MultiSet(counts)
+    return MultiSet._trusted(counts)
 
 
 def _tm_word_count(n_atoms: int, n_sums: int, max_len: int) -> int:
@@ -305,7 +310,7 @@ def _word_term(roles: Roles, word, atom_rep=Const) -> Term:
 
 
 def _summands(v):
-    # a MultiSet is stored in canonical order; a set is sorted
+    # a MultiSet iterates in canonical order; a set is sorted
     return sort_values(v) if isinstance(v, frozenset) else v
 
 

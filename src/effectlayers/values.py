@@ -1,14 +1,20 @@
 """Canonical effect values: words, finite sets, multisets, rational distributions.
 
-Every value is immutable, hashable, and kept in a canonical form so that
-diagram checks can compare both legs bit-exactly.  Probabilities are
-`fractions.Fraction`; floating point is banned from the semantics.
+Every value is immutable and hashable, so that diagram checks can compare
+both legs bit-exactly.  A `MultiSet` or `Dist` is identified by its
+content, the merged `{element: weight}` dict: equality compares the
+dicts, and the hash is that of their item set.  The canonical order, by
+`canon_key`, is built only when an ordered view (`items()`, iteration,
+`canon_key`) is first asked for, and then kept.  Probabilities are
+`fractions.Fraction`; floating point is banned from the semantics, and
+the validating constructors refuse a float.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from operator import itemgetter
 
 
 class ValueError_(Exception):
@@ -28,19 +34,9 @@ def canon_key(v):
         return ("str", (), v)
     if isinstance(v, tuple):
         return ("tuple", tuple(canon_key(x) for x in v), ())
-    if isinstance(v, MultiSet):
+    if isinstance(v, _Weighted):
         if v._key is None:
-            v._key = ("mset", tuple((canon_key(e), n) for e, n in v._items), ())
-        return v._key
-    if isinstance(v, Dist):
-        if v._key is None:
-            v._key = (
-                "dist",
-                tuple(
-                    (canon_key(e), (w.numerator, w.denominator)) for e, w in v._items
-                ),
-                (),
-            )
+            _order(v)
         return v._key
     if isinstance(v, frozenset):
         return ("set", tuple(sorted(canon_key(x) for x in v)), ())
@@ -69,17 +65,80 @@ def sort_values(vs):
 
 
 def _canonical(value, items: dict):
-    """Fill `value`'s slots from merged, already-valid items: sort and hash."""
-    value._items = tuple(sorted(items.items(), key=lambda p: canon_key(p[0])))
-    value._hash = hash(value._items)
-    value._key = None
+    """Fill `value`'s slots from merged, already-valid items.
+
+    This is the only place a `MultiSet` or `Dist` gets its content; the
+    ordered view, key and hash are left for first use."""
+    value._d = items
+    value._items = value._key = value._hash = None
     return value
 
 
-class MultiSet:
-    """Finite multiset with positive multiplicities, canonically ordered."""
+def _order(v):
+    """Fill the ordered view and the key of `v` from one sort of its dict."""
+    keyed = [(canon_key(e), e, w) for e, w in v._d.items()]
+    keyed.sort(key=itemgetter(0))
+    v._items = tuple([(e, w) for _, e, w in keyed])
+    if v._tag == "mset":
+        payload = tuple([(k, n) for k, _, n in keyed])
+    else:
+        payload = tuple([(k, (w.numerator, w.denominator)) for k, _, w in keyed])
+    v._key = (v._tag, payload, ())
 
-    __slots__ = ("_items", "_hash", "_key")
+
+class _Weighted:
+    """What `MultiSet` and `Dist` share: identity by content.
+
+    `_d` is the merged `{element: weight}` dict, filled by `_canonical`.
+    Equality compares the dicts and the hash is taken over their items, so
+    neither needs an order; `items()` and `canon_key` sort once, on first
+    use, and keep the result."""
+
+    __slots__ = ("_d", "_items", "_hash", "_key")
+
+    def items(self):
+        """The (element, weight) pairs, in canonical order."""
+        if self._items is None:
+            _order(self)
+        return self._items
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, _Weighted)
+            and other._tag == self._tag
+            and self._d == other._d
+        )
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset(self._d.items()))
+        return self._hash
+
+    def __repr__(self):
+        body = ", ".join(f"{e!r}: {w}" for e, w in self.items())
+        return f"{type(self).__name__}({{{body}}})"
+
+    @classmethod
+    def _trusted(cls, items: dict):
+        """The value of merged items that are valid by construction, built
+        without the constructor's checks."""
+        return _canonical(object.__new__(cls), items)
+
+    def map(self, f):
+        """The image under `f`, weights of elements with one image merged."""
+        out: dict = {}
+        for e, w in self._d.items():
+            fe = f(e)
+            # not `out.get(fe, 0) + w`: adding a Fraction to 0 is slow
+            out[fe] = out[fe] + w if fe in out else w
+        return self._trusted(out)
+
+
+class MultiSet(_Weighted):
+    """Finite multiset with positive multiplicities, identified by content."""
+
+    __slots__ = ()
+    _tag = "mset"
 
     def __init__(self, items=()):
         counts: dict = {}
@@ -97,60 +156,47 @@ class MultiSet:
                 counts[e] = counts.get(e, 0) + n
         _canonical(self, counts)
 
-    def items(self):
-        return self._items
-
     def total(self):
-        return sum(n for _, n in self._items)
+        return sum(self._d.values())
 
     def __len__(self):
-        return len(self._items)
+        return len(self._d)
 
     def __bool__(self):
-        return bool(self._items)
+        return bool(self._d)
 
     def __iter__(self):
-        for e, n in self._items:
+        for e, n in self.items():
             for _ in range(n):
                 yield e
 
-    def __eq__(self, other):
-        return isinstance(other, MultiSet) and self._items == other._items
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        body = ", ".join(f"{e!r}: {n}" for e, n in self._items)
-        return f"MultiSet({{{body}}})"
-
-    def map(self, f):
-        counts: dict = {}
-        for e, n in self._items:
-            fe = f(e)
-            counts[fe] = counts.get(fe, 0) + n
-        return _canonical(object.__new__(MultiSet), counts)
-
     def union(self, other: "MultiSet") -> "MultiSet":
-        counts = dict(self._items)
-        for e, n in other.items():
+        counts = dict(self._d)
+        for e, n in other._d.items():
             counts[e] = counts.get(e, 0) + n
-        return MultiSet(counts)
+        return MultiSet._trusted(counts)
 
     def scale(self, k: int) -> "MultiSet":
-        return MultiSet({e: n * k for e, n in self._items})
+        return MultiSet({e: n * k for e, n in self._d.items()})
 
 
-class Dist:
-    """Finitely supported distribution with exact rational weights summing to 1."""
+class Dist(_Weighted):
+    """Finitely supported distribution with exact rational weights summing
+    to 1, identified by content."""
 
-    __slots__ = ("_items", "_hash", "_key")
+    __slots__ = ()
+    _tag = "dist"
 
     def __init__(self, items):
         weights: dict = {}
         # dict first: it needs no ABC test
         pairs = items.items() if isinstance(items, (dict, Dist, Mapping)) else items
         for e, w in pairs:
+            if isinstance(w, float):
+                raise ValueError_(
+                    f"weight {w!r} of {e!r} is a float; give a Fraction, an int "
+                    "or a string"
+                )
             w = Fraction(w)
             if w < 0:
                 raise ValueError_(f"negative weight {w}")
@@ -165,26 +211,6 @@ class Dist:
     @staticmethod
     def dirac(e) -> "Dist":
         return Dist({e: Fraction(1)})
-
-    def items(self):
-        return self._items
-
-    def __eq__(self, other):
-        return isinstance(other, Dist) and self._items == other._items
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        body = ", ".join(f"{e!r}: {w}" for e, w in self._items)
-        return f"Dist({{{body}}})"
-
-    def map(self, f) -> "Dist":
-        weights: dict = {}
-        for e, w in self._items:
-            fe = f(e)
-            weights[fe] = weights.get(fe, 0) + w
-        return _canonical(object.__new__(Dist), weights)
 
 
 class SumAtom:

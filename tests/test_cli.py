@@ -96,6 +96,19 @@ class TestInputErrors:
         code, _, err = run(capsys, "check", SPEC, "--bounds", str(bounds))
         assert code == 3 and "error" in err
 
+    def test_decimal_grid_is_read_exactly(self, capsys, tmp_path):
+        outputs = []
+        for grid in ('[0, 0.1, 0.9, 1]', '["0", "1/10", "9/10", "1"]'):
+            bounds = tmp_path / "bounds.json"
+            bounds.write_text('{"prob_grid": %s}' % grid)
+            report = tmp_path / "check.json"
+            code, out, err = run(
+                capsys, "check", SPEC, "--bounds", str(bounds), "--json", str(report)
+            )
+            assert code == 1 and err == ""
+            outputs.append((out, report.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_bounds_override(self, capsys, tmp_path):
         bounds = tmp_path / "bounds.json"
         bounds.write_text(

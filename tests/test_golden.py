@@ -7,6 +7,7 @@ program and stage 0, 1, 2 of the shipped spec: the rendered value, or the
 `TermError` message. `golden/recognition.txt` holds one line per builder
 theory and per copy of it with one or two equations removed: the
 recognized kind, the roles' operations and every equation's pattern name.
+All four are also checked in fresh interpreters under PYTHONHASHSEED 0 and 1.
 A change that alters one on purpose regenerates it from the repository
 root, and the diff is reviewed with the change:
 
@@ -17,11 +18,15 @@ root, and the diff is reviewed with the change:
     PYTHONPATH=src python tests/test_golden.py recognition   # recognition.txt
 """
 
+import os
+import subprocess
 import sys
 from dataclasses import fields
 from fractions import Fraction as F
 from itertools import combinations
 from pathlib import Path
+
+import pytest
 
 from effectlayers import Bound, compose_stack, eval_term, probnetkat_stack
 from effectlayers.cli import _load_bounds, main
@@ -43,7 +48,8 @@ from effectlayers.theories import (
 from test_acceptance import STAGE1_PROGRAMS, STAGE2_PROGRAMS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-SPEC = str(Path(__file__).resolve().parent.parent / "specs" / "probnetkat.layers")
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = str(ROOT / "specs" / "probnetkat.layers")
 
 
 def test_check_report_is_unchanged(tmp_path, capsys):
@@ -120,6 +126,22 @@ def recognition_lines() -> str:
 def test_recognition_is_unchanged():
     text = recognition_lines()
     assert text.encode() == (GOLDEN / "recognition.txt").read_bytes()
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_outputs_do_not_depend_on_the_hash_seed(seed):
+    """Set and dict orders follow PYTHONHASHSEED; the golden outputs,
+    error texts among them, must follow the canonical order instead."""
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         __file__, "-k", "not hash_seed"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stdout[-2000:]
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["eval"]:  # rewrite golden/eval.txt

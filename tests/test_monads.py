@@ -38,6 +38,10 @@ class TestBound:
         with pytest.raises(ValueError):
             Bound(prob_grid=(F(0), F(1, 3), F(1)))
 
+    def test_grid_refuses_floats(self):
+        with pytest.raises(ValueError, match="0.5"):
+            Bound(prob_grid=(0, 0.5, 1))
+
     def test_shrink_is_idempotent(self):
         assert B.shrink().shrink() == B.shrink()
 
@@ -240,3 +244,66 @@ class TestClosedFormCounts:
             TWO_MONOIDS.enumerate(("a", "b"), b)
         assert exc.value.count == 123_536_120 == _two_monoid_count(2, b)
         assert built == []
+
+
+def assert_valid(v):
+    """`v`, built without the constructor's checks, passes them: it equals
+    the validating constructor's value on its own pairs."""
+    pairs = v.items()
+    if isinstance(v, MultiSet):
+        assert all(type(n) is int and n > 0 for _, n in pairs)
+        checked = MultiSet(dict(pairs))
+    else:
+        assert all(type(w) is F and w > 0 for _, w in pairs)
+        assert sum(w for _, w in pairs) == 1
+        checked = Dist(pairs)
+    assert v == checked and hash(v) == hash(checked)
+    assert v.items() == checked.items()
+
+
+class TestTrustedConstruction:
+    """The monad operations build their results without the constructors'
+    checks; on small fragments over a and b they agree with the checked path."""
+
+    def test_multiset(self):
+        M = multiset()
+        MX = M.enumerate(("a", "b"), B)
+        for m1 in MX:
+            for m2 in MX:
+                prod = M.fubini(m1, m2)
+                assert_valid(prod)
+                assert prod == MultiSet([(x, y) for x in m1 for y in m2])
+        for mm in M.enumerate(MX, B):
+            flat = M.mult(mm)
+            assert_valid(flat)
+            assert flat == MultiSet([x for inner in mm for x in inner])
+
+    def test_distribution(self):
+        D = fin_distribution()
+        b = Bound()  # grid 0, 1/4, 1/2, 3/4, 1
+        DX = D.enumerate(("a", "b"), b)
+        DDX = D.enumerate(DX, b)
+        for d1 in DX + DDX:
+            for d2 in DX + DDX:
+                prod = D.fubini(d1, d2)
+                assert_valid(prod)
+                expected = [
+                    ((x, y), p * q) for x, p in d1.items() for y, q in d2.items()
+                ]
+                assert prod == Dist(expected)
+        for dd in DDX:
+            flat = D.mult(dd)
+            assert_valid(flat)
+            expected = [(x, w * v) for inner, w in dd.items() for x, v in inner.items()]
+            assert flat == Dist(expected)
+
+    def test_two_monoids(self):
+        b = Bound(max_word_len=2, max_set_size=2, max_term_depth=2, prob_grid=GRID3)
+        nested = TWO_MONOIDS.enumerate(("a",), b)
+        assert any(isinstance(x, SumAtom) for v in nested for w in v for x in w)
+        for v in nested:
+            assert_valid(TWO_MONOIDS.map(str.upper, v))
+        # words of two sums exercise the products of sums
+        TX = TWO_MONOIDS.enumerate(("a",), TM1)
+        for vv in TWO_MONOIDS.enumerate(TX, TM1):
+            assert_valid(TWO_MONOIDS.mult(vv))

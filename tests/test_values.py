@@ -36,12 +36,14 @@ def dists(draw):
 
 
 any_value = st.one_of(words, sum_words, sets_of_words, msets, dists())
+nested_msets = st.lists(st.one_of(dists(), sets_of_words), max_size=3).map(MultiSet)
 nested_values = st.one_of(
     any_value,
     st.lists(st.one_of(msets, dists()), max_size=3).map(frozenset),
     st.lists(any_value, max_size=2).map(tuple),
-    st.lists(st.one_of(dists(), sets_of_words), max_size=3).map(MultiSet),
+    nested_msets,
 )
+weighted_values = st.one_of(msets, dists(), nested_msets)
 
 
 def reference_key(v):
@@ -116,6 +118,51 @@ class TestCachedKeys:
         assert canon_key(mapped) == reference_key(checked)
 
 
+def rebuilt(v, rnd):
+    """`v` built afresh, each multiset and distribution from its pairs in a
+    shuffled order, so that no cached order, hash or key is shared."""
+    if isinstance(v, (MultiSet, Dist)):
+        pairs = [(rebuilt(e, rnd), w) for e, w in v.items()]
+        rnd.shuffle(pairs)
+        return type(v)(dict(pairs))
+    if isinstance(v, tuple):
+        return tuple(rebuilt(x, rnd) for x in v)
+    if isinstance(v, frozenset):
+        return frozenset(rebuilt(x, rnd) for x in v)
+    if isinstance(v, SumAtom):
+        return SumAtom(rebuilt(v.summands, rnd))
+    return v
+
+
+class TestContentIdentity:
+    @given(nested_values, st.randoms(use_true_random=False))
+    def test_insertion_order_is_invisible(self, v, rnd):
+        w = rebuilt(v, rnd)
+        assert w == v and hash(w) == hash(v)
+        assert canon_key(w) == canon_key(v)
+        assert render_value(w) == render_value(v)
+
+    @given(weighted_values, st.randoms(use_true_random=False))
+    def test_ordered_view_of_a_shuffled_build(self, v, rnd):
+        w = rebuilt(v, rnd)
+        hash(w)  # the hash first: it must not need the order
+        assert w.items() == v.items()
+        if isinstance(v, MultiSet):
+            assert list(w) == list(v)
+
+    @given(nested_values, nested_values)
+    def test_equal_exactly_when_keys_are_equal(self, u, v):
+        assert (u == v) == (canon_key(u) == canon_key(v))
+        if u == v:
+            assert hash(u) == hash(v)
+
+    @given(weighted_values)
+    def test_items_are_sorted_by_canon_key(self, v):
+        keys = [canon_key(e) for e, _ in v.items()]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+
+
 class TestMultiSet:
     def test_union_and_scale(self):
         m = MultiSet(["x", "y", "x"])
@@ -131,6 +178,12 @@ class TestDist:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError_):
             Dist({"a": F(1, 2)})
+
+    def test_float_weight_is_refused(self):
+        with pytest.raises(ValueError_, match="0.5"):
+            Dist({"a": 0.5, "b": 0.5})
+        with pytest.raises(ValueError_, match="0.25"):
+            Dist([("a", F(3, 4)), ("b", 0.25)])
 
     def test_zero_weights_are_dropped(self):
         assert Dist({"a": F(1), "b": F(0)}) == Dist.dirac("a")
