@@ -37,7 +37,7 @@ from .reports import (
     laws_document,
 )
 from .specfile import SpecParseError, parse_program, parse_spec
-from .terms import TermError
+from .terms import ParamDivisionByZero, TermError
 from .values import ValueError_
 
 _DEFAULT_GRID = (Fraction(0), Fraction(1, 2), Fraction(1))
@@ -159,6 +159,7 @@ def main(argv=None) -> int:
     except (
         SpecParseError,
         TermError,
+        ParamDivisionByZero,
         ValueError_,
         BoundExplosionError,
         InnerOnlyMonadError,

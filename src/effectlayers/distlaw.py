@@ -1,18 +1,19 @@
 """Construction and exhaustive verification of distributive laws.
 
-The pipeline: rho, which lifts every operation of a free term through the
-outer monad (one psi per operation, by structural recursion), the quotiented
+The pipeline: rho, the interpretation of free terms in the free term algebra
+lifted through the outer monad (one psi per operation), the quotiented
 law lambda = T(q) o rho between the free-algebra monad and the outer monad,
 taken on canonical representatives, and the composite monad.  Every axiom
 (DL.1-4, naturality, well-definedness, monad laws) is checked by exhaustive
-enumeration on bounded finite fragments.
+enumeration on a bounded finite fragment.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from dataclasses import replace as _replace
 
@@ -22,10 +23,10 @@ from .monads import (
     MonadInstance,
     composite,
     free_term_monad,
-    lift,
+    lift_interp,
 )
 from .normal_forms import QuotientMonad
-from .terms import App, Const, Term, TermError
+from .terms import App, Const, FiniteAlgebra, Term, TermError, interpret
 
 
 PASS = "PASS"
@@ -56,15 +57,21 @@ class QuotientLaw:
     # the stage's law and monad checks are done
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        # the free term algebra of S's signature lifted through T, for `rho`;
+        # a copy made with dataclasses.replace lifts through its own outer
+        ops = {o.name: partial(App, o) for o in self.inner.theory.signature.ops}
+        lifted = lift_interp(self.outer, FiniteAlgebra((), ops))
+        object.__setattr__(self, "_ops", FiniteAlgebra((), lifted).op)
+
     def rho(self, t: Term):
         """Term over T-value leaves -> T-value of terms over element leaves,
         lifting each operation by the iterated Fubini transformation."""
-        T = self.outer
-        if isinstance(t, Const):
-            return T.map(Const, t.value)
-        if isinstance(t, App):
-            arg_values = [self.rho(a) for a in t.args]
-            return lift(T, lambda parts: App(t.op, parts, t.param), arg_values)
+        return interpret(t, self._ops, self._leaf)
+
+    def _leaf(self, u: Term):
+        if isinstance(u, Const):
+            return self.outer.map(Const, u.value)
         raise TermError("distributive laws apply to ground terms only")
 
     def apply(self, sv):
@@ -90,7 +97,8 @@ class LawRefusedError(Exception):
 def build_quotient_law(
     S: QuotientMonad,
     T: MonadInstance,
-    fragments: Sequence,
+    X,
+    b: Bound,
     verdicts=None,
 ):
     """Quotient rho into a law S T -> T S, verifying representative independence.
@@ -107,46 +115,46 @@ def build_quotient_law(
                 f"cannot quotient the law: non-preserved equations [{names}]", bad
             )
     law = QuotientLaw(S, T)
-    report = _well_defined_report(law, fragments)
+    report = _well_defined_report(law, X, b)
     if not report.ok:
-        # should be impossible when the preconditions hold; internal alarm
+        # should be impossible when the preconditions hold; internal alarm.
+        # reports imports pipeline, which imports this module
+        from .reports import encode_value
+
         raise LawRefusedError(
             "well-definedness check failed despite preserved equations "
-            f"(witness: {report.counterexample})"
+            f"(witness: {encode_value(report.counterexample)})"
         )
     return law, report
 
 
-def _well_defined_report(law: QuotientLaw, fragments) -> LawReport:
+def _well_defined_report(law: QuotientLaw, X, b: Bound) -> LawReport:
     """Lemma-6 square: T(q) o rho agrees on all representatives of each SX value."""
     S, T = law.inner, law.outer
     term_monad = free_term_monad(S.theory.signature)
-    checked = 0
-    for X, b in fragments:
-        tvalues = T.enumerate(tuple(X), b)
-        terms = term_monad.enumerate(tuple(tvalues), b)
-        groups: dict = {}
-        for t in terms:
-            sv = S.normalize(t)
-            out = T.map(S.normalize, law.rho(t))
-            checked += 1
-            if sv in groups:
-                if groups[sv][1] != out:
-                    return LawReport(
-                        "WELL_DEFINED",
-                        FAIL,
-                        {
-                            "value": sv,
-                            "rep1": groups[sv][0],
-                            "out1": groups[sv][1],
-                            "rep2": t,
-                            "out2": out,
-                        },
-                        f"terms over T-values, |X|={len(X)}",
-                    )
-            else:
-                groups[sv] = (t, out)
-    return LawReport("WELL_DEFINED", PASS, None, f"{checked} bounded terms")
+    tvalues = T.enumerate(tuple(X), b)
+    terms = term_monad.enumerate(tuple(tvalues), b)
+    groups: dict = {}
+    for t in terms:
+        sv = S.normalize(t)
+        out = T.map(S.normalize, law.rho(t))
+        if sv in groups:
+            if groups[sv][1] != out:
+                return LawReport(
+                    "WELL_DEFINED",
+                    FAIL,
+                    {
+                        "value": sv,
+                        "rep1": groups[sv][0],
+                        "out1": groups[sv][1],
+                        "rep2": t,
+                        "out2": out,
+                    },
+                    f"terms over T-values, |X|={len(X)}",
+                )
+        else:
+            groups[sv] = (t, out)
+    return LawReport("WELL_DEFINED", PASS, None, f"{len(terms)} bounded terms")
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +213,8 @@ def _sides(lhs, rhs):
     return witness
 
 
-def verify_distlaw(law: QuotientLaw, fragments, cap: int = 240) -> list:
-    """DL.1-4 + naturality reports on bounded fragments.
+def verify_distlaw(law: QuotientLaw, X, b: Bound, cap: int = 240) -> list:
+    """DL.1-4 + naturality reports on the fragment of carrier `X` within `b`.
 
     Level-1 inputs are exhaustive; doubly nested inputs are evenly sampled
     down to `cap` values per check.
@@ -233,29 +241,30 @@ def verify_distlaw(law: QuotientLaw, fragments, cap: int = 240) -> list:
         r = T.map(lambda v: S.map(fn, v), lam(s))
         return {"f": f, "input": s, "lhs": l, "rhs": r} if l != r else None
 
-    reports = []
-    for X, b in fragments:
-        X = tuple(X)
-        nb = b.shrink()
-        frag = f"|X|={len(X)}, {b.max_word_len}/{b.max_set_size} bounds"
-        sx = _enum(S.enumerate, X, b)
-        tx = T.enumerate(X, b)
-        reports.append(_law("DL1", product(sx), dl1, frag))
-        reports.append(_law("DL2", product(tx), dl2, frag))
-        ttx = _enum(T.enumerate, tx, nb, cap=8)
-        sttx = _enum(S.enumerate, ttx, nb, cap=cap)
-        tt_frag = frag + " (shrunk for TT nesting)"
-        reports.append(_law("DL3", product(sttx), dl3, tt_frag))
-        stx = _enum(S.enumerate, tx, nb, cap=16)
-        sstx = _enum(S.enumerate, stx, nb, cap=cap)
-        ss_frag = frag + " (shrunk for SS nesting)"
-        reports.append(_law("DL4", product(sstx), dl4, ss_frag))
-        small = X[: min(len(X), 2)]
-        stx_small = _enum(S.enumerate, T.enumerate(small, nb), nb, cap=40)
-        fs = [f for Y in (small[:1], small) for f in _functions(small, Y)]
-        nat_frag = f"functions on carriers <= {len(small)}"
-        reports.append(_law("NATURALITY", product(fs, stx_small), natural, nat_frag))
-    return reports
+    X = tuple(X)
+    nb = b.shrink()
+    frag = f"|X|={len(X)}, {b.max_word_len}/{b.max_set_size} bounds"
+    sx = _enum(S.enumerate, X, b)
+    tx = T.enumerate(X, b)
+    ttx = _enum(T.enumerate, tx, nb, cap=8)
+    sttx = _enum(S.enumerate, ttx, nb, cap=cap)
+    stx = _enum(S.enumerate, tx, nb, cap=16)
+    sstx = _enum(S.enumerate, stx, nb, cap=cap)
+    small = X[: min(len(X), 2)]
+    stx_small = _enum(S.enumerate, T.enumerate(small, nb), nb, cap=40)
+    fs = [f for Y in (small[:1], small) for f in _functions(small, Y)]
+    return [
+        _law("DL1", product(sx), dl1, frag),
+        _law("DL2", product(tx), dl2, frag),
+        _law("DL3", product(sttx), dl3, frag + " (shrunk for TT nesting)"),
+        _law("DL4", product(sstx), dl4, frag + " (shrunk for SS nesting)"),
+        _law(
+            "NATURALITY",
+            product(fs, stx_small),
+            natural,
+            f"functions on carriers <= {len(small)}",
+        ),
+    ]
 
 
 def _functions(domain, codomain):
@@ -284,7 +293,7 @@ def compose(T: MonadInstance, S: QuotientMonad, law: QuotientLaw) -> CompositeMo
     return CompositeMonad(T, S, law)
 
 
-def verify_monoidal(T: MonadInstance, fragments) -> list:
+def verify_monoidal(T: MonadInstance, X, b: Bound) -> list:
     """Coherence of the Fubini transformation: MF.1-3, MM.1-2, SYM.
 
     MF.1 naturality in both components, MF.2 associativity up to the tuple
@@ -331,28 +340,27 @@ def verify_monoidal(T: MonadInstance, fragments) -> list:
             return {"u": u, "v": v}
         return None
 
-    reports = []
-    for X, b in fragments:
-        X = tuple(X)
-        nb = b.shrink()
-        frag = f"|X|={len(X)}"
-        tx = T.enumerate(X, b)
-        small = X[: min(len(X), 2)]
-        tsmall = T.enumerate(small, nb)
-        fs = list(_functions(small, small))
-        reports.append(_law("MF1", product(fs, fs, tsmall, tsmall), mf1, frag))
-        reports.append(_law("MF2", product(tsmall, repeat=3), mf2, frag))
-        reports.append(_law("MF3", product(tx), mf3, frag))
-        reports.append(_law("MM1", product(X, repeat=2), mm1, frag))
-        ttsmall = _enum(T.enumerate, tsmall, nb, cap=8)
-        nested = frag + " (nested, sampled)"
-        reports.append(_law("MM2", product(ttsmall, repeat=2), mm2, nested))
-        reports.append(_law("SYM", product(tx, repeat=2), sym, frag))
-    return reports
+    X = tuple(X)
+    nb = b.shrink()
+    frag = f"|X|={len(X)}"
+    tx = T.enumerate(X, b)
+    small = X[: min(len(X), 2)]
+    tsmall = T.enumerate(small, nb)
+    fs = list(_functions(small, small))
+    ttsmall = _enum(T.enumerate, tsmall, nb, cap=8)
+    return [
+        _law("MF1", product(fs, fs, tsmall, tsmall), mf1, frag),
+        _law("MF2", product(tsmall, repeat=3), mf2, frag),
+        _law("MF3", product(tx), mf3, frag),
+        _law("MM1", product(X, repeat=2), mm1, frag),
+        _law("MM2", product(ttsmall, repeat=2), mm2, frag + " (nested, sampled)"),
+        _law("SYM", product(tx, repeat=2), sym, frag),
+    ]
 
 
-def verify_monad(M: MonadInstance, fragments) -> list:
-    """Unit and associativity laws of a monad, exhaustively on fragments."""
+def verify_monad(M: MonadInstance, X, b: Bound) -> list:
+    """Unit and associativity laws of a monad on the fragment of carrier `X`
+    within `b`: exhaustive at level 1, sampled when nested."""
 
     def unit_laws(v):
         if M.mult(M.unit(v)) != v:
@@ -366,25 +374,22 @@ def verify_monad(M: MonadInstance, fragments) -> list:
             return {"axiom": "mult o mult_M = mult o M(mult)", "input": v}
         return None
 
-    reports = []
-    for X, b in fragments:
-        X = tuple(X)
-        nb = b.shrink()
-        frag = f"|X|={len(X)}"
-        mx = _enum(M.enumerate, X, b)
-        reports.append(_law("MONAD_UNIT", product(mx), unit_laws, frag))
-        # triple nesting explodes combinatorially: the number of values and
-        # the size of each value.  Keep level-1 exhaustive; build the deeper
-        # levels with flat bounds so individual values stay small.
-        flat = _replace(
-            nb,
-            max_word_len=1,
-            max_set_size=2,
-            max_multiplicity=1,
-            max_term_depth=1,
-        )
-        mmx = _enum(M.enumerate, _sample(mx, 8), flat, cap=120)
-        mmmx = _enum(M.enumerate, _sample(mmx, 8), flat, cap=120)
-        assoc_frag = frag + " (shrunk nesting)"
-        reports.append(_law("MONAD_ASSOC", product(mmmx), assoc, assoc_frag))
-    return reports
+    X = tuple(X)
+    frag = f"|X|={len(X)}"
+    mx = _enum(M.enumerate, X, b)
+    # triple nesting explodes combinatorially: the number of values and
+    # the size of each value.  Keep level-1 exhaustive; build the deeper
+    # levels with flat bounds so individual values stay small.
+    flat = _replace(
+        b.shrink(),
+        max_word_len=1,
+        max_set_size=2,
+        max_multiplicity=1,
+        max_term_depth=1,
+    )
+    mmx = _enum(M.enumerate, _sample(mx, 8), flat, cap=120)
+    mmmx = _enum(M.enumerate, _sample(mmx, 8), flat, cap=120)
+    return [
+        _law("MONAD_UNIT", product(mx), unit_laws, frag),
+        _law("MONAD_ASSOC", product(mmmx), assoc, frag + " (shrunk nesting)"),
+    ]

@@ -14,7 +14,16 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .terms import App, Const, Signature, Term, TermError, Var, map_consts
+from .terms import (
+    App,
+    Const,
+    FiniteAlgebra,
+    Signature,
+    Term,
+    TermError,
+    Var,
+    map_consts,
+)
 from .values import Dist, MultiSet, sort_values
 
 
@@ -84,10 +93,9 @@ class MonadInstance:
     mult: Callable       # T(T X) value -> T X value
     fubini: Optional[Callable]  # (tx, ty) -> T(X x Y) of pairs; None if inner-only
     enumerate: Callable  # (carrier: Sequence, Bound) -> list
-    inner_only: bool = False
 
     def require_outer(self):
-        if self.inner_only or self.fubini is None:
+        if self.fubini is None:
             raise InnerOnlyMonadError(
                 f"monad {self.name!r} is non-commutative and can only be an inner layer"
             )
@@ -121,6 +129,15 @@ def lift(T: MonadInstance, f: Callable, values):
     return T.map(f, fubini_tuples(T, len(values), values))
 
 
+def lift_interp(T: MonadInstance, A: FiniteAlgebra):
+    """Interpretations on T(carrier): op-hat = T(op) o psi^(arity)."""
+
+    def lifted(base):
+        return lambda args, param=None: lift(T, lambda xs: base(xs, param), args)
+
+    return {name: lifted(A.op(name)) for name in A.interp}
+
+
 # ---------------------------------------------------------------------------
 # composite monad of a distributive law (Beck)
 
@@ -137,7 +154,6 @@ def composite(T: MonadInstance, S: MonadInstance, lam: Callable, name: str) -> M
         mult=lambda v: T.map(S.mult, T.mult(T.map(lam, v))),
         fubini=None,
         enumerate=lambda X, b: T.enumerate(tuple(S.enumerate(tuple(X), b)), b),
-        inner_only=True,
     )
 
 
@@ -162,7 +178,6 @@ def free_monoid() -> MonadInstance:
         mult=lambda ww: tuple(x for w in ww for x in w),
         fubini=None,  # pointwise zip is unsound; no monoidal structure is provided
         enumerate=_word_enumerate,
-        inner_only=True,
     )
 
 
@@ -369,5 +384,4 @@ def free_term_monad(sig: Signature) -> MonadInstance:
         mult=_graft,
         fubini=None,  # free term monads over nontrivial signatures are not commutative
         enumerate=_term_enumerate_factory(sig),
-        inner_only=True,
     )

@@ -41,6 +41,7 @@ from .terms import (
     Var,
     app,
     instantiate_params,
+    interpret,
     map_consts,
     term_depth,
     term_vars,
@@ -62,13 +63,17 @@ class QuotientMonad:
     roles: Roles
     monad: MonadInstance
 
+    def __post_init__(self):
+        # the canonical algebra's operations, looked up by `normalize`
+        object.__setattr__(self, "_ops", self.algebra().op)
+
     # q_X: terms over Const(x) -> normal forms (a monad morphism onto SX)
     def normalize(self, t: Term):
-        if isinstance(t, Const):
-            return self.monad.unit(t.value)
-        if isinstance(t, App):
-            args = tuple(self.normalize(a) for a in t.args)
-            return self.apply_op(t.op.name, args, t.param)
+        return interpret(t, self._ops, self._leaf)
+
+    def _leaf(self, u: Term):
+        if isinstance(u, Const):
+            return self.monad.unit(u.value)
         raise TermError("cannot normalize a term with free variables")
 
     def apply_op(self, op_name: str, args, param=None):
@@ -289,7 +294,6 @@ def _tm_monad() -> MonadInstance:
         mult=lambda vv: _tm_eval(vv, lambda inner: inner),
         fubini=None,
         enumerate=_tm_enumerate,
-        inner_only=True,
     )
 
 
@@ -557,7 +561,6 @@ def generic_quotient_monad(theory: Theory) -> QuotientMonad:
         mult=mult,
         fubini=None,
         enumerate=enum,
-        inner_only=True,
     )
     _, roles = recognize_theory(theory)
 

@@ -25,13 +25,12 @@ from .distlaw import (
     PASS,
     FAIL,
 )
-from .monads import Bound, MonadInstance
+from .monads import Bound, MonadInstance, lift_interp
 from .normal_forms import QuotientMonad, quotient_monad
 from .preservation import (
     UNKNOWN,
     MonadProfile,
     check_preservation,
-    lift_interp,
     profile_monad,
 )
 from .terms import (
@@ -46,6 +45,7 @@ from .terms import (
     Var,
     equation,
     find_violation,
+    interpret,
 )
 
 INNER_SEED = "INNER_SEED"
@@ -243,7 +243,7 @@ def compose_stack(
     if len(layers) < 2 or any(l.role != OUTER for l in layers[1:]):
         raise TermError("at least one outer layer is required after the seed")
     b = bound or Bound()
-    fragments = [(tuple(atoms), b)]
+    X = tuple(atoms)
 
     current = layers[0].theory
     seed_monad = quotient_monad(current, layers[0].normalizer)  # seed must normalize
@@ -260,9 +260,9 @@ def compose_stack(
         outer_q = quotient_monad(layer.theory, layer.normalizer)
         T = outer_q.monad
         T.require_outer()
-        profile = profile_monad(T, tuple(atoms), b)
+        profile = profile_monad(T, X, b)
         verdicts = tuple(
-            check_preservation(T, e, profile, fragments, theory=current)
+            check_preservation(T, e, profile, X, b, theory=current)
             for e in current.equations
         )
         kept, dropped, has_unknown = [], [], False
@@ -280,7 +280,7 @@ def compose_stack(
             try:
                 # demonstrate that the unweakened theory admits no law
                 S_orig = quotient_monad(current)
-                build_quotient_law(S_orig, T, fragments, verdicts=verdicts)
+                build_quotient_law(S_orig, T, X, b, verdicts=verdicts)
             except LawRefusedError as exc:
                 refusal = str(exc)
             except TermError as exc:  # no canonical normalizer either
@@ -304,14 +304,12 @@ def compose_stack(
         S = quotient_monad(weak_inner)
         if build_laws and not has_unknown:
             kept_verdicts = [v for v in verdicts if v.equation in kept]
-            law, wd = build_quotient_law(S, T, fragments, verdicts=kept_verdicts)
+            law, wd = build_quotient_law(S, T, X, b, verdicts=kept_verdicts)
             composite = compose(T, S, law).monad
-            law_reports = (wd,) + tuple(verify_distlaw(law, fragments, cap=law_cap))
-            monad_reports = tuple(verify_monad(composite, fragments))
+            law_reports = (wd,) + tuple(verify_distlaw(law, X, b, cap=law_cap))
+            monad_reports = tuple(verify_monad(composite, X, b))
             law.memo.clear()  # the carrier and the axioms never apply lambda
-            carrier = _enum(
-                composite.enumerate, tuple(atoms), b, cap=algebra_cap
-            )
+            carrier = _enum(composite.enumerate, X, b, cap=algebra_cap)
             algebra = composite_algebra(T, S, outer_q, carrier)
             axiom_reports = tuple(
                 verify_generated_axioms(
@@ -372,20 +370,20 @@ def eval_term(report: CompositionReport, t: Term, stage: int, atoms) -> object:
         unit = lambda x: T.unit(S.monad.unit(x))
         interp = composite_algebra(T, S, s.outer_monad, ()).interp
 
-    def go(u: Term):
+    def ops(name: str):
+        try:
+            return interp[name]
+        except KeyError:
+            raise TermError(f"operation {name!r} is not available at stage {stage}")
+
+    def leaf(u: Term):
         if isinstance(u, Const):
             if u.value not in atom_set:
                 raise TermError(f"unbound atom {u.value!r}")
             return unit(u.value)
-        if isinstance(u, App):
-            if u.op.name not in interp:
-                raise TermError(
-                    f"operation {u.op.name!r} is not available at stage {stage}"
-                )
-            return interp[u.op.name]([go(a) for a in u.args], u.param)
         raise TermError("programs must be closed terms")
 
-    return go(t)
+    return interpret(t, ops, leaf)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .monads import Bound, MonadInstance, fubini_tuples, lift
+from .monads import Bound, MonadInstance, fubini_tuples, lift_interp
 from .terms import (
     Equation,
     FiniteAlgebra,
@@ -151,15 +151,6 @@ def residual_commutes(T: MonadInstance, t, V, X, b: Bound) -> ProbeResult:
 # ---------------------------------------------------------------------------
 # lifted algebras
 
-def lift_interp(T: MonadInstance, A: FiniteAlgebra):
-    """Interpretations on T(carrier): op-hat = T(op) o psi^(arity)."""
-
-    def lifted(base):
-        return lambda args, param=None: lift(T, lambda xs: base(xs, param), args)
-
-    return {name: lifted(A.op(name)) for name in A.interp}
-
-
 def lifted_algebra(T: MonadInstance, A: FiniteAlgebra, b: Bound) -> FiniteAlgebra:
     carrier = tuple(T.enumerate(A.carrier, b))
     return FiniteAlgebra(carrier, lift_interp(T, A), name=f"{T.name}-hat({A.name})")
@@ -232,13 +223,14 @@ def check_preservation(
     T: MonadInstance,
     e: Equation,
     profile: MonadProfile,
-    fragments: Sequence,
+    X,
+    b: Bound,
     theory: Optional[Theory] = None,
 ) -> Verdict:
     """Decision cascade for 'does the lifting through T preserve e?'.
 
-    `fragments` is a list of (carrier, Bound) pairs used for residual checks
-    and brute force.  `theory` is the inner theory whose algebras brute force
+    The residual checks and brute force run on the fragment of carrier `X`
+    within `b`.  `theory` is the inner theory whose algebras brute force
     ranges over; it defaults to the equation alone.
     """
     if not profile.symmetric.holds:
@@ -259,29 +251,15 @@ def check_preservation(
         return Verdict(e, PRESERVED_SYNTACTIC, THM_CARTESIAN)
 
     ctx = _context_of(e)
-    residual_ok = True
-    frag_desc = []
-    for carrier, b in fragments:
-        frag_desc.append(f"|X|={len(carrier)}")
-        for side in (e.lhs, e.rhs):
-            r = residual_commutes(T, side, ctx, carrier, b)
-            if not r.holds:
-                residual_ok = False
-                break
-        if not residual_ok:
-            break
-    if residual_ok and fragments:
+    if all(residual_commutes(T, side, ctx, X, b).holds for side in (e.lhs, e.rhs)):
         return Verdict(
-            e,
-            PRESERVED_RESIDUAL,
-            fragment="residual diagrams on " + ", ".join(frag_desc),
+            e, PRESERVED_RESIDUAL, fragment=f"residual diagrams on |X|={len(X)}"
         )
 
     # brute force, cheap route first: abstract (Sigma, E)-algebras on tiny
-    # carriers, then the theory's free algebras on the fragment carriers
+    # carriers, then the theory's free algebra on the fragment carrier
     # (some failures, e.g. powerset-over-semilattice, only show up there).
     inner = theory or Theory(_signature_of(e), (e,))
-    b = fragments[0][1] if fragments else Bound()
     if not any(o.param for o in inner.signature.ops):
         for size in range(1, _MAX_BRUTE_CARRIER + 1):
             for A in enumerate_algebras(inner, size):
@@ -300,16 +278,15 @@ def check_preservation(
                         evidence=(profile.relevant, profile.affine),
                         fragment=f"lifted algebra on carrier size {size}",
                     )
-    for carrier, fb in fragments:
-        w, desc = _free_algebra_violation(T, inner, e, carrier, fb)
-        if w is not None:
-            return Verdict(
-                e,
-                FALSIFIED,
-                counterexample=w,
-                evidence=(profile.relevant, profile.affine),
-                fragment=desc,
-            )
+    w, desc = _free_algebra_violation(T, inner, e, X, b)
+    if w is not None:
+        return Verdict(
+            e,
+            FALSIFIED,
+            counterexample=w,
+            evidence=(profile.relevant, profile.affine),
+            fragment=desc,
+        )
     searched = f"algebras up to carrier {_MAX_BRUTE_CARRIER}, bounded fragments"
     return Verdict(e, UNKNOWN, fragment=searched)
 

@@ -57,8 +57,6 @@ def _text_lines(node, depth: int):
 
 def encode_value(v):
     if v is None or isinstance(v, (bool, int, str)):
-        if isinstance(v, str):
-            return v
         return v
     if isinstance(v, Fraction):
         return render_fraction(v)

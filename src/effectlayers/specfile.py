@@ -207,6 +207,8 @@ def _parse_param_atom(ts: _Stream):
         if ts.peek().kind == "punct" and ts.peek().text == "/":
             ts.next()
             den = ts.expect("number")
+            if int(den.text) == 0:
+                raise SpecParseError("zero denominator", den.line, den.col)
             return PConst(Fraction(num, int(den.text)))
         if num not in (0, 1):
             raise SpecParseError(

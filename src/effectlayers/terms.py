@@ -1,10 +1,10 @@
 """Finitary signatures, terms, equations, and the variable-analysis machinery.
 
 Terms are either variables, ground constants, or operation applications.
-Interpretation of a term in a finite algebra factors through two maps:
-`prepare_indices` (rearrange/copy/drop variables into the argument list)
-and `evaluate` (fold the interpretations bottom-up, consuming arguments
-left to right).  All equation checking is exhaustive over finite carriers.
+`interpret` is the one term evaluator: the fold out of the term algebra,
+given an operation lookup and a value for each leaf.  Normal forms, the
+syntactic law, program evaluation and equation checks all run it.  All
+equation checking is exhaustive over finite carriers.
 """
 
 from __future__ import annotations
@@ -69,7 +69,9 @@ def eval_param(expr, env: Mapping[str, Fraction]) -> Fraction:
             return a * b
         if expr.op == "/":
             if b == 0:
-                raise ParamDivisionByZero(str(expr))
+                raise ParamDivisionByZero(
+                    f"parameter {render_param(expr)} divides by zero"
+                )
             return a / b
         raise TermError(f"unknown parameter operator {expr.op!r}")
     raise TermError(f"not a parameter expression: {expr!r}")
@@ -229,8 +231,8 @@ def instantiate_params(t: Term, env: Mapping[str, Fraction]) -> Term:
 def prepare_indices(t: Term, context: Sequence[str]):
     """0-based projection indices realizing the variable rearrangement of `t`.
 
-    Applying the result to a |context|-tuple yields the argument tuple that
-    `evaluate` consumes.
+    Applying the result to a |context|-tuple lists the values of the variable
+    occurrences of `t`, left to right.
     """
     pos = {x: i for i, x in enumerate(context)}
     try:
@@ -332,43 +334,36 @@ class FiniteAlgebra:
             raise TermError(f"algebra does not interpret {name!r}")
 
 
-def evaluate(t: Term, A: FiniteAlgebra, arg_tuple, param_env=None):
-    """Bottom-up fold of interpretations; consumes `arg_tuple` left to right."""
-    value, rest = _evaluate(t, A, tuple(arg_tuple), param_env or {})
-    if rest:
-        raise TermError(f"{len(rest)} unconsumed arguments")
-    return value
+def interpret(t: Term, ops: Callable, leaf: Callable, param_env=None):
+    """The fold of `t`: `leaf(u)` at each variable or constant `u`, and at an
+    application `ops(name)` applied to the interpreted arguments and the
+    parameter, its expression evaluated in `param_env`.
 
-
-def _evaluate(t, A, args, env):
-    if isinstance(t, Var):
-        if not args:
-            raise TermError("argument tuple too short")
-        return args[0], args[1:]
-    if isinstance(t, Const):
-        return t.value, args
-    vals = []
-    for a in t.args:
-        v, args = _evaluate(a, A, args, env)
-        vals.append(v)
+    The operation is looked up before its arguments are interpreted, so a
+    missing operation is reported at the outermost application.
+    """
+    if not isinstance(t, App):
+        return leaf(t)
+    f = ops(t.op.name)
+    args = tuple([interpret(a, ops, leaf, param_env) for a in t.args])
     p = t.param
     if isinstance(p, ParamExpr):
-        p = eval_param(p, env)
-    return A.op(t.op.name)(tuple(vals), p), args
-
-
-def interpret(t: Term, A: FiniteAlgebra, valuation: Mapping, param_env=None):
-    """Standard interpretation: evaluate after the projection pairing."""
-    ctx = term_vars(t)
-    idx = prepare_indices(t, ctx)
-    tup = tuple(valuation[x] for x in ctx)
-    return evaluate(t, A, tuple(tup[i] for i in idx), param_env)
+        p = eval_param(p, param_env or {})
+    return f(args, p)
 
 
 def interpret_in_context(t: Term, A: FiniteAlgebra, context, valuation, param_env=None):
-    idx = prepare_indices(t, context)
-    tup = tuple(valuation[x] for x in context)
-    return evaluate(t, A, tuple(tup[i] for i in idx), param_env)
+    """Interpretation in `A`, each variable read from `valuation`."""
+
+    def leaf(u):
+        if isinstance(u, Const):
+            return u.value
+        try:
+            return valuation[u.name]
+        except KeyError:
+            raise TermError(f"variable {u.name!r} not in context {list(context)}")
+
+    return interpret(t, A.op, leaf, param_env)
 
 
 DEFAULT_PARAM_GRID = tuple(

@@ -21,43 +21,16 @@ from .terms import (
     PBin,
     PConst,
     PVar,
-    ParamDivisionByZero,
     Signature,
     Term,
     Theory,
     Var,
     app,
     equation,
-    eval_param,
 )
 
 # ---------------------------------------------------------------------------
 # alpha matching of equations against patterns
-
-_SAMPLES = [
-    {"l": Fraction(1, 3), "t": Fraction(1, 5)},
-    {"l": Fraction(2, 7), "t": Fraction(3, 4)},
-    {"l": Fraction(1, 2), "t": Fraction(1, 2)},
-]
-
-
-def _params_equal(p1, p2) -> bool:
-    """Semantic equality of parameter expressions on sample points."""
-    if p1 is None or p2 is None:
-        return p1 is None and p2 is None
-    for env in _SAMPLES:
-        try:
-            a = eval_param(p1, env)
-        except ParamDivisionByZero:
-            a = "div0"
-        try:
-            b = eval_param(p2, env)
-        except ParamDivisionByZero:
-            b = "div0"
-        if a != b:
-            return False
-    return True
-
 
 def _match(t: Term, pat: Term, varmap: dict) -> bool:
     if isinstance(pat, Var):
@@ -70,9 +43,8 @@ def _match(t: Term, pat: Term, varmap: dict) -> bool:
         varmap[pat.name] = t
         return True
     if isinstance(pat, App):
+        # the patterns' operations take no parameter, so neither side has one
         if not isinstance(t, App) or t.op != pat.op:
-            return False
-        if not _params_equal(t.param, pat.param):
             return False
         return all(_match(a, p, varmap) for a, p in zip(t.args, pat.args))
     return t == pat

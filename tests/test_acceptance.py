@@ -66,27 +66,30 @@ GRID3 = (F(0), F(1, 2), F(1))
 def test_criterion_1_monad_and_monoidal_suite():
     b = Bound()  # default bounds, default 5-point grid
     carriers = [("a",), ("a", "b"), ("a", "b", "c")]
-    fragments = [(X, b) for X in carriers]
+    quotients = [
+        quotient_monad(build())
+        for build in (
+            monoid_theory,
+            semilattice_theory,
+            idem_semiring_theory,
+            two_monoids_absorption_theory,
+            convex_theory,
+        )
+    ]
 
     failures = []
-    for T in (fin_powerset(), multiset(), fin_distribution()):
-        for r in verify_monad(T, fragments) + verify_monoidal(T, fragments):
+    for X in carriers:
+        for T in (fin_powerset(), multiset(), fin_distribution()):
+            for r in verify_monad(T, X, b) + verify_monoidal(T, X, b):
+                if not r.ok:
+                    failures.append((T.name, r.axiom))
+        for r in verify_monad(free_monoid(), X, b):
             if not r.ok:
-                failures.append((T.name, r.axiom))
-    for r in verify_monad(free_monoid(), fragments):
-        if not r.ok:
-            failures.append(("free monoid", r.axiom))
-    for build in (
-        monoid_theory,
-        semilattice_theory,
-        idem_semiring_theory,
-        two_monoids_absorption_theory,
-        convex_theory,
-    ):
-        q = quotient_monad(build())
-        for r in verify_monad(q.monad, fragments):
-            if not r.ok:
-                failures.append((q.kind, r.axiom))
+                failures.append(("free monoid", r.axiom))
+        for q in quotients:
+            for r in verify_monad(q.monad, X, b):
+                if not r.ok:
+                    failures.append((q.kind, r.axiom))
     assert failures == []
 
 
@@ -204,7 +207,6 @@ def test_criterion_5_theorem_vs_oracle_soundness():
     sig = Signature((f, c))
     b = Bound(max_word_len=2, max_set_size=3, prob_grid=GRID3)
     X = ("a", "b")
-    fragments = [(X, b)]
 
     leaves = [Var("x"), Var("y"), Var("z"), App(c, ())]
     terms = list(leaves)
@@ -225,7 +227,7 @@ def test_criterion_5_theorem_vs_oracle_soundness():
         }
         for T in monads:
             checked += 1
-            v = check_preservation(T, e, profiles[T.name], fragments, theory=theory)
+            v = check_preservation(T, e, profiles[T.name], X, b, theory=theory)
             if v.status not in (PRESERVED_SYNTACTIC, PRESERVED_RESIDUAL):
                 continue
             preserved += 1

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,27 @@ class TestEval:
         assert code == 3
         assert "error" in err
 
+    def test_parameter_expression_is_evaluated(self, capsys):
+        code, out, _ = run(capsys, "eval", SPEC, "-e", "a (+)[1/2*1/2] b")
+        assert code == 0
+        assert out.strip() == "⟨⟨a⟩⟩: 1/4, ⟨⟨b⟩⟩: 3/4"
+        assert run(capsys, "eval", SPEC, "-e", "a (+)[1/4] b")[1] == out
+
+    def test_unbound_parameter_variable_exits_3(self, capsys):
+        code, _, err = run(capsys, "eval", SPEC, "-e", "a (+)[l] b")
+        assert code == 3
+        assert err.strip() == "error: unbound parameter variable 'l'"
+
+    def test_parameter_dividing_by_zero_exits_3(self, capsys):
+        code, _, err = run(capsys, "eval", SPEC, "-e", "a (+)[1/2 / (1 - 1)] b")
+        assert code == 3
+        assert err.strip() == "error: parameter (1/2 / (1 - 1)) divides by zero"
+
+    def test_zero_denominator_in_a_program_exits_3(self, capsys):
+        code, _, err = run(capsys, "eval", SPEC, "-e", "a (+)[1/0] b")
+        assert code == 3
+        assert re.match(r"error: \d+:\d+: zero denominator$", err.strip())
+
 
 class TestCheck:
     def test_reports_drops_and_exits_1(self, capsys, tmp_path):
@@ -89,6 +111,16 @@ class TestInputErrors:
         code, _, err = run(capsys, "check", str(bad))
         assert code == 3
         assert "3:" in err  # line of the offending token
+
+    def test_zero_denominator_in_a_spec_exits_3(self, capsys, tmp_path):
+        text = Path(SPEC).read_text()
+        old = "eq x (+)[l] y = y (+)[1 - l] x;"
+        bad = tmp_path / "bad.layers"
+        bad.write_text(text.replace(old, "eq x (+)[l] y = y (+)[1/0] x;"))
+        line = text[: text.index(old)].count("\n") + 1
+        code, _, err = run(capsys, "check", str(bad))
+        assert code == 3
+        assert re.match(rf"error: {line}:\d+: zero denominator$", err.strip())
 
     def test_bad_bounds_file_exits_3(self, capsys, tmp_path):
         bounds = tmp_path / "bounds.json"

@@ -1,9 +1,13 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from effectlayers import distlaw
 from effectlayers.distlaw import (
+    FAIL,
     LawRefusedError,
+    LawReport,
     QuotientLaw,
     _enum,
     build_quotient_law,
@@ -16,8 +20,10 @@ from effectlayers.monads import (
     BoundExplosionError,
     fin_distribution,
     fin_powerset,
+    lift,
     multiset,
 )
+from effectlayers.terms import App, Const, TermError
 from effectlayers.normal_forms import quotient_monad
 from effectlayers.preservation import check_preservation, profile_monad
 from effectlayers.theories import (
@@ -31,16 +37,15 @@ from effectlayers.theories import (
 GRID3 = (F(0), F(1, 2), F(1))
 B = Bound(max_word_len=2, max_set_size=2, max_term_depth=2, prob_grid=GRID3)
 X = ("a", "b")
-FRAGS = [(X, B)]
 
 
 def monoid_over(T):
     S = quotient_monad(monoid_theory())
     verdicts = [
-        check_preservation(T, e, profile_monad(T, X, B), FRAGS, theory=S.theory)
+        check_preservation(T, e, profile_monad(T, X, B), X, B, theory=S.theory)
         for e in S.theory.equations
     ]
-    return build_quotient_law(S, T, FRAGS, verdicts=verdicts)
+    return build_quotient_law(S, T, X, B, verdicts=verdicts)
 
 
 class TestLambdaValues:
@@ -55,11 +60,52 @@ class TestLambdaValues:
         assert law.apply(()) == fin_powerset().unit(())
 
 
+def reference_rho(T, t):
+    """rho by its own structural recursion, lifting each operation."""
+    if isinstance(t, Const):
+        return T.map(Const, t.value)
+    if isinstance(t, App):
+        args = [reference_rho(T, a) for a in t.args]
+        return lift(T, lambda parts: App(t.op, parts, t.param), args)
+    raise TermError("distributive laws apply to ground terms only")
+
+
+class TestRho:
+    @pytest.mark.parametrize("T", [fin_powerset(), fin_distribution()], ids=lambda t: t.name)
+    def test_rho_agrees_with_the_recursive_reference(self, T, monkeypatch):
+        law, _ = monoid_over(T)
+        enumerated = []
+        free_term_monad = distlaw.free_term_monad
+
+        def recording(sig):
+            m = free_term_monad(sig)
+
+            def enum(carrier, bound):
+                terms = m.enumerate(carrier, bound)
+                enumerated.extend(terms)
+                return terms
+
+            return replace(m, enumerate=enum)
+
+        monkeypatch.setattr(distlaw, "free_term_monad", recording)
+        assert distlaw._well_defined_report(law, X, B).ok
+        assert any(isinstance(t, App) and t.args for t in enumerated)
+        for t in enumerated:
+            assert law.rho(t) == reference_rho(T, t), t
+
+    def test_a_copy_lifts_through_its_own_outer(self):
+        law, _ = monoid_over(fin_powerset())
+        D = fin_distribution()
+        copy = replace(law, outer=D)
+        t = App(law.inner.roles.seq, (Const(D.unit("a")), Const(D.unit("b"))))
+        assert copy.rho(t) == reference_rho(D, t)
+
+
 class TestVerification:
     @pytest.mark.parametrize("T", [fin_powerset(), fin_distribution()], ids=lambda t: t.name)
     def test_monoid_law_satisfies_all_axioms(self, T):
         law, _ = monoid_over(T)
-        reports = verify_distlaw(law, FRAGS, cap=60)
+        reports = verify_distlaw(law, X, B, cap=60)
         assert {r.axiom for r in reports} == {
             "DL1",
             "DL2",
@@ -73,12 +119,12 @@ class TestVerification:
         T = fin_distribution()
         S = quotient_monad(two_monoids_absorption_theory())
         verdicts = [
-            check_preservation(T, e, profile_monad(T, X, B), FRAGS, theory=S.theory)
+            check_preservation(T, e, profile_monad(T, X, B), X, B, theory=S.theory)
             for e in S.theory.equations
         ]
-        law, report = build_quotient_law(S, T, FRAGS, verdicts=verdicts)
+        law, report = build_quotient_law(S, T, X, B, verdicts=verdicts)
         assert report.ok
-        reports = verify_distlaw(law, FRAGS, cap=40)
+        reports = verify_distlaw(law, X, B, cap=40)
         assert all(r.ok for r in reports), [r.axiom for r in reports if not r.ok]
 
     def test_corrupted_law_is_caught(self):
@@ -91,7 +137,7 @@ class TestVerification:
                 return frozenset(w for w in out if w != ())
 
         bad = Corrupted(law.inner, law.outer)
-        reports = verify_distlaw(bad, FRAGS, cap=60)
+        reports = verify_distlaw(bad, X, B, cap=60)
         assert any(not r.ok for r in reports)
         failed = next(r for r in reports if not r.ok)
         assert failed.counterexample is not None
@@ -102,13 +148,26 @@ class TestRefusal:
         T = fin_powerset()
         S = quotient_monad(semilattice_theory())
         verdicts = [
-            check_preservation(T, e, profile_monad(T, X, B), FRAGS, theory=S.theory)
+            check_preservation(T, e, profile_monad(T, X, B), X, B, theory=S.theory)
             for e in S.theory.equations
         ]
         with pytest.raises(LawRefusedError) as exc:
-            build_quotient_law(S, T, FRAGS, verdicts=verdicts)
+            build_quotient_law(S, T, X, B, verdicts=verdicts)
         assert "idem(+)" in str(exc.value)
         assert exc.value.verdicts
+
+    def test_well_definedness_alarm_renders_its_witness(self, monkeypatch):
+        # a frozenset's repr depends on the hash seed; the rendering does not
+        witness = {"value": frozenset({(), ("a",), ("b",)})}
+        monkeypatch.setattr(
+            distlaw,
+            "_well_defined_report",
+            lambda law, X, b: LawReport("WELL_DEFINED", FAIL, witness),
+        )
+        with pytest.raises(LawRefusedError) as exc:
+            monoid_over(fin_powerset())
+        assert "well-definedness check failed" in str(exc.value)
+        assert "{ε, a, b}" in str(exc.value)
 
 
 class TestFallback:
@@ -126,7 +185,7 @@ class TestComposite:
         T = fin_powerset()
         law, _ = monoid_over(T)
         M = compose(T, law.inner, law).monad
-        reports = verify_monad(M, FRAGS)
+        reports = verify_monad(M, X, B)
         assert all(r.ok for r in reports), [r.axiom for r in reports if not r.ok]
 
     def test_composite_unit(self):

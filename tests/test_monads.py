@@ -54,26 +54,26 @@ class TestBound:
 class TestMonadLaws:
     @pytest.mark.parametrize("T", outer_monads() + [free_monoid()], ids=lambda t: t.name)
     def test_laws_on_three_elements(self, T):
-        reports = verify_monad(T, [(("a", "b", "c"), B)])
+        reports = verify_monad(T, ("a", "b", "c"), B)
         assert all(r.ok for r in reports), [r.axiom for r in reports if not r.ok]
 
     def test_term_monad_laws(self):
         T = free_term_monad(monoid_theory().signature)
-        reports = verify_monad(T, [(("a", "b"), Bound(max_term_depth=2))])
+        reports = verify_monad(T, ("a", "b"), Bound(max_term_depth=2))
         assert all(r.ok for r in reports)
 
 
 class TestMonoidalStructure:
     @pytest.mark.parametrize("T", outer_monads(), ids=lambda t: t.name)
     def test_coherence_diagrams(self, T):
-        reports = verify_monoidal(T, [(("a", "b", "c"), B)])
+        reports = verify_monoidal(T, ("a", "b", "c"), B)
         assert all(r.ok for r in reports), [r.axiom for r in reports if not r.ok]
 
     def test_inner_only_monads_refuse_fubini(self):
         with pytest.raises(InnerOnlyMonadError):
             free_monoid().require_outer()
         with pytest.raises(InnerOnlyMonadError):
-            verify_monoidal(free_monoid(), [(("a",), B)])
+            verify_monoidal(free_monoid(), ("a",), B)
 
 
 class TestFubini:

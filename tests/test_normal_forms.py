@@ -106,7 +106,7 @@ class TestQuotientSoundness:
 
     def test_monad_laws(self, build, kind):
         q = quotient_monad(build())
-        reports = verify_monad(q.monad, [(("a", "b"), NB)])
+        reports = verify_monad(q.monad, ("a", "b"), NB)
         assert all(r.ok for r in reports), [r.counterexample for r in reports]
 
 

@@ -28,7 +28,6 @@ from effectlayers.theories import (
 GRID3 = (F(0), F(1, 2), F(1))
 B = Bound(max_word_len=2, max_set_size=3, prob_grid=GRID3)
 X = ("a", "b")
-FRAGS = [(X, B)]
 
 x, y = Var("x"), Var("y")
 
@@ -74,7 +73,7 @@ class TestProfiles:
 class TestCascade:
     def test_identity_fast_path(self, profiles):
         e = equation(x, x)
-        v = check_preservation(fin_powerset(), e, profiles["P"], FRAGS)
+        v = check_preservation(fin_powerset(), e, profiles["P"], X, B)
         assert v.status == PRESERVED_SYNTACTIC and v.theorem == THM_IDENTITY
 
     def test_linear_equations_always_preserved(self, profiles):
@@ -84,7 +83,7 @@ class TestCascade:
             ("D", fin_distribution()),
         ]:
             for e in monoid_theory().equations:
-                v = check_preservation(T, e, profiles[name], FRAGS)
+                v = check_preservation(T, e, profiles[name], X, B)
                 assert v.status == PRESERVED_SYNTACTIC
                 assert v.theorem == THM_LINEAR
 
@@ -94,13 +93,13 @@ class TestCascade:
             for e in idem_semiring_theory().equations
             if e.name == "absorb-right(;,abort)"
         )
-        v = check_preservation(fin_distribution(), e, profiles["D"], FRAGS)
+        v = check_preservation(fin_distribution(), e, profiles["D"], X, B)
         assert v.status == PRESERVED_SYNTACTIC and v.theorem == THM_AFFINE
 
     def test_powerset_falsifies_idempotence(self, profiles):
         e = next(e for e in semilattice_theory().equations if e.name == "idem(+)")
         v = check_preservation(
-            fin_powerset(), e, profiles["P"], FRAGS, theory=semilattice_theory()
+            fin_powerset(), e, profiles["P"], X, B, theory=semilattice_theory()
         )
         assert v.status == FALSIFIED
         assert v.counterexample is not None
@@ -111,7 +110,7 @@ class TestCascade:
         D = fin_distribution()
         dropped = set()
         for e in theory.equations:
-            v = check_preservation(D, e, profiles["D"], FRAGS, theory=theory)
+            v = check_preservation(D, e, profiles["D"], X, B, theory=theory)
             assert v.status != UNKNOWN, e.name
             if not v.preserved:
                 dropped.add(e.name)
@@ -120,7 +119,7 @@ class TestCascade:
     def test_falsification_reports_a_concrete_witness(self, profiles):
         theory = idem_semiring_theory()
         e = next(e for e in theory.equations if e.name == "idem(+)")
-        v = check_preservation(fin_distribution(), e, profiles["D"], FRAGS, theory=theory)
+        v = check_preservation(fin_distribution(), e, profiles["D"], X, B, theory=theory)
         assert v.status == FALSIFIED
         assert v.counterexample["lhs"] != v.counterexample["rhs"]
 
@@ -131,7 +130,7 @@ class TestCascade:
             affine=profiles["P"].affine,
         )
         with pytest.raises(NonSymmetricMonadError):
-            check_preservation(fin_powerset(), equation(app(PLUS, x, y), x), broken, FRAGS)
+            check_preservation(fin_powerset(), equation(app(PLUS, x, y), x), broken, X, B)
 
 
 class TestEnumerateAlgebras:

@@ -156,6 +156,20 @@ class TestParseErrors:
         with pytest.raises(SpecParseError, match="p/q"):
             parse_program("a ⊕[5] b", sig, ("a", "b"))
 
+    def test_zero_denominator_in_a_program(self, shipped):
+        sig = shipped.signature_at(2)
+        with pytest.raises(SpecParseError, match="zero denominator") as exc:
+            parse_program("a ⊕[1/0] b", sig, ("a", "b"))
+        assert (exc.value.line, exc.value.col) == (1, 7)
+
+    def test_zero_denominator_in_a_spec(self):
+        text = SPEC_PATH.read_text()
+        old = "eq x (+)[l] y = y (+)[1 - l] x;"
+        assert old in text
+        with pytest.raises(SpecParseError, match="zero denominator") as exc:
+            parse_spec(text.replace(old, "eq x (+)[l] y = y (+)[1/0] x;"))
+        assert exc.value.line == text[: text.index(old)].count("\n") + 1
+
     def test_error_message_carries_position(self):
         try:
             parse_spec("atoms a;\nlayer l {\n  op ;\n}")

@@ -1,15 +1,18 @@
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
 from effectlayers.terms import (
     App,
+    Const,
     FiniteAlgebra,
     OpSymbol,
     PBin,
     PConst,
     PVar,
     ParamDivisionByZero,
+    ParamExpr,
     Signature,
     SyntacticClass,
     TermError,
@@ -18,10 +21,10 @@ from effectlayers.terms import (
     classify,
     equation,
     eval_param,
-    evaluate,
     find_violation,
     holds,
     interpret,
+    interpret_in_context,
     prepare_indices,
     render_term,
     term_args,
@@ -108,14 +111,42 @@ def bool_or_algebra():
 
 
 class TestAlgebra:
-    def test_evaluate_consumes_args_in_order(self):
+    def test_interpret_in_context_reads_the_valuation(self):
         t = app(SEQ, x, app(SEQ, y, z))
-        assert evaluate(t, bool_or_algebra(), (1, 1, 1)) == 1
-        assert evaluate(t, bool_or_algebra(), (1, 0, 1)) == 0
+        ctx = ("x", "y", "z")
+        A = bool_or_algebra()
+        assert interpret_in_context(t, A, ctx, {"x": 1, "y": 1, "z": 1}) == 1
+        assert interpret_in_context(t, A, ctx, {"x": 1, "y": 0, "z": 1}) == 0
+        assert interpret_in_context(app(PLUS, x, x), A, ("x",), {"x": 0}) == 0
 
-    def test_interpret_uses_valuation(self):
-        t = app(PLUS, x, x)
-        assert interpret(t, bool_or_algebra(), {"x": 0}) == 0
+    def test_variable_outside_the_valuation_is_an_error(self):
+        with pytest.raises(TermError, match="'y' not in context"):
+            interpret_in_context(app(PLUS, x, y), bool_or_algebra(), ("x",), {"x": 0})
+
+    def test_interpret_folds_with_leaf_and_ops(self):
+        t = app(SEQ, x, app(PLUS, Const(0), y))
+        leaf = lambda u: u.value if isinstance(u, Const) else {"x": 1, "y": 1}[u.name]
+        assert interpret(t, bool_or_algebra().op, leaf) == 1
+
+    def test_operation_is_looked_up_before_its_arguments(self):
+        looked_up = []
+
+        def ops(name):
+            looked_up.append(name)
+            raise TermError(f"no {name}")
+
+        with pytest.raises(TermError, match="no ;"):
+            interpret(app(SEQ, app(PLUS, x, y), z), ops, lambda u: 0)
+        assert looked_up == [";"]
+
+    def test_parameter_expressions_are_evaluated(self):
+        t = App(CHOOSE, (x, y), PBin("*", PVar("l"), PConst(F(2))))
+        A = choice_algebra()
+        leaf = {"x": 0, "y": 1}
+        assert interpret(t, A.op, lambda u: leaf[u.name], {"l": F(1, 2)}) == 0
+        assert interpret(t, A.op, lambda u: leaf[u.name], {"l": F(1, 8)}) == 1
+        with pytest.raises(TermError, match="unbound parameter variable 'l'"):
+            interpret(t, A.op, lambda u: leaf[u.name])
 
     def test_holds_and_violations(self):
         A = bool_or_algebra()
@@ -129,6 +160,76 @@ class TestAlgebra:
         A = bool_or_algebra()
         for e in monoid_theory().equations:
             assert holds(A, e), e.describe()
+
+
+# ---------------------------------------------------------------------------
+# differential test: interpret_in_context against the argument-consuming
+# evaluator it replaced, kept here as a reference
+
+CHOOSE = OpSymbol("ch", 2, param=True)
+CONST = OpSymbol("c", 0)
+
+
+def choice_algebra():
+    return FiniteAlgebra(
+        (0, 1),
+        {
+            # left and not right: neither commutative nor idempotent
+            ";": lambda a, p=None: a[0] & (1 - a[1]),
+            "ch": lambda a, p: a[0] if p >= F(1, 2) else a[1],
+            "c": lambda a, p=None: 1,
+        },
+        name="choice",
+    )
+
+
+def _consume(t, A, args, env):
+    """Fold bottom-up, taking variable values from `args` left to right."""
+    if isinstance(t, Var):
+        return args[0], args[1:]
+    if isinstance(t, Const):
+        return t.value, args
+    vals = []
+    for a in t.args:
+        v, args = _consume(a, A, args, env)
+        vals.append(v)
+    p = t.param
+    if isinstance(p, ParamExpr):
+        p = eval_param(p, env)
+    return A.op(t.op.name)(tuple(vals), p), args
+
+
+def reference_interpret(t, A, context, valuation, env):
+    idx = prepare_indices(t, context)
+    tup = tuple(valuation[v] for v in context)
+    value, rest = _consume(t, A, tuple(tup[i] for i in idx), env)
+    assert rest == ()
+    return value
+
+
+def _terms_to_depth_2():
+    leaves = [x, y, z, Const(0), App(CONST, ())]
+    weight = PBin("-", PConst(F(1)), PVar("l"))  # 1 - l
+    apps = [app(SEQ, l, r) for l, r in product(leaves, repeat=2)]
+    apps += [App(CHOOSE, (l, r), weight) for l, r in product(leaves, repeat=2)]
+    return leaves + apps
+
+
+def test_interpret_agrees_with_the_argument_consuming_reference():
+    A = choice_algebra()
+    ctx = ("x", "y", "z")
+    terms = _terms_to_depth_2()
+    assert len(terms) == 55
+    checked = 0
+    for t in terms:
+        for values in product(A.carrier, repeat=len(ctx)):
+            valuation = dict(zip(ctx, values))
+            for l in (F(0), F(1, 3), F(1, 2), F(3, 4), F(1)):
+                env = {"l": l}
+                expected = reference_interpret(t, A, ctx, valuation, env)
+                assert interpret_in_context(t, A, ctx, valuation, env) == expected
+                checked += 1
+    assert checked == 55 * 8 * 5
 
 
 class TestRendering:
