@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .pipeline import CompositionReport, StageResult
-from .render import render_fraction, render_value
-from .terms import Equation, Term, render_term
+from .render import render_term, render_value
+from .terms import Equation, Term
 from .values import Dist, MultiSet, SumAtom
 
 
@@ -58,15 +58,11 @@ def _text_lines(node, depth: int):
 def encode_value(v):
     if v is None or isinstance(v, (bool, int, str)):
         return v
-    if isinstance(v, Fraction):
-        return render_fraction(v)
-    if isinstance(v, (tuple, frozenset, MultiSet, Dist, SumAtom)):
+    if isinstance(v, (tuple, frozenset, MultiSet, Dist, SumAtom, Fraction, Term)):
         try:
             return render_value(v)
         except TypeError:
             pass
-    if isinstance(v, Term):
-        return render_term(v)
     if isinstance(v, Equation):
         return describe_eq(v)
     if isinstance(v, dict):

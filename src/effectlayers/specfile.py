@@ -13,9 +13,10 @@ Grammar (statements end with ";"):
 
 Terms use infix syntax for the three canonical operators — ";" binds
 tighter than "+", which binds tighter than "⊕[λ]" — plus prefix call
-syntax f(t1, ..., tn) for anything else.  "(+)[λ]" is an ASCII alias for
-"⊕[λ]".  Parameters are rational literals with an explicit denominator
-("1/2"; bare "0" and "1" allowed) or parameter expressions over variables.
+syntax f(t1, ..., tn) for anything else, f[λ](t1, ..., tn) when f takes a
+parameter.  "(+)[λ]" is an ASCII alias for "⊕[λ]".  Parameters are
+rational literals with an explicit denominator ("1/2"; bare "0" and "1"
+allowed) or parameter expressions over variables.
 Parse errors carry line and column.
 """
 
@@ -225,6 +226,16 @@ def _simplify_param(p):
     return p.value if isinstance(p, PConst) else p
 
 
+def _parse_op_param(ts: _Stream, op: OpSymbol):
+    """The bracketed parameter after a parameterized operation's name."""
+    if not op.param:
+        return None
+    ts.expect("punct", "[")
+    param = _simplify_param(_parse_param_expr(ts))
+    ts.expect("punct", "]")
+    return param
+
+
 def _parse_term(ts: _Stream, sig: Signature, leaf, prec: int = 0) -> Term:
     left = _parse_term_atom(ts, sig, leaf)
     while True:
@@ -241,11 +252,7 @@ def _parse_term(ts: _Stream, sig: Signature, leaf, prec: int = 0) -> Term:
             raise SpecParseError(f"operation {t.text!r} not declared", t.line, t.col)
         op = sig[t.text]
         ts.next()
-        param = None
-        if op.param:
-            ts.expect("punct", "[")
-            param = _simplify_param(_parse_param_expr(ts))
-            ts.expect("punct", "]")
+        param = _parse_op_param(ts, op)
         right = _parse_term(ts, sig, leaf, op_prec)
         left = App(op, (left, right), param)
     return left
@@ -262,8 +269,9 @@ def _parse_term_atom(ts: _Stream, sig: Signature, leaf) -> Term:
         ts.next()
         if t.text in sig:
             op = sig[t.text]
+            param = _parse_op_param(ts, op)
             if op.arity == 0:
-                return App(op, ())
+                return App(op, (), param)
             ts.expect("punct", "(")
             args = [_parse_term(ts, sig, leaf)]
             while ts.peek().kind == "punct" and ts.peek().text == ",":
@@ -276,7 +284,7 @@ def _parse_term_atom(ts: _Stream, sig: Signature, leaf) -> Term:
                     t.line,
                     t.col,
                 )
-            return App(op, tuple(args))
+            return App(op, tuple(args), param)
         return leaf(t)
     raise SpecParseError(f"expected a term, found {t.text or t.kind!r}", t.line, t.col)
 

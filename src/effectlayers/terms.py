@@ -77,6 +77,20 @@ def eval_param(expr, env: Mapping[str, Fraction]) -> Fraction:
     raise TermError(f"not a parameter expression: {expr!r}")
 
 
+def render_param(p) -> str:
+    """A parameter, or any rational, as the spec syntax writes it: "1/2", "(1 - l)"."""
+    if isinstance(p, PConst):
+        return render_param(p.value)
+    if isinstance(p, PVar):
+        return p.name
+    if isinstance(p, PBin):
+        return f"({render_param(p.left)} {p.op} {render_param(p.right)})"
+    f = Fraction(p)
+    if f.denominator == 1:
+        return str(f.numerator)
+    return f"{f.numerator}/{f.denominator}"
+
+
 def param_vars(expr):
     if isinstance(expr, PVar):
         return {expr.name}
@@ -270,6 +284,9 @@ class Equation:
         return sorted(term_params(self.lhs) | term_params(self.rhs))
 
     def describe(self) -> str:
+        # render imports this module
+        from .render import render_term
+
         return self.name or f"{render_term(self.lhs)} = {render_term(self.rhs)}"
 
 
@@ -398,42 +415,3 @@ def find_violation(A: FiniteAlgebra, e: Equation, param_grid=DEFAULT_PARAM_GRID)
 def holds(A: FiniteAlgebra, e: Equation, param_grid=DEFAULT_PARAM_GRID) -> bool:
     """Exhaustive validity of `e` in `A` over all valuations (and grid params)."""
     return find_violation(A, e, param_grid) is None
-
-
-# ---------------------------------------------------------------------------
-# rendering (used by reports and error messages)
-
-_INFIX = {";": 30, "+": 20}
-
-
-def render_param(p) -> str:
-    if isinstance(p, PConst):
-        return render_param(p.value)
-    if isinstance(p, PVar):
-        return p.name
-    if isinstance(p, PBin):
-        return f"({render_param(p.left)} {p.op} {render_param(p.right)})"
-    f = Fraction(p)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def render_term(t: Term, prec: int = 0) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        return f"<{t.value!r}>"
-    name = t.op.name
-    if t.op.arity == 0:
-        return name
-    if t.op.arity == 2 and (name in _INFIX or t.op.param):
-        my = _INFIX.get(name, 10)
-        shown = f"{name}[{render_param(t.param)}]" if t.op.param else name
-        left = render_term(t.args[0], my + 1)
-        right = render_term(t.args[1], my + 1)
-        body = f"{left} {shown} {right}" if name != ";" else f"{left}{shown}{right}"
-        return f"({body})" if my < prec else body
-    inner = ", ".join(render_term(a) for a in t.args)
-    shown = f"{name}[{render_param(t.param)}]" if t.op.param else name
-    return f"{shown}({inner})"

@@ -7,7 +7,8 @@ program and stage 0, 1, 2 of the shipped spec: the rendered value, or the
 `TermError` message. `golden/recognition.txt` holds one line per builder
 theory and per copy of it with one or two equations removed: the
 recognized kind, the roles' operations and every equation's pattern name.
-All four are also checked in fresh interpreters under PYTHONHASHSEED 0 and 1.
+All four, and the text of an alarm term whose constants are sets, are also
+checked in fresh interpreters under PYTHONHASHSEED 0 and 1.
 A change that alters one on purpose regenerates it from the repository
 root, and the diff is reviewed with the change:
 
@@ -31,10 +32,11 @@ import pytest
 from effectlayers import Bound, compose_stack, eval_term, probnetkat_stack
 from effectlayers.cli import _load_bounds, main
 from effectlayers.render import render_value
-from effectlayers.reports import laws_document
+from effectlayers.reports import encode_value, laws_document
 from effectlayers.specfile import parse_program, parse_spec
-from effectlayers.terms import OpSymbol, Signature, TermError, Theory
+from effectlayers.terms import Const, OpSymbol, Signature, TermError, Theory, app
 from effectlayers.theories import (
+    SEQ,
     comm_monoid_theory,
     convex_theory,
     describe_equation,
@@ -126,6 +128,11 @@ def recognition_lines() -> str:
 def test_recognition_is_unchanged():
     text = recognition_lines()
     assert text.encode() == (GOLDEN / "recognition.txt").read_bytes()
+
+
+def test_alarm_terms_print_sets_in_canonical_order():
+    v = frozenset({(), ("a",), ("b",)})
+    assert encode_value(app(SEQ, Const(v), Const(v))) == "{ε, a, b};{ε, a, b}"
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])

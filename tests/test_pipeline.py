@@ -15,7 +15,8 @@ from effectlayers.pipeline import (
     nondet_layer,
     prob_layer,
 )
-from effectlayers.terms import Const, TermError, Var, app, render_term
+from effectlayers.render import render_term
+from effectlayers.terms import Const, TermError, Var, app
 from effectlayers.theories import (
     idem_semiring_theory,
     monoid_theory,

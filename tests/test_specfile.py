@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from effectlayers.pipeline import INNER_SEED, OUTER
+from effectlayers import theories
+from effectlayers.cli import _load_bounds
+from effectlayers.pipeline import INNER_SEED, OUTER, compose_stack
+from effectlayers.render import render_term
 from effectlayers.specfile import (
     SpecParseError,
     parse_program,
@@ -199,3 +202,44 @@ class TestMiniRoundTrip:
         # at l = t = 1/2 the reassociated left weight is (1/2)/(3/4) = 2/3
         inner = skew_assoc.rhs.args[0]
         assert eval_param(inner.param, {"l": F(1, 2), "t": F(1, 2)}) == F(2, 3)
+
+
+BUILDERS = [
+    theories.monoid_theory,
+    theories.semilattice_theory,
+    theories.comm_monoid_theory,
+    theories.convex_theory,
+    theories.idem_semiring_theory,
+    theories.semiring_theory,
+    theories.two_monoids_absorption_theory,
+]
+
+
+class TestPrintedEquationsReadBack:
+    """Every equation `render_term` prints is an `eq` line `parse_spec` reads."""
+
+    @staticmethod
+    def assert_reads_back(theory):
+        def printed(e):
+            return f"{render_term(e.lhs)} = {render_term(e.rhs)}"
+
+        decls = "".join(
+            f'  op "{o.name}" : {o.arity}{" param" if o.param else ""};\n'
+            for o in theory.signature.ops
+        )
+        lines = [printed(e) for e in theory.equations]
+        text = "atoms a;\nlayer t {\n" + decls + "".join(f"  eq {l};\n" for l in lines) + "}\n"
+        (layer,) = parse_spec(text).layers
+        assert [printed(e) for e in layer.theory.equations] == lines
+
+    @pytest.mark.parametrize("build", BUILDERS, ids=lambda b: b.__name__)
+    def test_builder_theories(self, build):
+        self.assert_reads_back(build())
+
+    def test_combined_theories_of_the_shipped_spec(self, shipped):
+        report = compose_stack(
+            shipped.layers, atoms=shipped.atoms, bound=_load_bounds(None), build_laws=False
+        )
+        assert len(report.stages) == 2
+        for stage in report.stages:
+            self.assert_reads_back(stage.combined)

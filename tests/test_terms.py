@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from effectlayers.render import render_term
 from effectlayers.terms import (
     App,
     Const,
@@ -26,7 +27,6 @@ from effectlayers.terms import (
     interpret,
     interpret_in_context,
     prepare_indices,
-    render_term,
     term_args,
     term_depth,
     term_vars,
@@ -238,6 +238,10 @@ class TestRendering:
         assert render_term(t) == "(x + y);z"
         t2 = app(PLUS, x, app(SEQ, y, z))
         assert render_term(t2) == "x + y;z"
+
+    def test_equation_describe_uses_the_term_printer(self):
+        e = equation(app(SEQ, Const(frozenset({("b",), ("a",)})), x), x)
+        assert e.describe() == "{a, b};x = x"
 
     def test_param_op(self):
         oplus = OpSymbol("⊕", 2, param=True)
