@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .distlaw import LawRefusedError
@@ -71,27 +72,55 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_INT_BOUNDS = (
+    "max_word_len",
+    "max_set_size",
+    "max_multiplicity",
+    "max_term_depth",
+    "ceiling",
+)
+
+
 def _load_bounds(path) -> Bound:
     if path is None:
         return Bound(prob_grid=_DEFAULT_GRID, max_set_size=3)
     with open(path, "r", encoding="utf-8") as fh:
         # a decimal such as 0.1 is read exactly, never as a binary float
-        raw = json.load(fh, parse_float=Fraction)
-    kwargs = {}
-    for key in (
-        "max_word_len",
-        "max_set_size",
-        "max_multiplicity",
-        "max_term_depth",
-        "ceiling",
-    ):
-        if key in raw:
-            kwargs[key] = int(raw[key])
-    if "prob_grid" in raw:
-        kwargs["prob_grid"] = tuple(Fraction(g) for g in raw["prob_grid"])
-    else:
-        kwargs["prob_grid"] = _DEFAULT_GRID
+        raw = json.load(fh, parse_float=Decimal)
+    if not isinstance(raw, dict):
+        raise ValueError("bounds file must hold a JSON object of named bounds")
+    kwargs = {"prob_grid": _DEFAULT_GRID}
+    for key, value in raw.items():
+        if key in _INT_BOUNDS:
+            if type(value) is not int:  # a bool is an int too
+                raise ValueError(
+                    f"bound {key!r} must be an integer, not {_json_text(value)}"
+                )
+            kwargs[key] = value
+        elif key == "prob_grid":
+            if not isinstance(value, list):
+                raise ValueError(
+                    f"bound 'prob_grid' must be a list, not {_json_text(value)}"
+                )
+            kwargs[key] = tuple(_probability(g) for g in value)
+        else:
+            known = ", ".join(_INT_BOUNDS + ("prob_grid",))
+            raise ValueError(f"unknown bound {key!r} (known: {known})")
     return Bound(**kwargs)
+
+
+def _probability(g) -> Fraction:
+    """A grid entry: a JSON integer, decimal or fraction string."""
+    if type(g) in (int, Decimal, str):
+        try:
+            return Fraction(g)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"bound 'prob_grid' holds {_json_text(g)}, which is not a number")
+
+
+def _json_text(value) -> str:
+    return str(value) if isinstance(value, Decimal) else json.dumps(value)
 
 
 def _emit(doc: ReportDocument, json_path, stream) -> None:

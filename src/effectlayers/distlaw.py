@@ -1,11 +1,17 @@
 """Construction and exhaustive verification of distributive laws.
 
-The pipeline: rho, the interpretation of free terms in the free term algebra
-lifted through the outer monad (one psi per operation), the quotiented
-law lambda = T(q) o rho between the free-algebra monad and the outer monad,
-taken on canonical representatives, and the composite monad.  Every axiom
-(DL.1-4, naturality, well-definedness, monad laws) is checked by exhaustive
-enumeration on a bounded finite fragment.
+The pipeline: the law lambda: S T -> T S between the free-algebra monad S
+and the outer monad T, taken on canonical representatives, and the
+composite monad.  The paper builds lambda as T(q) o rho, where rho
+interprets a free term in the free term algebra lifted through T (one psi
+per operation) and q normalizes each resulting term.  Since q is a
+homomorphism of S-algebras and psi is natural, T(q) o rho is the fold of the
+representative in the lifted algebra on T(S X), whose operations are
+T(op_S) o psi^(k) and whose leaves are T(eta_S): fold fusion.  `apply` runs
+that fold; T(q) o rho is kept as its independent check, run against it in
+the well-definedness check.  Every axiom (DL.1-4, naturality,
+well-definedness, monad laws) is checked by exhaustive enumeration on a
+bounded finite fragment.
 """
 
 from __future__ import annotations
@@ -58,32 +64,44 @@ class QuotientLaw:
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the free term algebra of S's signature lifted through T, for `rho`;
-        # a copy made with dataclasses.replace lifts through its own outer
+        # lambda's fold, the canonical algebra of S lifted through T, and
+        # rho's, the free term algebra lifted through T; a copy made with
+        # dataclasses.replace lifts both through its own outer
+        fused = lift_interp(self.outer, self.inner.algebra())
+        object.__setattr__(self, "_fused", FiniteAlgebra((), fused).op)
         ops = {o.name: partial(App, o) for o in self.inner.theory.signature.ops}
         lifted = lift_interp(self.outer, FiniteAlgebra((), ops))
-        object.__setattr__(self, "_ops", FiniteAlgebra((), lifted).op)
+        object.__setattr__(self, "_rho_ops", FiniteAlgebra((), lifted).op)
+
+    def _term_leaf(self, u: Term):
+        return self.outer.map(Const, _ground(u))
+
+    def _unit_leaf(self, u: Term):
+        return self.outer.map(self.inner.monad.unit, _ground(u))
 
     def rho(self, t: Term):
         """Term over T-value leaves -> T-value of terms over element leaves,
         lifting each operation by the iterated Fubini transformation."""
-        return interpret(t, self._ops, self._leaf)
-
-    def _leaf(self, u: Term):
-        if isinstance(u, Const):
-            return self.outer.map(Const, u.value)
-        raise TermError("distributive laws apply to ground terms only")
+        return interpret(t, self._rho_ops, self._term_leaf)
 
     def apply(self, sv):
-        """lambda: S(T X) -> T(S X) via a canonical representative term."""
+        """lambda: S(T X) -> T(S X), the fold of the canonical representative
+        of `sv` in the lifted algebra T(op_S) o psi^(k) with leaves T(eta_S);
+        it equals T(q) o rho, against which the well-definedness check
+        tests it."""
         try:
             return self.memo[sv]
         except KeyError:
             pass
         rep = self.inner.representative(sv)  # term over Const(T-value)
-        tv = self.rho(rep)                   # T(term over Const(x))
-        out = self.memo[sv] = self.outer.map(self.inner.normalize, tv)
+        out = self.memo[sv] = interpret(rep, self._fused, self._unit_leaf)
         return out
+
+
+def _ground(u: Term):
+    if isinstance(u, Const):
+        return u.value
+    raise TermError("distributive laws apply to ground terms only")
 
 
 class LawRefusedError(Exception):
@@ -129,7 +147,12 @@ def build_quotient_law(
 
 
 def _well_defined_report(law: QuotientLaw, X, b: Bound) -> LawReport:
-    """Lemma-6 square: T(q) o rho agrees on all representatives of each SX value."""
+    """Lemma-6 square: T(q) o rho agrees on all representatives of each SX value.
+
+    Once it does, the fused lambda of each value met must equal that
+    common output; a difference is a fault of the fusion, not of the
+    theory, and raises LawRefusedError.
+    """
     S, T = law.inner, law.outer
     term_monad = free_term_monad(S.theory.signature)
     tvalues = T.enumerate(tuple(X), b)
@@ -154,6 +177,15 @@ def _well_defined_report(law: QuotientLaw, X, b: Bound) -> LawReport:
                 )
         else:
             groups[sv] = (t, out)
+    for sv, (t, out) in groups.items():
+        fused = law.apply(sv)
+        if fused != out:
+            from .reports import encode_value  # as in build_quotient_law
+
+            witness = {"value": sv, "rep": t, "fused": fused, "T(q)∘ρ": out}
+            raise LawRefusedError(
+                f"fused λ disagrees with T(q)∘ρ (witness: {encode_value(witness)})"
+            )
     return LawReport("WELL_DEFINED", PASS, None, f"{len(terms)} bounded terms")
 
 

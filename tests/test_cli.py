@@ -1,18 +1,36 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from effectlayers.cli import main
 
-SPEC = str(Path(__file__).resolve().parent.parent / "specs" / "probnetkat.layers")
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = str(ROOT / "specs" / "probnetkat.layers")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_the_package_runs_as_a_module():
+    # a checkout runs with the sources on the path and nothing installed
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "effectlayers", "check", SPEC],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "exit_code: 1" in proc.stdout
 
 
 class TestEval:
@@ -127,6 +145,32 @@ class TestInputErrors:
         bounds.write_text('{"prob_grid": ["1/3"]}')
         code, _, err = run(capsys, "check", SPEC, "--bounds", str(bounds))
         assert code == 3 and "error" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"max_set_sise": 1}', "unknown bound 'max_set_sise'"),
+            ('{"max_word_len": 2.5}', "'max_word_len' must be an integer, not 2.5"),
+            ('{"max_word_len": true}', "'max_word_len' must be an integer, not true"),
+            ("[1, 2]", "bounds file must hold a JSON object"),
+            ('{"prob_grid": [true, false]}', "bound 'prob_grid' holds true"),
+            ('{"prob_grid": ["1/0"]}', "bound 'prob_grid' holds \"1/0\""),
+        ],
+        ids=[
+            "misspelled-key",
+            "non-integer",
+            "boolean",
+            "list",
+            "boolean-grid",
+            "zero-denominator",
+        ],
+    )
+    def test_malformed_bounds_file_exits_3(self, capsys, tmp_path, text, message):
+        bounds = tmp_path / "bounds.json"
+        bounds.write_text(text)
+        code, out, err = run(capsys, "check", SPEC, "--bounds", str(bounds))
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and message in err
 
     def test_decimal_grid_is_read_exactly(self, capsys, tmp_path):
         outputs = []

@@ -23,7 +23,18 @@ from effectlayers.monads import (
     lift,
     multiset,
 )
-from effectlayers.terms import App, Const, TermError
+from effectlayers.terms import (
+    App,
+    Const,
+    OpSymbol,
+    Signature,
+    TermError,
+    Theory,
+    Var,
+    app,
+    equation,
+)
+from effectlayers.values import Dist
 from effectlayers.normal_forms import quotient_monad
 from effectlayers.preservation import check_preservation, profile_monad
 from effectlayers.theories import (
@@ -39,13 +50,46 @@ B = Bound(max_word_len=2, max_set_size=2, max_term_depth=2, prob_grid=GRID3)
 X = ("a", "b")
 
 
-def monoid_over(T):
-    S = quotient_monad(monoid_theory())
+def law_over(theory, T):
+    S = quotient_monad(theory)
     verdicts = [
         check_preservation(T, e, profile_monad(T, X, B), X, B, theory=S.theory)
         for e in S.theory.equations
     ]
     return build_quotient_law(S, T, X, B, verdicts=verdicts)
+
+
+def monoid_over(T):
+    return law_over(monoid_theory(), T)
+
+
+def semigroup_theory():
+    """Associativity alone: no canonical normal form, so GENERIC."""
+    star = OpSymbol("*", 2)
+    x, y, z = Var("x"), Var("y"), Var("z")
+    assoc = equation(app(star, x, app(star, y, z)), app(star, app(star, x, y), z))
+    return Theory(Signature((star,)), (assoc,), name="semigroup")
+
+
+def well_defined_terms(law, monkeypatch):
+    """The terms `_well_defined_report` enumerates, after it passes."""
+    enumerated = []
+    free_term_monad = distlaw.free_term_monad
+
+    def recording(sig):
+        m = free_term_monad(sig)
+
+        def enum(carrier, bound):
+            terms = m.enumerate(carrier, bound)
+            enumerated.extend(terms)
+            return terms
+
+        return replace(m, enumerate=enum)
+
+    monkeypatch.setattr(distlaw, "free_term_monad", recording)
+    assert distlaw._well_defined_report(law, X, B).ok
+    assert any(isinstance(t, App) and t.args for t in enumerated)
+    return enumerated
 
 
 class TestLambdaValues:
@@ -74,23 +118,7 @@ class TestRho:
     @pytest.mark.parametrize("T", [fin_powerset(), fin_distribution()], ids=lambda t: t.name)
     def test_rho_agrees_with_the_recursive_reference(self, T, monkeypatch):
         law, _ = monoid_over(T)
-        enumerated = []
-        free_term_monad = distlaw.free_term_monad
-
-        def recording(sig):
-            m = free_term_monad(sig)
-
-            def enum(carrier, bound):
-                terms = m.enumerate(carrier, bound)
-                enumerated.extend(terms)
-                return terms
-
-            return replace(m, enumerate=enum)
-
-        monkeypatch.setattr(distlaw, "free_term_monad", recording)
-        assert distlaw._well_defined_report(law, X, B).ok
-        assert any(isinstance(t, App) and t.args for t in enumerated)
-        for t in enumerated:
+        for t in well_defined_terms(law, monkeypatch):
             assert law.rho(t) == reference_rho(T, t), t
 
     def test_a_copy_lifts_through_its_own_outer(self):
@@ -99,6 +127,69 @@ class TestRho:
         copy = replace(law, outer=D)
         t = App(law.inner.roles.seq, (Const(D.unit("a")), Const(D.unit("b"))))
         assert copy.rho(t) == reference_rho(D, t)
+
+
+class TestFusedLambda:
+    @pytest.mark.parametrize(
+        "theory, T",
+        [
+            (monoid_theory, fin_powerset()),
+            (monoid_theory, fin_distribution()),
+            (monoid_theory, multiset()),
+            (two_monoids_absorption_theory, fin_distribution()),
+            (semigroup_theory, fin_powerset()),
+        ],
+        ids=[
+            "monoid-powerset",
+            "monoid-distribution",
+            "monoid-multiset",
+            "two-monoids-distribution",
+            "generic-semigroup-powerset",
+        ],
+    )
+    def test_fold_in_the_lifted_algebra_equals_q_after_rho(
+        self, theory, T, monkeypatch
+    ):
+        law, _ = law_over(theory(), T)
+        S = law.inner
+        terms = well_defined_terms(law, monkeypatch)
+        lam = replace(law).apply  # the check filled the law's memo
+        for t in terms:
+            assert lam(S.normalize(t)) == T.map(S.normalize, law.rho(t)), t
+
+    def test_a_copy_applies_lambda_through_its_own_outer(self):
+        law, _ = monoid_over(fin_powerset())
+        D = fin_distribution()
+        copy = replace(law, outer=D)
+        coin = Dist({"a": F(1, 2), "b": F(1, 2)})
+        sv = (D.unit("a"), coin)  # a word of distributions
+        assert copy.apply(sv) == Dist({("a", "a"): F(1, 2), ("a", "b"): F(1, 2)})
+        assert law.apply((frozenset({"a"}), frozenset({"a", "b"}))) == frozenset(
+            {("a", "a"), ("a", "b")}
+        )
+
+    def test_a_fault_in_the_fused_lambda_is_refused(self, monkeypatch):
+        class Swapped(QuotientLaw):
+            """The fused `;` with its two arguments swapped."""
+
+            def __post_init__(self):
+                super().__post_init__()
+                fused, seq = self._fused, self.inner.roles.seq.name
+                object.__setattr__(
+                    self,
+                    "_fused",
+                    lambda name: (
+                        (lambda args, param=None: fused(seq)(args[::-1], param))
+                        if name == seq
+                        else fused(name)
+                    ),
+                )
+
+        monkeypatch.setattr(distlaw, "QuotientLaw", Swapped)
+        with pytest.raises(LawRefusedError) as exc:
+            monoid_over(fin_powerset())
+        assert str(exc.value).startswith("fused λ disagrees with T(q)∘ρ (witness: ")
+        assert "well-definedness" not in str(exc.value)
 
 
 class TestVerification:
@@ -116,13 +207,7 @@ class TestVerification:
         assert all(r.ok for r in reports), [r.axiom for r in reports if not r.ok]
 
     def test_two_monoids_law_under_distribution(self):
-        T = fin_distribution()
-        S = quotient_monad(two_monoids_absorption_theory())
-        verdicts = [
-            check_preservation(T, e, profile_monad(T, X, B), X, B, theory=S.theory)
-            for e in S.theory.equations
-        ]
-        law, report = build_quotient_law(S, T, X, B, verdicts=verdicts)
+        law, report = law_over(two_monoids_absorption_theory(), fin_distribution())
         assert report.ok
         reports = verify_distlaw(law, X, B, cap=40)
         assert all(r.ok for r in reports), [r.axiom for r in reports if not r.ok]
