@@ -41,7 +41,11 @@ from .specfile import SpecParseError, parse_program, parse_spec
 from .terms import ParamDivisionByZero, TermError
 from .values import ValueError_
 
-_DEFAULT_GRID = (Fraction(0), Fraction(1, 2), Fraction(1))
+# the bounds with no bounds file; a file overrides only the keys it names
+_DEFAULT_BOUNDS = {
+    "prob_grid": (Fraction(0), Fraction(1, 2), Fraction(1)),
+    "max_set_size": 3,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,13 +87,13 @@ _INT_BOUNDS = (
 
 def _load_bounds(path) -> Bound:
     if path is None:
-        return Bound(prob_grid=_DEFAULT_GRID, max_set_size=3)
+        return Bound(**_DEFAULT_BOUNDS)
     with open(path, "r", encoding="utf-8") as fh:
         # a decimal such as 0.1 is read exactly, never as a binary float
         raw = json.load(fh, parse_float=Decimal)
     if not isinstance(raw, dict):
         raise ValueError("bounds file must hold a JSON object of named bounds")
-    kwargs = {"prob_grid": _DEFAULT_GRID}
+    kwargs = dict(_DEFAULT_BOUNDS)
     for key, value in raw.items():
         if key in _INT_BOUNDS:
             if type(value) is not int:  # a bool is an int too

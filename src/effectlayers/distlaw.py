@@ -252,7 +252,7 @@ def verify_distlaw(law: QuotientLaw, X, b: Bound, cap: int = 240) -> list:
     down to `cap` values per check.
     """
     S, T = law.inner.monad, law.outer
-    lam = law.apply
+    lam, mu_S = law.apply, law.inner.mult
     # DL.1: lambda o S(eta_T) = eta_T at SX
     dl1 = _sides(lambda s: lam(S.map(T.unit, s)), T.unit)
     # DL.2: lambda o eta_S at TX = T(eta_S)
@@ -263,7 +263,7 @@ def verify_distlaw(law: QuotientLaw, X, b: Bound, cap: int = 240) -> list:
     )
     # DL.4: lambda o mu_S at TX = T(mu_S) o lambda o S(lambda) at SS(T X)
     dl4 = _sides(
-        lambda s: lam(S.mult(s)), lambda s: T.map(S.mult, lam(S.map(lam, s)))
+        lambda s: lam(mu_S(s)), lambda s: T.map(mu_S, lam(S.map(lam, s)))
     )
 
     # naturality: lambda o S(T f) = T(S f) o lambda for all f: X -> Y
@@ -316,7 +316,8 @@ class CompositeMonad:
     monad: MonadInstance = field(init=False)
 
     def __post_init__(self):
-        T, S = self.outer, self.inner.monad
+        # S's mu through the inner quotient's table
+        T, S = self.outer, _replace(self.inner.monad, mult=self.inner.mult)
         monad = composite(T, S, self.law.apply, f"{T.name}({S.name})")
         object.__setattr__(self, "monad", monad)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -62,6 +62,16 @@ class QuotientMonad:
     theory: Theory
     roles: Roles
     monad: MonadInstance
+    # each operation applied so far, by (op_name, args, param), and each
+    # mu_S, by its S(S Y) input; a copy made with dataclasses.replace
+    # starts empty, and compose_stack and eval_term empty them when done
+    op_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    mult_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # one object per distinct result of either table. Distinct inputs can
+    # give equal results (mu_S is many-to-one); as separate objects, a set
+    # would keep whichever its hash-seeded iteration met first, and how many
+    # canonical orders get computed would vary from run to run
+    result_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the canonical algebra's operations, looked up by `normalize`
@@ -77,9 +87,37 @@ class QuotientMonad:
         raise TermError("cannot normalize a term with free variables")
 
     def apply_op(self, op_name: str, args, param=None):
-        """Canonical algebra structure on SY for any carrier Y."""
+        """Canonical algebra structure on SY for any carrier Y, computed
+        once per distinct (op_name, args, param)."""
+        key = (op_name, tuple(args), param)
+        try:
+            return self.op_memo[key]
+        except KeyError:
+            pass
+        out = self.compute_op(*key)
+        out = self.op_memo[key] = self.result_memo.setdefault(out, out)
+        return out
+
+    def compute_op(self, op_name: str, args, param=None):
+        """`apply_op` computed afresh, without reading or filling the table."""
         shallow = _KINDS[self.kind][1]
         return self.monad.mult(shallow(self.roles, op_name, tuple(args), param))
+
+    def mult(self, v):
+        """mu_S: S(S Y) -> S Y, computed once per distinct input."""
+        try:
+            return self.mult_memo[v]
+        except KeyError:
+            pass
+        out = self.monad.mult(v)
+        out = self.mult_memo[v] = self.result_memo.setdefault(out, out)
+        return out
+
+    def clear_memos(self):
+        """Forget every tabulated operation and mu_S."""
+        self.op_memo.clear()
+        self.mult_memo.clear()
+        self.result_memo.clear()
 
     def representative(self, value) -> Term:
         """Canonical term mapping to `value` under q (deterministic)."""
@@ -581,12 +619,15 @@ class _GenericQuotient(QuotientMonad):
         object.__setattr__(self, "theory", theory)
         object.__setattr__(self, "roles", roles)
         object.__setattr__(self, "monad", monad)
+        object.__setattr__(self, "op_memo", {})
+        object.__setattr__(self, "mult_memo", {})
+        object.__setattr__(self, "result_memo", {})
         object.__setattr__(self, "_norm_term", norm_term)
 
     def normalize(self, t: Term):
         return self._norm_term(t)
 
-    def apply_op(self, op_name, args, param=None):
+    def compute_op(self, op_name, args, param=None):
         op = self.theory.signature[op_name]
         return self._norm_term(App(op, tuple(args), param))
 

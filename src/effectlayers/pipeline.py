@@ -10,6 +10,7 @@ distributivity axioms of the combined language.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -180,8 +181,15 @@ def composite_algebra(
     carrier: Sequence,
 ) -> FiniteAlgebra:
     """Interpret inner ops by lifting through T and outer ops by T's own
-    canonical algebra, on an explicit (possibly sampled) carrier of T(SX)."""
-    interp = lift_interp(T, S.algebra()) | outer_q.algebra().interp
+    canonical algebra, on an explicit (possibly sampled) carrier of T(SX).
+
+    The lifted ops read S's operation table; T's ops are computed afresh.
+    """
+    outer = {
+        o.name: functools.partial(outer_q.compute_op, o.name)
+        for o in outer_q.theory.signature.ops
+    }
+    interp = lift_interp(T, S.algebra()) | outer
     return FiniteAlgebra(tuple(carrier), interp, name="composite")
 
 
@@ -308,7 +316,10 @@ def compose_stack(
             composite = compose(T, S, law).monad
             law_reports = (wd,) + tuple(verify_distlaw(law, X, b, cap=law_cap))
             monad_reports = tuple(verify_monad(composite, X, b))
-            law.memo.clear()  # the carrier and the axioms never apply lambda
+            # the carrier and the axioms never apply lambda; S's tables go
+            # too, so no two checks' tables are held at once
+            law.memo.clear()
+            S.clear_memos()
             carrier = _enum(composite.enumerate, X, b, cap=algebra_cap)
             algebra = composite_algebra(T, S, outer_q, carrier)
             axiom_reports = tuple(
@@ -316,6 +327,7 @@ def compose_stack(
                     algebra, generated + layer.theory.equations, b.prob_grid
                 )
             )
+            S.clear_memos()  # the report's monads start with empty tables
             if not all(
                 r.ok for r in law_reports + monad_reports + axiom_reports
             ):
@@ -354,14 +366,15 @@ def eval_term(report: CompositionReport, t: Term, stage: int, atoms) -> object:
 
     Stage 0 is the seed's own normal forms; stage k >= 1 evaluates in the
     k-th composite via lifted inner operations and the outer layer's
-    canonical algebra.
+    canonical algebra. The inner operation table this fills is emptied on
+    return, so the report holds no table between calls.
     """
     atom_set = set(atoms)
     if stage < 0 or stage > len(report.stages):
         raise TermError(f"stage {stage} out of range (stack has {len(report.stages)} outer layers)")
     if stage == 0:
-        qm = report.seed_monad
-        unit, interp = qm.monad.unit, qm.algebra().interp
+        S = report.seed_monad
+        unit, interp = S.monad.unit, S.algebra().interp
     else:
         s = report.stages[stage - 1]
         if s.inner_monad is None:
@@ -383,7 +396,10 @@ def eval_term(report: CompositionReport, t: Term, stage: int, atoms) -> object:
             return unit(u.value)
         raise TermError("programs must be closed terms")
 
-    return interpret(t, ops, leaf)
+    try:
+        return interpret(t, ops, leaf)
+    finally:
+        S.clear_memos()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from effectlayers.cli import main
+from effectlayers.cli import _load_bounds, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = str(ROOT / "specs" / "probnetkat.layers")
@@ -195,6 +195,14 @@ class TestInputErrors:
             "--bounds", str(bounds),
         )
         assert code == 0 and out.strip() == "{a, b}"
+
+    @pytest.mark.parametrize(
+        "text", ['{"prob_grid": [0, "1/2", 1]}', '{"max_set_size": 3}', "{}"]
+    )
+    def test_a_file_of_defaults_gives_the_default_bound(self, tmp_path, text):
+        bounds = tmp_path / "bounds.json"
+        bounds.write_text(text)
+        assert _load_bounds(str(bounds)) == _load_bounds(None)
 
 
 _NONDET = """

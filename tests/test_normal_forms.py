@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -311,3 +312,61 @@ def test_normal_forms_agree_with_closure(build, kind):
         # normal forms identify a ⊕[1] b with a; the closure keeps them apart
         if depth == 2 and kind != "CONVEX":
             assert len(set().union(*classes.values())) == len(classes)
+
+
+# ---------------------------------------------------------------------------
+# tabulated operations and mu_S
+
+
+def _table_inputs(q):
+    """The operation applications and mu_S inputs of a law-check fragment:
+    every operation on the small carrier, and S(S X) values as DL.4 builds
+    them, at shrunk bounds."""
+    carrier = small_carrier(q)
+    ops = [
+        (o.name, args, p)
+        for o in q.theory.signature.ops
+        for args in product(carrier, repeat=o.arity)
+        for p in (GRID3 if o.param else (None,))
+    ]
+    mults = _enum(q.monad.enumerate, carrier, NB.shrink(), cap=120)
+    return ops, mults
+
+
+TABLE_CASES = THEORIES + [(_semigroup, "GENERIC")]
+
+
+@pytest.mark.parametrize("build, kind", TABLE_CASES, ids=[k for _, k in TABLE_CASES])
+def test_tabulated_operations_equal_a_fresh_monad(build, kind):
+    q, fresh = quotient_monad(build()), quotient_monad(build())
+    assert q.kind == kind
+    ops, mults = _table_inputs(q)
+    assert ops and mults
+    for name, args, p in ops:
+        out = q.apply_op(name, args, p)
+        assert out == fresh.compute_op(name, args, p), (name, args, p)
+        assert q.apply_op(name, list(args), p) is out
+    for v in mults:
+        out = q.mult(v)
+        assert out == fresh.monad.mult(v), v
+        assert q.mult(v) is out
+    assert fresh.op_memo == fresh.mult_memo == fresh.result_memo == {}
+    assert len(q.mult_memo) == len(set(mults))
+    # equal results of distinct inputs are one object
+    results = list(q.op_memo.values()) + list(q.mult_memo.values())
+    assert len({id(r) for r in results}) == len(set(results)) < len(results)
+    q.clear_memos()
+    assert q.op_memo == q.mult_memo == q.result_memo == {}
+
+
+@pytest.mark.parametrize("build, kind", THEORIES, ids=[k for _, k in THEORIES])
+def test_a_copy_starts_with_empty_tables(build, kind):
+    q = quotient_monad(build())
+    ops, mults = _table_inputs(q)
+    q.apply_op(*ops[-1])
+    q.mult(mults[-1])
+    copy = replace(q)
+    assert copy == q and q.op_memo and q.mult_memo
+    assert copy.op_memo == copy.mult_memo == copy.result_memo == {}
+    assert copy.apply_op(*ops[-1]) == q.apply_op(*ops[-1])
+    assert q.op_memo is not copy.op_memo

@@ -109,12 +109,17 @@ class TestStageTwo(object):
 
 class TestLambdaMemo:
     def test_no_stage_keeps_a_memo(self, choice_over_choice):
-        laws = [s.law for s in choice_over_choice.stages]
+        stages = choice_over_choice.stages
+        laws = [s.law for s in stages]
         assert laws and all(law is not None and law.memo == {} for law in laws)
+        for s in stages:
+            for q in (s.inner_monad, s.outer_monad):
+                assert q.op_memo == q.mult_memo == q.result_memo == {}
 
     def test_cached_lambda_equals_the_first_call(self, choice_over_choice, small_bound):
         for stage in choice_over_choice.stages:
-            law = replace(stage.law)
+            # a copy of S too: lambda fills S's operation table
+            law = replace(stage.law, inner=replace(stage.law.inner))
             assert law.memo == {} and law.memo is not stage.law.memo
             S, T = law.inner, law.outer
             for s in _enum(S.monad.enumerate, ("a", "b"), small_bound):
@@ -224,6 +229,26 @@ class TestEvalTerm:
     def test_stage_out_of_range_is_an_error(self, flagship, stage):
         with pytest.raises(TermError, match=f"stage {stage} out of range"):
             eval_term(flagship, Const("a"), stage, ("a", "b"))
+
+    @pytest.mark.parametrize("stage", [0, 1, 2])
+    def test_no_table_outlives_a_call(self, flagship, stage):
+        """Each call empties the operation tables it filled, so evaluating
+        ever more distinct programs leaves the report's tables as they were."""
+        sigs = [flagship.layers[0].theory.signature] + [
+            s.combined.signature for s in flagship.stages
+        ]
+        seq = sigs[stage][";"]
+        monads = [flagship.seed_monad] + [
+            q for s in flagship.stages for q in (s.inner_monad, s.outer_monad)
+        ]
+        prog = Const("a")
+        for n in range(4):
+            prog = app(seq, prog, Const("ab"[n % 2]))
+            assert eval_term(flagship, prog, stage, ("a", "b"))
+            assert all(q.op_memo == q.mult_memo == q.result_memo == {} for q in monads)
+        with pytest.raises(TermError, match="unbound atom 'z'"):
+            eval_term(flagship, app(seq, prog, Const("z")), stage, ("a", "b"))
+        assert all(q.op_memo == q.mult_memo == q.result_memo == {} for q in monads)
 
     @pytest.mark.parametrize("stage", [0, 1, 2])
     def test_open_program_is_an_error(self, flagship, stage):

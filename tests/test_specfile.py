@@ -2,9 +2,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effectlayers import theories
 from effectlayers.cli import _load_bounds
+from effectlayers.monads import Bound
 from effectlayers.pipeline import INNER_SEED, OUTER, compose_stack
 from effectlayers.render import render_term
 from effectlayers.specfile import (
@@ -243,3 +246,37 @@ class TestPrintedEquationsReadBack:
         assert len(report.stages) == 2
         for stage in report.stages:
             self.assert_reads_back(stage.combined)
+
+
+def closed_terms(sig, atoms, grid):
+    """Random closed terms over `sig`: atoms at the leaves, every operation
+    inside, and a parameterized operation's parameter drawn from `grid`."""
+    leaves = st.sampled_from([Const(a) for a in atoms] + [
+        App(o, ()) for o in sig.ops if o.arity == 0 and not o.param
+    ])
+
+    def apps(children):
+        return st.one_of([
+            st.builds(
+                App,
+                st.just(o),
+                st.tuples(*[children] * o.arity),
+                st.sampled_from(grid) if o.param else st.none(),
+            )
+            for o in sig.ops
+            if o.arity
+        ])
+
+    return st.recursive(leaves, apps, max_leaves=12)
+
+
+class TestRenderedTermsReadBack:
+    """`render_term` prints every closed program so `parse_program` reads it."""
+
+    @pytest.mark.parametrize("stage", [0, 1, 2])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_terms(self, shipped, stage, data):
+        sig = shipped.signature_at(stage)
+        t = data.draw(closed_terms(sig, shipped.atoms, Bound().prob_grid))
+        assert parse_program(render_term(t), sig, shipped.atoms) == t
