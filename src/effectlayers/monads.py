@@ -246,7 +246,7 @@ def _mset_mult(mm: MultiSet) -> MultiSet:
 def multiset() -> MonadInstance:
     return MonadInstance(
         name="multiset",
-        unit=lambda x: MultiSet([x]),
+        unit=lambda x: MultiSet._trusted({x: 1}),
         map=lambda f, m: m.map(f),
         mult=_mset_mult,
         fubini=_mset_fubini,

@@ -176,7 +176,7 @@ def _mix_pair(a, b, lam):
         return Dist.dirac(b)
     if a == b:
         return Dist.dirac(a)
-    return Dist({a: lam, b: 1 - lam})
+    return Dist._trusted({a: lam, b: 1 - lam})  # 0 < lam < 1, a != b
 
 
 def _sh_idem_semiring(roles: Roles, op, args, param):

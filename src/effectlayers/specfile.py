@@ -17,14 +17,16 @@ syntax f(t1, ..., tn) for anything else, f[λ](t1, ..., tn) when f takes a
 parameter.  "(+)[λ]" is an ASCII alias for "⊕[λ]".  Parameters are
 rational literals with an explicit denominator ("1/2"; bare "0" and "1"
 allowed) or parameter expressions over variables.
-Parse errors carry line and column.
+Numbers are ASCII digits.  Parse errors carry line and column, counted in
+characters.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .pipeline import INNER_SEED, OUTER, LayerSpec
 from .terms import (
@@ -86,81 +88,73 @@ class SpecFile:
 # ---------------------------------------------------------------------------
 # tokens
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # ident | string | number | punct | end
     text: str
-    line: int
-    col: int
+    pos: int  # offset into src
+    src: str
+
+    @property
+    def line(self) -> int:
+        return self.src.count("\n", 0, self.pos) + 1
+
+    @property
+    def col(self) -> int:
+        return self.pos - self.src.rfind("\n", 0, self.pos)
 
 
-_PUNCT = (";", ":", "{", "}", "(", ")", "[", "]", "=", "+", "-", "*", "/", ",", "⊕")
+# One alternation, tried at each offset in turn ("Writing a Tokenizer" in
+# the `re` docs).  `bad` matches any character, so the matches tile the
+# text.  `[^\W\d]` also admits non-letters such as "²"; `_tokenize`
+# refuses those, so an identifier starts with a letter or "_".
+_TOKEN = re.compile(
+    r"""(?P<blank>[ \t\r\n]+)
+      | (?P<comment>\#[^\n]*)
+      | (?P<punct>\(\+\)|[;:{}()\[\]=+\-*/,⊕])
+      | (?P<string>"[^"]*")
+      | (?P<number>[0-9]+)
+      | (?P<ident>[^\W\d][\w']*)
+      | (?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
+)
 
 
 def _tokenize(text: str):
     toks = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
+    end = 0  # an error at the end of the input points before a trailing comment
+    for m in _TOKEN.finditer(text):
+        kind, s, pos = m.lastgroup, m.group(), m.start()
+        if kind != "comment":
+            end = m.end()
+        if kind == "blank" or kind == "comment":
             continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("(+)", i):
-            toks.append(_Tok("punct", "⊕", line, col))
-            i, col = i + 3, col + 3
-            continue
-        if c == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise SpecParseError("unterminated string", line, col)
-            toks.append(_Tok("string", text[i + 1 : j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            toks.append(_Tok("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _PUNCT:
-            toks.append(_Tok("punct", c, line, col))
-            i, col = i + 1, col + 1
-            continue
-        raise SpecParseError(f"unexpected character {c!r}", line, col)
-    toks.append(_Tok("end", "", line, col))
+        if kind == "string":
+            s = s[1:-1]
+        elif kind == "punct" and s == "(+)":
+            s = "⊕"
+        elif kind == "bad" or (kind == "ident" and not (s[0].isalpha() or s[0] == "_")):
+            bad = _Tok(kind, s[0], pos, text)
+            message = "unterminated string" if s == '"' else f"unexpected character {s[0]!r}"
+            raise SpecParseError(message, bad.line, bad.col)
+        toks.append(_Tok(kind, s, pos, text))
+    toks.append(_Tok("end", "", end, text))
     return toks
 
 
 class _Stream:
+    """The tokens, with one more end token, so that `peek(1)` at the end
+    reads an end token and neither `peek` nor `next` clamps the index."""
+
     def __init__(self, toks):
-        self.toks = toks
+        self.toks = [*toks, toks[-1]]
         self.i = 0
 
     def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        return self.toks[self.i + ahead]
 
     def next(self) -> _Tok:
-        t = self.peek()
-        self.i = min(self.i + 1, len(self.toks) - 1)
+        t = self.toks[self.i]
+        self.i += 1
         return t
 
     def expect(self, kind: str, text: Optional[str] = None) -> _Tok:
@@ -251,6 +245,10 @@ def _parse_term(ts: _Stream, sig: Signature, leaf, prec: int = 0) -> Term:
         if t.text not in sig:
             raise SpecParseError(f"operation {t.text!r} not declared", t.line, t.col)
         op = sig[t.text]
+        if op.arity != 2:
+            raise SpecParseError(
+                f"{op.name!r} expects {op.arity} arguments, got 2", t.line, t.col
+            )
         ts.next()
         param = _parse_op_param(ts, op)
         right = _parse_term(ts, sig, leaf, op_prec)
@@ -360,7 +358,7 @@ def _parse_layer(ts: _Stream, role: str) -> LayerSpec:
             norm = ts.expect("ident")
             while ts.peek().kind == "punct" and ts.peek().text == "-":
                 ts.next()
-                norm = _Tok(norm.kind, norm.text + "-" + ts.expect("ident").text, norm.line, norm.col)
+                norm = norm._replace(text=norm.text + "-" + ts.expect("ident").text)
             ts.expect("punct", ";")
             if norm.text not in NORMALIZER_NAMES:
                 raise SpecParseError(

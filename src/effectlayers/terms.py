@@ -118,18 +118,17 @@ class Signature:
     ops: tuple
 
     def __post_init__(self):
-        names = [o.name for o in self.ops]
-        if len(names) != len(set(names)):
+        by_name = {o.name: o for o in self.ops}
+        if len(by_name) != len(self.ops):
+            names = [o.name for o in self.ops]
             raise TermError(f"duplicate operation names in signature: {names}")
+        object.__setattr__(self, "_by_name", by_name)
 
     def __getitem__(self, name: str) -> OpSymbol:
-        for o in self.ops:
-            if o.name == name:
-                return o
-        raise KeyError(name)
+        return self._by_name[name]
 
     def __contains__(self, name: str) -> bool:
-        return any(o.name == name for o in self.ops)
+        return name in self._by_name
 
     def merge(self, other: "Signature") -> "Signature":
         extra = tuple(o for o in other.ops if o.name not in self)

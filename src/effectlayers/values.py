@@ -210,7 +210,7 @@ class Dist(_Weighted):
 
     @staticmethod
     def dirac(e) -> "Dist":
-        return Dist({e: Fraction(1)})
+        return Dist._trusted({e: Fraction(1)})
 
 
 class SumAtom:

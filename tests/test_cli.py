@@ -130,6 +130,21 @@ class TestInputErrors:
         assert code == 3
         assert "3:" in err  # line of the offending token
 
+    @pytest.mark.parametrize("digit", ["²", "٣"])
+    def test_non_ascii_digit_exits_3(self, capsys, tmp_path, digit):
+        bad = tmp_path / "bad.layers"
+        bad.write_text(f'atoms a b;\nlayer l {{\n  op ";" : {digit};\n}}\n')
+        code, _, err = run(capsys, "check", str(bad))
+        assert code == 3
+        assert err.strip() == f"error: 3:12: unexpected character {digit!r}"
+
+    def test_infix_operation_of_another_arity_exits_3(self, capsys, tmp_path):
+        bad = tmp_path / "bad.layers"
+        bad.write_text('atoms a b;\nlayer l {\n  op ";" : 3;\n  eq x;skip = x;\n}\n')
+        code, _, err = run(capsys, "check", str(bad))
+        assert code == 3
+        assert err.strip() == "error: 4:7: ';' expects 3 arguments, got 2"
+
     def test_zero_denominator_in_a_spec_exits_3(self, capsys, tmp_path):
         text = Path(SPEC).read_text()
         old = "eq x (+)[l] y = y (+)[1 - l] x;"

@@ -12,11 +12,13 @@ from effectlayers.pipeline import INNER_SEED, OUTER, compose_stack
 from effectlayers.render import render_term
 from effectlayers.specfile import (
     SpecParseError,
+    _tokenize,
     parse_program,
     parse_spec,
 )
 from effectlayers.terms import App, Const, PBin, PVar
 from effectlayers.theories import recognize_theory
+from test_acceptance import STAGE1_PROGRAMS, STAGE2_PROGRAMS
 
 SPEC_PATH = Path(__file__).resolve().parent.parent / "specs" / "probnetkat.layers"
 
@@ -184,6 +186,12 @@ class TestParseErrors:
         else:
             pytest.fail("expected a parse error")
 
+    def test_position_after_a_multi_line_string(self):
+        text = 'atoms a b;\nlayer l {\n  op "x\ny" : 2;\n\n  $\n}\n'
+        with pytest.raises(SpecParseError, match="unexpected character '\\$'") as exc:
+            parse_spec(text)
+        assert (exc.value.line, exc.value.col) == (6, 3)
+
 
 class TestMiniRoundTrip:
     def test_equations_match_builtin_theories(self):
@@ -280,3 +288,110 @@ class TestRenderedTermsReadBack:
         sig = shipped.signature_at(stage)
         t = data.draw(closed_terms(sig, shipped.atoms, Bound().prob_grid))
         assert parse_program(render_term(t), sig, shipped.atoms) == t
+
+
+# ---------------------------------------------------------------------------
+# differential test: `_tokenize` against the character loop it replaced, kept
+# here as a reference (it reads every Unicode digit as a number and does not
+# count the newlines inside a string)
+
+_OLD_PUNCT = (";", ":", "{", "}", "(", ")", "[", "]", "=", "+", "-", "*", "/", ",", "⊕")
+
+
+def reference_tokenize(text):
+    """(kind, text, line, col) of every token, the end token last."""
+    toks = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if c in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if text.startswith("(+)", i):
+            toks.append(("punct", "⊕", line, col))
+            i, col = i + 3, col + 3
+            continue
+        if c == '"':
+            j = text.find('"', i + 1)
+            if j < 0:
+                raise SpecParseError("unterminated string", line, col)
+            toks.append(("string", text[i + 1 : j], line, col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(("number", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            toks.append(("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c in _OLD_PUNCT:
+            toks.append(("punct", c, line, col))
+            i, col = i + 1, col + 1
+            continue
+        raise SpecParseError(f"unexpected character {c!r}", line, col)
+    toks.append(("end", "", line, col))
+    return toks
+
+
+def token_tuples(text):
+    return [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)]
+
+
+def outcome(tokenize, text):
+    """The token list, or the parse error's message."""
+    try:
+        return tokenize(text)
+    except SpecParseError as exc:
+        return str(exc)
+
+
+_PIECES = list("abxyZ_'0123456789;:{}()[]=+-*/,⊕#\" \t\r$.") + ["(+)", "op", "12"]
+
+
+def _close_strings(lines):
+    """Join the lines, closing every string before its line ends: the
+    reference gives wrong columns after a string that spans lines."""
+    closed = [l + '"' if l.count('"') % 2 else l for l in lines[:-1]]
+    return "\n".join(closed + lines[-1:])
+
+
+spec_texts = st.lists(
+    st.lists(st.sampled_from(_PIECES), max_size=16).map("".join), max_size=6
+).map(_close_strings)
+
+
+class TestTokenizer:
+    @settings(max_examples=400, deadline=None)
+    @given(spec_texts)
+    def test_agrees_with_the_reference(self, text):
+        assert outcome(token_tuples, text) == outcome(reference_tokenize, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "a # c", "a\n# c", '"x"#"', "a\t(+)b", "x'1 _y", '"a#b" c', '"open', "a $"],
+    )
+    def test_edge_cases(self, text):
+        assert outcome(token_tuples, text) == outcome(reference_tokenize, text)
+
+    def test_shipped_spec_and_acceptance_programs(self):
+        for text in [SPEC_PATH.read_text(), *STAGE1_PROGRAMS, *STAGE2_PROGRAMS]:
+            assert token_tuples(text) == reference_tokenize(text)

@@ -57,9 +57,22 @@ class TestTermBasics:
         with pytest.raises(TermError):
             Signature((SEQ, OpSymbol(";", 2)))
 
+    def test_signature_lookup(self):
+        sig = Signature((SEQ, SKIP))
+        assert ";" in sig and "skip" in sig
+        assert "+" not in sig
+        assert sig[";"] is SEQ and sig["skip"] is SKIP
+        with pytest.raises(KeyError):
+            sig["+"]
+        assert Signature(()).ops == () and ";" not in Signature(())
+
     def test_signature_merge(self):
         merged = Signature((SEQ, SKIP)).merge(Signature((PLUS,)))
         assert [o.name for o in merged.ops] == [";", "skip", "+"]
+        assert merged["+"] is PLUS and "skip" in merged
+        shared = Signature((SEQ,)).merge(Signature((SEQ, PLUS)))
+        assert shared == Signature((SEQ, PLUS))
+        assert hash(shared) == hash(Signature((SEQ, PLUS)))
         with pytest.raises(TermError):
             Signature((SEQ,)).merge(Signature((OpSymbol(";", 3),)))
 

@@ -1,10 +1,13 @@
 import re
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effectlayers.monads import Bound, multiset
+from effectlayers.normal_forms import _mix_pair
 from effectlayers.render import ValueParseError, parse_value, render_value
 from effectlayers.specfile import parse_program
 from effectlayers.terms import Const, OpSymbol, Signature, Var, app
@@ -166,6 +169,37 @@ class TestContentIdentity:
         keys = [canon_key(e) for e, _ in v.items()]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+
+# one element of every value shape
+shaped_values = st.one_of(atoms, words, sets_of_words, msets, dists())
+
+
+class TestTrustedConstruction:
+    """Point masses and two-point mixtures skip the validating constructors;
+    each must be the value those constructors build."""
+
+    @staticmethod
+    def assert_same(trusted, checked):
+        assert trusted == checked
+        assert hash(trusted) == hash(checked)
+        assert trusted.items() == checked.items()
+        assert canon_key(trusted) == canon_key(checked) == reference_key(checked)
+
+    @given(shaped_values)
+    def test_dirac(self, e):
+        self.assert_same(Dist.dirac(e), Dist({e: 1}))
+
+    @given(shaped_values)
+    def test_multiset_unit(self, e):
+        self.assert_same(multiset().unit(e), MultiSet([e]))
+
+    @given(shaped_values, shaped_values)
+    def test_mix_pair(self, a, b):
+        for other, lam in product((b, a), Bound().prob_grid):
+            self.assert_same(
+                _mix_pair(a, other, lam), Dist([(a, lam), (other, 1 - lam)])
+            )
 
 
 class TestMultiSet:
