@@ -55,9 +55,9 @@ from .distlaw import (
     verify_monad,
     verify_monoidal,
 )
-from .render import parse_value, render_value
+from .render import render_value
 from .reports import ReportDocument, check_document, composition_document, laws_document
-from .specfile import SpecFile, SpecParseError, parse_program, parse_spec
+from .specfile import SpecFile, SpecParseError, parse_program, parse_spec, parse_value
 from .terms import (
     App,
     Const,

@@ -112,6 +112,16 @@ class LawRefusedError(Exception):
         self.verdicts = tuple(verdicts)
 
 
+def unpreserved_refusal(verdicts) -> Optional[LawRefusedError]:
+    """The refusal that the non-preserved equations among `verdicts` force
+    on the law, or None when every equation is preserved."""
+    bad = [v for v in verdicts if not v.preserved]
+    if not bad:
+        return None
+    names = ", ".join(v.equation.describe() for v in bad)
+    return LawRefusedError(f"cannot quotient the law: non-preserved equations [{names}]", bad)
+
+
 def build_quotient_law(
     S: QuotientMonad,
     T: MonadInstance,
@@ -125,13 +135,9 @@ def build_quotient_law(
     equation refuses the construction.  Returns (QuotientLaw, LawReport).
     """
     T.require_outer()
-    if verdicts is not None:
-        bad = [v for v in verdicts if not v.preserved]
-        if bad:
-            names = ", ".join(v.equation.describe() for v in bad)
-            raise LawRefusedError(
-                f"cannot quotient the law: non-preserved equations [{names}]", bad
-            )
+    refusal = unpreserved_refusal(verdicts or ())
+    if refusal is not None:
+        raise refusal
     law = QuotientLaw(S, T)
     report = _well_defined_report(law, X, b)
     if not report.ok:

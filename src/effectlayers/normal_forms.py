@@ -613,23 +613,16 @@ def _consts(t: Term):
             yield from _consts(a)
 
 
+@dataclass(frozen=True)
 class _GenericQuotient(QuotientMonad):
-    def __init__(self, kind, theory, roles, monad, norm_term):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "theory", theory)
-        object.__setattr__(self, "roles", roles)
-        object.__setattr__(self, "monad", monad)
-        object.__setattr__(self, "op_memo", {})
-        object.__setattr__(self, "mult_memo", {})
-        object.__setattr__(self, "result_memo", {})
-        object.__setattr__(self, "_norm_term", norm_term)
+    norm_term: Callable = field(repr=False, compare=False)
 
     def normalize(self, t: Term):
-        return self._norm_term(t)
+        return self.norm_term(t)
 
     def compute_op(self, op_name, args, param=None):
         op = self.theory.signature[op_name]
-        return self._norm_term(App(op, tuple(args), param))
+        return self.norm_term(App(op, tuple(args), param))
 
     def representative(self, value) -> Term:
         return value  # normal forms of the generic realization are terms

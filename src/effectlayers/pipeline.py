@@ -15,12 +15,12 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .distlaw import (
-    LawRefusedError,
     LawReport,
     QuotientLaw,
     _enum,
     build_quotient_law,
     compose,
+    unpreserved_refusal,
     verify_distlaw,
     verify_monad,
     PASS,
@@ -199,11 +199,12 @@ def verify_generated_axioms(
     """holds() for each combined-language axiom on the composite algebra.
 
     Each operation of `algebra` is memoized for the length of this call:
-    the axioms interpret the same few applications many times over.
+    the axioms interpret the same few applications many times over, and
+    `interpret` passes `(args, param)` positionally, so a cache keyed by
+    its arguments computes each application once.
     """
-    algebra = replace(
-        algebra, interp={name: _memoized(op) for name, op in algebra.interp.items()}
-    )
+    interp = {name: functools.cache(op) for name, op in algebra.interp.items()}
+    algebra = replace(algebra, interp=interp)
     reports = []
     for e in eqs:
         witness = find_violation(algebra, e, param_grid)
@@ -216,21 +217,6 @@ def verify_generated_axioms(
             )
         )
     return reports
-
-
-def _memoized(op):
-    """`op(args, param)` computed once per distinct (args, param)."""
-    memo = {}
-
-    def cached(args, param=None):
-        key = (tuple(args), param)
-        try:
-            return memo[key]
-        except KeyError:
-            out = memo[key] = op(args, param)
-            return out
-
-    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +269,8 @@ def compose_stack(
             else:
                 dropped.append((v.equation, v))
 
-        refusal = ""
-        if dropped:
-            try:
-                # demonstrate that the unweakened theory admits no law
-                S_orig = quotient_monad(current)
-                build_quotient_law(S_orig, T, X, b, verdicts=verdicts)
-            except LawRefusedError as exc:
-                refusal = str(exc)
-            except TermError as exc:  # no canonical normalizer either
-                refusal = f"cannot realize the unweakened theory: {exc}"
+        # the unweakened theory admits no law: its verdicts refuse one
+        refusal = str(unpreserved_refusal(verdicts)) if dropped else ""
 
         weak_name = current.name + ("" if not dropped else " (weakened)")
         weak_inner = Theory(current.signature, tuple(kept), name=weak_name)
@@ -311,8 +289,7 @@ def compose_stack(
         status = UNVERIFIED if has_unknown else VERIFIED
         S = quotient_monad(weak_inner)
         if build_laws and not has_unknown:
-            kept_verdicts = [v for v in verdicts if v.equation in kept]
-            law, wd = build_quotient_law(S, T, X, b, verdicts=kept_verdicts)
+            law, wd = build_quotient_law(S, T, X, b)
             composite = compose(T, S, law).monad
             law_reports = (wd,) + tuple(verify_distlaw(law, X, b, cap=law_cap))
             monad_reports = tuple(verify_monad(composite, X, b))

@@ -1,4 +1,4 @@
-"""Textual layer-stack format and program syntax.
+"""Textual layer-stack format, program syntax and value literals: the one reader.
 
 Grammar (statements end with ";"):
 
@@ -19,6 +19,10 @@ rational literals with an explicit denominator ("1/2"; bare "0" and "1"
 allowed) or parameter expressions over variables.
 Numbers are ASCII digits.  Parse errors carry line and column, counted in
 characters.
+
+`parse_value` reads the same tokens: it inverts `render.render_value` on
+every value the composed stacks produce, and its errors carry the
+character offset into the literal.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .terms import (
     equation,
 )
 from .theories import describe_equation
+from .values import Dist, MultiSet, SumAtom, ValueError_
 
 NORMALIZER_NAMES = {
     "monoid": "MONOID",
@@ -58,6 +63,8 @@ NORMALIZER_NAMES = {
 KEYWORDS = {"atoms", "layer", "op", "eq", "normalizer"}
 
 INFIX_PREC = {";": 30, "+": 20, "⊕": 10}
+
+EMPTY_WORD = "ε"
 
 
 class SpecParseError(Exception):
@@ -110,7 +117,7 @@ class _Tok(NamedTuple):
 _TOKEN = re.compile(
     r"""(?P<blank>[ \t\r\n]+)
       | (?P<comment>\#[^\n]*)
-      | (?P<punct>\(\+\)|[;:{}()\[\]=+\-*/,⊕])
+      | (?P<punct>\(\+\)|⟨⟨|⟩⟩|[;:{}()\[\]=+\-*/,⊕·])
       | (?P<string>"[^"]*")
       | (?P<number>[0-9]+)
       | (?P<ident>[^\W\d][\w']*)
@@ -133,12 +140,19 @@ def _tokenize(text: str):
         elif kind == "punct" and s == "(+)":
             s = "⊕"
         elif kind == "bad" or (kind == "ident" and not (s[0].isalpha() or s[0] == "_")):
-            bad = _Tok(kind, s[0], pos, text)
             message = "unterminated string" if s == '"' else f"unexpected character {s[0]!r}"
-            raise SpecParseError(message, bad.line, bad.col)
+            raise _RefusedCharacter(message, _Tok(kind, s[0], pos, text))
         toks.append(_Tok(kind, s, pos, text))
     toks.append(_Tok("end", "", end, text))
     return toks
+
+
+class _RefusedCharacter(SpecParseError):
+    """A character that starts no token, at offset `pos`."""
+
+    def __init__(self, message: str, tok: _Tok):
+        super().__init__(message, tok.line, tok.col)
+        self.message, self.pos = message, tok.pos
 
 
 class _Stream:
@@ -151,6 +165,14 @@ class _Stream:
 
     def peek(self, ahead: int = 0) -> _Tok:
         return self.toks[self.i + ahead]
+
+    def accept(self, text: str) -> bool:
+        """Take the next token if it is the punctuation `text`."""
+        t = self.toks[self.i]
+        if t.kind != "punct" or t.text != text:
+            return False
+        self.i += 1
+        return True
 
     def next(self) -> _Tok:
         t = self.toks[self.i]
@@ -191,16 +213,14 @@ def _parse_param_expr(ts: _Stream, prec: int = 0):
 
 def _parse_param_atom(ts: _Stream):
     t = ts.peek()
-    if t.kind == "punct" and t.text == "(":
-        ts.next()
+    if ts.accept("("):
         inner = _parse_param_expr(ts)
         ts.expect("punct", ")")
         return inner
     if t.kind == "number":
         ts.next()
         num = int(t.text)
-        if ts.peek().kind == "punct" and ts.peek().text == "/":
-            ts.next()
+        if ts.accept("/"):
             den = ts.expect("number")
             if int(den.text) == 0:
                 raise SpecParseError("zero denominator", den.line, den.col)
@@ -258,8 +278,7 @@ def _parse_term(ts: _Stream, sig: Signature, leaf, prec: int = 0) -> Term:
 
 def _parse_term_atom(ts: _Stream, sig: Signature, leaf) -> Term:
     t = ts.peek()
-    if t.kind == "punct" and t.text == "(":
-        ts.next()
+    if ts.accept("("):
         inner = _parse_term(ts, sig, leaf)
         ts.expect("punct", ")")
         return inner
@@ -272,8 +291,7 @@ def _parse_term_atom(ts: _Stream, sig: Signature, leaf) -> Term:
                 return App(op, (), param)
             ts.expect("punct", "(")
             args = [_parse_term(ts, sig, leaf)]
-            while ts.peek().kind == "punct" and ts.peek().text == ",":
-                ts.next()
+            while ts.accept(","):
                 args.append(_parse_term(ts, sig, leaf))
             ts.expect("punct", ")")
             if len(args) != op.arity:
@@ -320,8 +338,7 @@ def _parse_layer(ts: _Stream, role: str) -> LayerSpec:
     equations = []
     while True:
         t = ts.peek()
-        if t.kind == "punct" and t.text == "}":
-            ts.next()
+        if ts.accept("}"):
             break
         if t.kind == "ident" and t.text == "op":
             ts.next()
@@ -356,8 +373,7 @@ def _parse_layer(ts: _Stream, role: str) -> LayerSpec:
         if t.kind == "ident" and t.text == "normalizer":
             ts.next()
             norm = ts.expect("ident")
-            while ts.peek().kind == "punct" and ts.peek().text == "-":
-                ts.next()
+            while ts.accept("-"):
                 norm = norm._replace(text=norm.text + "-" + ts.expect("ident").text)
             ts.expect("punct", ";")
             if norm.text not in NORMALIZER_NAMES:
@@ -397,3 +413,113 @@ def parse_program(text: str, sig: Signature, atoms) -> Term:
     if end.kind != "end":
         raise SpecParseError(f"trailing input {end.text!r}", end.line, end.col)
     return t
+
+
+# ---------------------------------------------------------------------------
+# value literals
+
+class ValueParseError(ValueError_):
+    pass
+
+
+def _value_error(what: str, t: _Tok) -> ValueParseError:
+    return ValueParseError(f"{what} at position {t.pos} in {t.src!r}")
+
+
+def parse_value(text: str):
+    """Parse a canonical value literal back into the value it renders."""
+    try:
+        ts = _Stream(_tokenize(text))
+    except _RefusedCharacter as exc:
+        raise ValueParseError(f"{exc.message} at position {exc.pos} in {text!r}") from None
+    value = _parse_simple(ts)
+    if ts.accept(":"):  # a distribution: entry list at top level
+        value = _parse_entries(ts, value)
+    if ts.peek().kind != "end":
+        raise _value_error("trailing input", ts.peek())
+    return value
+
+
+def _eat(ts: _Stream, text: str) -> None:
+    if not ts.accept(text):
+        raise _value_error(f"expected {text!r}", ts.peek())
+
+
+def _parse_entries(ts: _Stream, v) -> Dist:
+    """The entries "v: p, ..." of a distribution, read up to its first ":"."""
+    entries = {}
+    while True:
+        entries[v] = entries.get(v, 0) + _parse_fraction(ts)
+        if not ts.accept(","):
+            return Dist(entries)
+        v = _parse_simple(ts)
+        _eat(ts, ":")
+
+
+def _parse_simple(ts: _Stream):
+    if ts.accept("["):
+        first = _parse_simple(ts)
+        _eat(ts, ":")
+        dist = _parse_entries(ts, first)
+        _eat(ts, "]")
+        return dist
+    if ts.accept("{"):
+        return frozenset(_parse_elements(ts, "}"))
+    if ts.accept("⟨⟨"):
+        return MultiSet(_parse_elements(ts, "⟩⟩"))
+    return _parse_word(ts)
+
+
+def _parse_elements(ts: _Stream, close: str) -> list:
+    """The comma-separated elements of a set or multiset, up to `close`."""
+    elems = []
+    if not ts.accept(close):
+        elems.append(_parse_simple(ts))
+        while ts.accept(","):
+            elems.append(_parse_simple(ts))
+        _eat(ts, close)
+    return elems
+
+
+def _parse_word(ts: _Stream) -> tuple:
+    """ε, one identifier read as one-letter atoms, or atoms joined by "·"."""
+    first = ts.peek()
+    if first.kind == "ident" and first.text == EMPTY_WORD:
+        ts.next()
+        return ()
+    atoms = [_parse_atom(ts)]
+    while ts.accept("·"):
+        atoms.append(_parse_atom(ts))
+    if len(atoms) == 1 and first.kind == "ident":
+        return tuple(first.text)
+    return tuple(atoms)
+
+
+def _parse_atom(ts: _Stream):
+    """An identifier, or a bracketed sum of words."""
+    t = ts.peek()
+    if t.kind == "ident":
+        return ts.next().text
+    if not ts.accept("("):
+        raise _value_error("expected a word", t)
+    words = [_parse_word(ts)]
+    while ts.accept("+"):
+        words.append(_parse_word(ts))
+    _eat(ts, ")")
+    return SumAtom(MultiSet(words))
+
+
+def _parse_fraction(ts: _Stream) -> Fraction:
+    """Number tokens joined by "/"."""
+    start = ts.peek()
+    if start.kind != "number":
+        raise _value_error("expected a rational", start)
+    literal = ts.next().text
+    while ts.accept("/"):
+        literal += "/"
+        if ts.peek().kind == "number":
+            literal += ts.next().text
+    try:
+        return Fraction(literal)
+    except (ValueError, ZeroDivisionError):
+        raise _value_error(f"bad rational {literal!r}", start) from None

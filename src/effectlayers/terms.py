@@ -270,7 +270,6 @@ class Equation:
     lhs: Term
     rhs: Term
     name: str = ""
-    param_constraints: tuple = ()  # ParamExprs that must be nonzero
 
     def __post_init__(self):
         used = set(term_vars(self.lhs)) | set(term_vars(self.rhs))

@@ -118,6 +118,17 @@ class TestCheck:
         assert doc.to_json() + "\n" == text
 
 
+@pytest.mark.parametrize("command, code", [("compose", 1), ("verify-laws", 0)])
+def test_report_matches_its_golden_file(capsys, tmp_path, command, code):
+    """`tests/test_golden.py` says how to regenerate the golden files."""
+    out_path = tmp_path / "report.json"
+    result, out, err = run(capsys, command, SPEC, "--json", str(out_path))
+    assert (result, err) == (code, "")
+    golden = ROOT / "tests" / "golden" / command.replace("-", "_")
+    assert out.encode() == golden.with_suffix(".txt").read_bytes()
+    assert out_path.read_bytes() == golden.with_suffix(".json").read_bytes()
+
+
 class TestInputErrors:
     def test_missing_file_exits_3(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent.layers")

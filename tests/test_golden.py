@@ -1,4 +1,4 @@
-"""Byte-for-byte guards on three reports and on theory recognition.
+"""Byte-for-byte guards on the reports and on theory recognition.
 
 `golden/check.json` is the `--json` report of `effectlayers check` on the
 shipped spec; `golden/flagship_laws.json` is the laws report of the
@@ -9,11 +9,19 @@ theory and per copy of it with one or two equations removed: the
 recognized kind, the roles' operations and every equation's pattern name.
 All four, and the text of an alarm term whose constants are sets, are also
 checked in fresh interpreters under PYTHONHASHSEED 0 and 1.
+`golden/compose.txt`, `golden/compose.json`, `golden/verify_laws.txt` and
+`golden/verify_laws.json` are the text and `--json` reports of
+`effectlayers compose` and `effectlayers verify-laws` on the shipped spec;
+`tests/test_cli.py` checks them, once, since each takes seconds.
 A change that alters one on purpose regenerates it from the repository
 root, and the diff is reviewed with the change:
 
     PYTHONPATH=src python -m effectlayers.cli check specs/probnetkat.layers \\
         --json tests/golden/check.json
+    PYTHONPATH=src python -m effectlayers compose specs/probnetkat.layers \\
+        --json tests/golden/compose.json > tests/golden/compose.txt
+    PYTHONPATH=src python -m effectlayers verify-laws specs/probnetkat.layers \\
+        --json tests/golden/verify_laws.json > tests/golden/verify_laws.txt
     PYTHONPATH=src python tests/test_golden.py               # flagship_laws.json
     PYTHONPATH=src python tests/test_golden.py eval          # eval.txt
     PYTHONPATH=src python tests/test_golden.py recognition   # recognition.txt

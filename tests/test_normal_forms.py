@@ -370,3 +370,19 @@ def test_a_copy_starts_with_empty_tables(build, kind):
     assert copy.op_memo == copy.mult_memo == copy.result_memo == {}
     assert copy.apply_op(*ops[-1]) == q.apply_op(*ops[-1])
     assert q.op_memo is not copy.op_memo
+
+
+def test_a_copy_of_a_generic_monad_starts_with_empty_tables():
+    q = quotient_monad(_semigroup())
+    ops, mults = _table_inputs(q)
+    for op in ops:
+        q.apply_op(*op)
+    q.mult(mults[-1])
+    copy = replace(q)
+    assert copy.kind == "GENERIC" and copy == q and q.op_memo and q.mult_memo
+    assert copy.op_memo == copy.mult_memo == copy.result_memo == {}
+    depth3 = replace(NB, max_term_depth=3)
+    terms = free_term_monad(q.theory.signature).enumerate(("a", "b"), depth3)
+    assert len(terms) > len({q.normalize(t) for t in terms}) > 2
+    assert [copy.normalize(t) for t in terms] == [q.normalize(t) for t in terms]
+    assert [copy.apply_op(*op) for op in ops] == [q.apply_op(*op) for op in ops]

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from effectlayers.monads import Bound, multiset
 from effectlayers.normal_forms import _mix_pair
-from effectlayers.render import ValueParseError, parse_value, render_value
-from effectlayers.specfile import parse_program
+from effectlayers.render import render_value
+from effectlayers.specfile import ValueParseError, parse_program, parse_value
 from effectlayers.terms import Const, OpSymbol, Signature, Var, app
 from effectlayers.values import Dist, MultiSet, SumAtom, ValueError_, canon_key, sort_values
 
