@@ -161,7 +161,7 @@ def _sh_comm_monoid(roles: Roles, op, args, param):
 
 def _sh_convex(roles: Roles, op, args, param):
     if op == roles.oplus.name:
-        lam = Fraction(param)
+        lam = param if type(param) is Fraction else Fraction(param)
         if not 0 <= lam <= 1:
             raise TermError(f"probability parameter {lam} outside [0,1]")
         a, b = args

@@ -432,9 +432,10 @@ def parse_value(text: str):
         ts = _Stream(_tokenize(text))
     except _RefusedCharacter as exc:
         raise ValueParseError(f"{exc.message} at position {exc.pos} in {text!r}") from None
+    start = ts.peek()
     value = _parse_simple(ts)
     if ts.accept(":"):  # a distribution: entry list at top level
-        value = _parse_entries(ts, value)
+        value = _parse_entries(ts, value, start)
     if ts.peek().kind != "end":
         raise _value_error("trailing input", ts.peek())
     return value
@@ -445,22 +446,27 @@ def _eat(ts: _Stream, text: str) -> None:
         raise _value_error(f"expected {text!r}", ts.peek())
 
 
-def _parse_entries(ts: _Stream, v) -> Dist:
-    """The entries "v: p, ..." of a distribution, read up to its first ":"."""
+def _parse_entries(ts: _Stream, v, start: _Tok) -> Dist:
+    """The entries "v: p, ..." of a distribution, read up to its first ":";
+    `start` is the first entry's token, where a bad weight sum is reported."""
     entries = {}
     while True:
         entries[v] = entries.get(v, 0) + _parse_fraction(ts)
         if not ts.accept(","):
-            return Dist(entries)
+            try:
+                return Dist(entries)
+            except ValueError_ as exc:
+                raise _value_error(str(exc), start) from None
         v = _parse_simple(ts)
         _eat(ts, ":")
 
 
 def _parse_simple(ts: _Stream):
     if ts.accept("["):
+        start = ts.peek()
         first = _parse_simple(ts)
         _eat(ts, ":")
-        dist = _parse_entries(ts, first)
+        dist = _parse_entries(ts, first, start)
         _eat(ts, "]")
         return dist
     if ts.accept("{"):

@@ -5,12 +5,18 @@ Terms are either variables, ground constants, or operation applications.
 given an operation lookup and a value for each leaf.  Normal forms, the
 syntactic law, program evaluation and equation checks all run it.  All
 equation checking is exhaustive over finite carriers.
+
+Equation checks stage each side: `FiniteAlgebra.stage` runs `interpret`
+once per term and parameter point with closures for operations and
+leaves, so the fold yields the term function, valuation -> value, and
+each instance only applies it.  Staging is that fold, not a second
+evaluator.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -341,12 +347,65 @@ class FiniteAlgebra:
     # op name -> callable(args_tuple, param: Fraction|None) -> element
     interp: Mapping[str, Callable]
     name: str = ""
+    # (id(t), id(param_env)) -> (t, param_env, term function); holding t and
+    # the env keeps both ids from being reused while the entry exists
+    staged: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def op(self, name: str):
         try:
             return self.interp[name]
         except KeyError:
             raise TermError(f"algebra does not interpret {name!r}")
+
+    def stage(self, t: Term, param_env=None):
+        """The term function of `t` in this algebra: a callable from a
+        valuation (variable name -> element) to the value of `t`.
+
+        It is `interpret` folding `t` into closures: operations are looked
+        up, in `interpret`'s pre-order, and parameter expressions evaluated
+        in `param_env` once, when `t` is staged.  The result is cached per
+        term and env object, so an env must not be mutated once staged.
+        """
+        key = (id(t), id(param_env))
+        hit = self.staged.get(key)
+        if hit is None:
+            fn = interpret(t, self._node, _stage_leaf, param_env)
+            hit = self.staged[key] = (t, param_env, fn)
+        return hit[2]
+
+    def _node(self, name: str):
+        f = self.op(name)
+
+        def build(subs, p):
+            if len(subs) == 2:  # the common case, without a list per call
+                a, b = subs
+                return lambda val: f((a(val), b(val)), p)
+            return lambda val: f(tuple([s(val) for s in subs]), p)
+
+        return build
+
+
+class _UnboundVariable(TermError):
+    """A staged term read a variable its valuation lacks."""
+
+    def __init__(self, name):
+        super().__init__(f"variable {name!r} not in the valuation")
+        self.name = name
+
+
+def _stage_leaf(u):
+    if isinstance(u, Const):
+        v = u.value
+        return lambda val: v
+    name = u.name
+
+    def read(val):
+        try:
+            return val[name]
+        except KeyError:
+            raise _UnboundVariable(name) from None
+
+    return read
 
 
 def interpret(t: Term, ops: Callable, leaf: Callable, param_env=None):
@@ -368,17 +427,12 @@ def interpret(t: Term, ops: Callable, leaf: Callable, param_env=None):
 
 
 def interpret_in_context(t: Term, A: FiniteAlgebra, context, valuation, param_env=None):
-    """Interpretation in `A`, each variable read from `valuation`."""
-
-    def leaf(u):
-        if isinstance(u, Const):
-            return u.value
-        try:
-            return valuation[u.name]
-        except KeyError:
-            raise TermError(f"variable {u.name!r} not in context {list(context)}")
-
-    return interpret(t, A.op, leaf, param_env)
+    """Interpretation in `A`, each variable read from `valuation`: the staged
+    term function of `t` applied to it."""
+    try:
+        return A.stage(t, param_env)(valuation)
+    except _UnboundVariable as exc:
+        raise TermError(f"variable {exc.name!r} not in context {list(context)}") from None
 
 
 DEFAULT_PARAM_GRID = tuple(

@@ -180,6 +180,9 @@ class MultiSet(_Weighted):
         return MultiSet({e: n * k for e, n in self._d.items()})
 
 
+_ONE = Fraction(1)  # the weight of every point mass, shared
+
+
 class Dist(_Weighted):
     """Finitely supported distribution with exact rational weights summing
     to 1, identified by content."""
@@ -210,7 +213,7 @@ class Dist(_Weighted):
 
     @staticmethod
     def dirac(e) -> "Dist":
-        return Dist._trusted({e: Fraction(1)})
+        return Dist._trusted({e: _ONE})
 
 
 class SumAtom:

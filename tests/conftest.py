@@ -36,6 +36,25 @@ def flagship(small_bound):
 
 
 @pytest.fixture(scope="session")
+def flagship_axiom_check(flagship, small_bound):
+    """The flagship's stage-2 generated-axiom check as `compose_stack` sets
+    it up: the composite algebra on the sampled carrier, the axioms and the
+    parameter grid.  The algebra reads a copy of S, so the shared stage's
+    operation tables stay empty."""
+    from dataclasses import replace
+
+    from effectlayers.distlaw import _enum
+    from effectlayers.pipeline import composite_algebra
+
+    s2 = flagship.stages[1]
+    carrier = _enum(s2.composite.enumerate, ("a", "b"), small_bound, cap=12)
+    outer_q = s2.outer_monad
+    algebra = composite_algebra(outer_q.monad, replace(s2.inner_monad), outer_q, carrier)
+    axioms = s2.weakened.generated + flagship.layers[2].theory.equations
+    return algebra, axioms, small_bound.prob_grid
+
+
+@pytest.fixture(scope="session")
 def choice_over_choice(small_bound):
     """Nondeterminism lifted over nondeterminism (with renamed outer ops)."""
     from effectlayers.pipeline import INNER_SEED, OUTER, LayerSpec

@@ -1,8 +1,10 @@
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
+from effectlayers import terms
 from effectlayers.distlaw import _enum
 from effectlayers.pipeline import (
     INNER_SEED,
@@ -11,12 +13,23 @@ from effectlayers.pipeline import (
     compose_stack,
     eval_term,
     generate_distributivity,
+    verify_generated_axioms,
     monoid_layer,
     nondet_layer,
     prob_layer,
 )
 from effectlayers.render import render_term
-from effectlayers.terms import Const, TermError, Var, app
+from effectlayers.terms import (
+    Const,
+    ParamDivisionByZero,
+    PVar,
+    TermError,
+    Var,
+    app,
+    equation,
+    find_violation,
+    interpret,
+)
 from effectlayers.theories import (
     idem_semiring_theory,
     monoid_theory,
@@ -148,6 +161,72 @@ class TestGeneratedAxioms:
         absorb = next(e for e in eqs if e.name == "absorb-right(;,abort)")
         assert render_term(absorb.lhs) == "x1;abort"
         assert render_term(absorb.rhs) == "abort"
+
+
+class TestAxiomVisits:
+    """`find_violation` interprets each side through the module's
+    `interpret_in_context`, once per instance, valuations outermost: the
+    benchmark counts `cases_checked` at that call."""
+
+    @staticmethod
+    def count_lhs_calls(monkeypatch, e):
+        calls = []
+        original = terms.interpret_in_context
+
+        def counted(t, *args, **kwargs):
+            if t is e.lhs:
+                calls.append(t)
+            return original(t, *args, **kwargs)
+
+        monkeypatch.setattr(terms, "interpret_in_context", counted)
+        return calls
+
+    def test_every_instance_of_a_passing_stage_is_visited(
+        self, monkeypatch, flagship_axiom_check
+    ):
+        A, axioms, grid = flagship_axiom_check
+        total = 0
+        for e in axioms:
+            calls = self.count_lhs_calls(monkeypatch, e)
+            (report,) = verify_generated_axioms(A, [e], grid)
+            assert report.ok, report.axiom
+            n = len(A.carrier) ** len(e.context) * len(grid) ** len(e.param_names())
+            assert len(calls) == n, e.describe()
+            total += n
+        assert total == 4 * 10**3 * 3 + 10 * 3 + 10**2 * 3 + 10**3 * 9
+
+    @staticmethod
+    def reference_violation(A, e, grid):
+        """`find_violation` as a plain fold, in the same visit order; also
+        the number of instances visited."""
+        visited = 0
+        for values in product(A.carrier, repeat=len(e.context)):
+            valuation = dict(zip(e.context, values))
+            leaf = lambda u: u.value if isinstance(u, Const) else valuation[u.name]
+            for combo in product(grid, repeat=len(e.param_names())):
+                env = dict(zip(e.param_names(), combo))
+                visited += 1
+                try:
+                    lv, rv = (interpret(s, A.op, leaf, env) for s in (e.lhs, e.rhs))
+                except ParamDivisionByZero:
+                    continue
+                if lv != rv:
+                    witness = {"valuation": valuation, "params": env, "lhs": lv, "rhs": rv}
+                    return witness, visited
+        return None, visited
+
+    def test_witness_is_the_first_in_visit_order(self, monkeypatch, flagship_axiom_check):
+        A, axioms, grid = flagship_axiom_check
+        oplus = next(e.lhs.op for e in axioms if e.name == "skew-comm(⊕)")
+        x, y, l = Var("x"), Var("y"), PVar("l")
+        e = equation(app(oplus, x, y, param=l), app(oplus, y, x, param=l))
+        reference, visited = self.reference_violation(A, e, grid)
+        assert reference is not None and visited > 1
+        calls = self.count_lhs_calls(monkeypatch, e)
+        assert find_violation(A, e, grid) == reference
+        assert len(calls) == visited
+        (report,) = verify_generated_axioms(A, [e], grid)
+        assert not report.ok and report.counterexample == reference
 
 
 class TestStackValidation:

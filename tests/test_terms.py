@@ -1,8 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction as F
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
+from effectlayers import terms
 from effectlayers.render import render_term
 from effectlayers.terms import (
     App,
@@ -243,6 +245,109 @@ def test_interpret_agrees_with_the_argument_consuming_reference():
                 assert interpret_in_context(t, A, ctx, valuation, env) == expected
                 checked += 1
     assert checked == 55 * 8 * 5
+
+
+# ---------------------------------------------------------------------------
+# staging: a term folded once into its term function
+
+
+def plain_fold(t, A, valuation, env):
+    """`t` folded in `A` with no staging: the reference for `A.stage`."""
+    leaf = lambda u: u.value if isinstance(u, Const) else valuation[u.name]
+    return interpret(t, A.op, leaf, env)
+
+
+def grid_envs(e, grid):
+    pnames = e.param_names()
+    return [dict(zip(pnames, c)) for c in product(grid, repeat=len(pnames))] or [{}]
+
+
+class TestStaging:
+    def test_staged_sides_equal_the_plain_fold_on_the_flagship(self, flagship_axiom_check):
+        A, axioms, grid = flagship_axiom_check
+        assert len(axioms) == 7
+        checked = 0
+        for e in axioms:
+            envs = grid_envs(e, grid)
+            valuations = product(A.carrier, repeat=len(e.context))
+            for values in islice(valuations, 0, None, 37):
+                valuation = dict(zip(e.context, values))
+                for env in envs:
+                    for side in (e.lhs, e.rhs):
+                        try:
+                            expected = plain_fold(side, A, valuation, env)
+                        except ParamDivisionByZero:
+                            with pytest.raises(ParamDivisionByZero):
+                                A.stage(side, env)
+                            continue
+                        assert A.stage(side, env)(valuation) == expected
+                        checked += 1
+        assert checked > 300
+
+    def test_staging_is_cached_per_term_and_env(self):
+        A = choice_algebra()
+        t = App(CHOOSE, (x, app(SEQ, y, x)), PVar("l"))
+        env = {"l": F(1, 2)}
+        f = A.stage(t, env)
+        assert A.stage(t, env) is f
+        assert A.stage(t, {"l": F(1, 2)}) is not f  # another env object
+        assert A.staged[(id(t), id(env))] == (t, env, f)
+
+    def test_a_replaced_copy_stages_through_its_own_operations(self):
+        A = choice_algebra()
+        t, env, valuation = app(SEQ, x, y), {}, {"x": 1, "y": 0}
+        assert A.stage(t, env)(valuation) == interpret_in_context(t, A, ("x", "y"), valuation) == 1
+        B = replace(A, interp={**A.interp, ";": lambda a, p=None: a[1]})
+        assert B.staged == {}
+        assert B.stage(t, env)(valuation) == 0  # A's cached function gives 1
+        assert interpret_in_context(t, B, ("x", "y"), valuation) == 0
+        assert A.stage(t, env)(valuation) == 1
+        assert replace(A) == A  # equality ignores the cache
+
+    @pytest.mark.parametrize("divides", ["lhs", "rhs"])
+    def test_a_parameter_dividing_by_zero_skips_the_instance(self, monkeypatch, divides):
+        l = PVar("l")
+        ratio = PBin("/", l, PBin("-", PConst(F(1)), l))  # l/(1 - l)
+        plain, ratioed = App(CHOOSE, (x, y), l), App(CHOOSE, (x, y), ratio)
+        e = equation(*((ratioed, plain) if divides == "lhs" else (plain, ratioed)))
+        grid = (F(0), F(1, 2), F(1))
+        visited = []
+        original = terms.interpret_in_context
+
+        def logged(t, A, context, valuation, env=None):
+            visited.append(("lhs" if t is e.lhs else "rhs", dict(valuation), dict(env)))
+            return original(t, A, context, valuation, env)
+
+        monkeypatch.setattr(terms, "interpret_in_context", logged)
+        # ch[l/(1 - l)] and ch[l] pick the same argument at l = 0 and 1/2
+        assert find_violation(choice_algebra(), e, grid) is None
+        expected = []
+        for values in product((0, 1), repeat=2):
+            valuation = dict(zip(("x", "y"), values))
+            for lam in grid:
+                expected.append(("lhs", valuation, {"l": lam}))
+                if not (lam == 1 and divides == "lhs"):
+                    expected.append(("rhs", valuation, {"l": lam}))
+        assert visited == expected
+
+    def test_missing_variable_message_is_unchanged(self):
+        A = bool_or_algebra()
+        with pytest.raises(TermError) as exc:
+            interpret_in_context(app(SEQ, x, app(PLUS, x, y)), A, ("x",), {"x": 0})
+        assert str(exc.value) == "variable 'y' not in context ['x']"
+        with pytest.raises(TermError, match="variable 'y' not in the valuation"):
+            A.stage(app(PLUS, x, y))({"x": 0})
+
+    def test_missing_operation_is_reported_at_the_outermost_application(self):
+        t = app(SEQ, app(PLUS, x, y), z)
+        valuation = {"x": 0, "y": 0, "z": 0}
+        for missing, reported in [((";", "+"), ";"), (("+",), "+")]:
+            A = bool_or_algebra()
+            A = replace(A, interp={k: v for k, v in A.interp.items() if k not in missing})
+            with pytest.raises(TermError) as exc:
+                interpret_in_context(t, A, ("x", "y", "z"), valuation)
+            assert str(exc.value) == f"algebra does not interpret {reported!r}"
+            assert A.staged == {}
 
 
 class TestRendering:

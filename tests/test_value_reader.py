@@ -230,6 +230,28 @@ def test_malformed_text_is_refused_by_both(text):
         parse_value(text)
 
 
+# weights that do not sum to 1: both readers refuse them, the reference only
+# with the bare `ValueError_` of `Dist`, which names no position
+MALFORMED_WEIGHTS = [
+    ("a: 1/3", "weights sum to 1/3, expected 1 at position 0 in 'a: 1/3'"),
+    (
+        "a: 1/2, b: 1/3",
+        "weights sum to 5/6, expected 1 at position 0 in 'a: 1/2, b: 1/3'",
+    ),
+    ("{[a: 1/3]}", "weights sum to 1/3, expected 1 at position 2 in '{[a: 1/3]}'"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_WEIGHTS)
+def test_bad_weight_sum_is_refused_at_the_first_entry(text, message):
+    with pytest.raises(ValueError_) as ref:
+        reference_parse_value(text)
+    assert not isinstance(ref.value, ValueParseError)
+    with pytest.raises(ValueParseError) as exc:
+        parse_value(text)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
