@@ -21,6 +21,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from decimal import Decimal
@@ -40,13 +41,6 @@ from .reports import (
 from .specfile import SpecParseError, parse_program, parse_spec
 from .terms import ParamDivisionByZero, TermError
 from .values import ValueError_
-
-# the bounds with no bounds file; a file overrides only the keys it names
-_DEFAULT_BOUNDS = {
-    "prob_grid": (Fraction(0), Fraction(1, 2), Fraction(1)),
-    "max_set_size": 3,
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -76,24 +70,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_INT_BOUNDS = (
-    "max_word_len",
-    "max_set_size",
-    "max_multiplicity",
-    "max_term_depth",
-    "ceiling",
-)
+_INT_BOUNDS = tuple(f.name for f in dataclasses.fields(Bound) if f.name != "prob_grid")
 
 
 def _load_bounds(path) -> Bound:
+    """`Bound()`, with the keys a bounds file names overriding its defaults."""
     if path is None:
-        return Bound(**_DEFAULT_BOUNDS)
+        return Bound()
     with open(path, "r", encoding="utf-8") as fh:
         # a decimal such as 0.1 is read exactly, never as a binary float
         raw = json.load(fh, parse_float=Decimal)
     if not isinstance(raw, dict):
         raise ValueError("bounds file must hold a JSON object of named bounds")
-    kwargs = dict(_DEFAULT_BOUNDS)
+    kwargs = {}
     for key, value in raw.items():
         if key in _INT_BOUNDS:
             if type(value) is not int:  # a bool is an int too
@@ -150,8 +139,6 @@ def main(argv=None) -> int:
             atoms=spec.atoms,
             bound=bound,
             keep_unknown=args.keep_unknown,
-            law_cap=60,
-            algebra_cap=12,
             build_laws=args.command in ("compose", "verify-laws"),
         )
         if args.command == "check":

@@ -251,7 +251,7 @@ def _sides(lhs, rhs):
     return witness
 
 
-def verify_distlaw(law: QuotientLaw, X, b: Bound, cap: int = 240) -> list:
+def verify_distlaw(law: QuotientLaw, X, b: Bound, cap: int) -> list:
     """DL.1-4 + naturality reports on the fragment of carrier `X` within `b`.
 
     Level-1 inputs are exhaustive; doubly nested inputs are evenly sampled

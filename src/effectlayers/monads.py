@@ -41,17 +41,18 @@ class InnerOnlyMonadError(Exception):
     """Raised when a non-commutative (inner-only) monad is used as an outer layer."""
 
 
-_DEFAULT_GRID = tuple(
-    Fraction(p, q) for p, q in [(0, 1), (1, 4), (1, 2), (3, 4), (1, 1)]
-)
+# the one probability grid: `Bound`'s default and `Bound.shrink`'s floor
+PROB_GRID = (Fraction(0), Fraction(1, 2), Fraction(1))
 
 
 @dataclass(frozen=True)
 class Bound:
+    """Enumeration bounds; the defaults are the fragment the CLI checks."""
+
     max_word_len: int = 2
-    max_set_size: int = 4
+    max_set_size: int = 3
     max_multiplicity: int = 2
-    prob_grid: tuple = _DEFAULT_GRID
+    prob_grid: tuple = PROB_GRID
     max_term_depth: int = 2
     ceiling: int = 200_000
 
@@ -79,9 +80,7 @@ class Bound:
             max_word_len=min(self.max_word_len, 2),
             max_set_size=min(self.max_set_size, 2),
             max_multiplicity=min(self.max_multiplicity, 2),
-            prob_grid=tuple(
-                g for g in self.prob_grid if g in (0, Fraction(1, 2), 1)
-            ) or (Fraction(0), Fraction(1, 2), Fraction(1)),
+            prob_grid=tuple(g for g in self.prob_grid if g in PROB_GRID) or PROB_GRID,
         )
 
 
@@ -263,7 +262,7 @@ def _grid_dists(carrier, grid):
 
     def go(i, remaining):
         if i == len(ordered) - 1:
-            if remaining in grid or remaining in (0, 1):
+            if remaining in grid:
                 yield ((ordered[i], remaining),)
             return
         for g in grid:
@@ -284,7 +283,7 @@ def _grid_dists(carrier, grid):
 
 
 def _dist_enumerate(carrier, bound: Bound):
-    grid = set(Fraction(g) for g in bound.prob_grid) | {Fraction(0), Fraction(1)}
+    grid = set(bound.prob_grid) | {0, 1}
     n = len(carrier)
     _guard("distributions", len(grid) ** max(n - 1, 0), bound)
     return _grid_dists(carrier, sorted(grid))

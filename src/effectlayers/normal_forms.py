@@ -43,6 +43,7 @@ from .terms import (
     instantiate_params,
     interpret,
     map_consts,
+    render_param,
     term_depth,
     term_vars,
 )
@@ -553,9 +554,24 @@ class CongruenceClosure:
         i = self._index.get(t)
         if i is None:
             raise InconclusiveNormalization(
-                "term outside the bounded universe; enlarge max_term_depth"
+                f"term outside the bounded universe: {self._why_outside(t)}"
             )
         return self._reps[i]
+
+    def _why_outside(self, t: Term) -> str:
+        """Each bound `t` breaks: an off-grid parameter, its depth, a constant."""
+        b = self.bound
+        grid = "{" + ", ".join(map(render_param, b.prob_grid)) + "}"
+        why = [
+            f"parameter {render_param(p)} is not on the grid {grid}"
+            for p in sorted(_params(t) - set(b.prob_grid))
+        ]
+        depth = term_depth(t)
+        if depth > b.max_term_depth:
+            why.append(f"depth {depth} exceeds max_term_depth {b.max_term_depth}")
+        outside = set(_consts(t)) - set(self.carrier)
+        why += [f"constant {x} is not in the carrier" for x in sort_values(outside)]
+        return "; ".join(why)
 
 
 def generic_quotient_monad(theory: Theory) -> QuotientMonad:
@@ -611,6 +627,12 @@ def _consts(t: Term):
     elif isinstance(t, App):
         for a in t.args:
             yield from _consts(a)
+
+
+def _params(t: Term) -> set:
+    if isinstance(t, App):
+        return set().union({t.param} - {None}, *map(_params, t.args))
+    return set()
 
 
 @dataclass(frozen=True)

@@ -175,13 +175,11 @@ def generate_distributivity(inner_sig: Signature, outer_sig: Signature):
 # canonical algebra on a composite carrier
 
 def composite_algebra(
-    T: MonadInstance,
-    S: QuotientMonad,
-    outer_q: QuotientMonad,
-    carrier: Sequence,
+    S: QuotientMonad, outer_q: QuotientMonad, carrier: Sequence
 ) -> FiniteAlgebra:
-    """Interpret inner ops by lifting through T and outer ops by T's own
-    canonical algebra, on an explicit (possibly sampled) carrier of T(SX).
+    """Interpret inner ops by lifting through T = `outer_q.monad` and outer
+    ops by T's own canonical algebra, on an explicit (possibly sampled)
+    carrier of T(SX).
 
     The lifted ops read S's operation table; T's ops are computed afresh.
     """
@@ -189,7 +187,7 @@ def composite_algebra(
         o.name: functools.partial(outer_q.compute_op, o.name)
         for o in outer_q.theory.signature.ops
     }
-    interp = lift_interp(T, S.algebra()) | outer
+    interp = lift_interp(outer_q.monad, S.algebra()) | outer
     return FiniteAlgebra(tuple(carrier), interp, name="composite")
 
 
@@ -227,8 +225,8 @@ def compose_stack(
     atoms=("a", "b"),
     bound: Optional[Bound] = None,
     keep_unknown: bool = False,
-    law_cap: int = 120,
-    algebra_cap: int = 24,
+    law_cap: int = 60,
+    algebra_cap: int = 12,
     build_laws: bool = True,
 ) -> CompositionReport:
     layers = tuple(layers)
@@ -291,14 +289,14 @@ def compose_stack(
         if build_laws and not has_unknown:
             law, wd = build_quotient_law(S, T, X, b)
             composite = compose(T, S, law).monad
-            law_reports = (wd,) + tuple(verify_distlaw(law, X, b, cap=law_cap))
+            law_reports = (wd,) + tuple(verify_distlaw(law, X, b, law_cap))
             monad_reports = tuple(verify_monad(composite, X, b))
             # the carrier and the axioms never apply lambda; S's tables go
             # too, so no two checks' tables are held at once
             law.memo.clear()
             S.clear_memos()
             carrier = _enum(composite.enumerate, X, b, cap=algebra_cap)
-            algebra = composite_algebra(T, S, outer_q, carrier)
+            algebra = composite_algebra(S, outer_q, carrier)
             axiom_reports = tuple(
                 verify_generated_axioms(
                     algebra, generated + layer.theory.equations, b.prob_grid
@@ -358,7 +356,7 @@ def eval_term(report: CompositionReport, t: Term, stage: int, atoms) -> object:
             raise TermError(f"stage {stage} has no normal-form monad")
         T, S = s.outer_monad.monad, s.inner_monad
         unit = lambda x: T.unit(S.monad.unit(x))
-        interp = composite_algebra(T, S, s.outer_monad, ()).interp
+        interp = composite_algebra(S, s.outer_monad, ()).interp
 
     def ops(name: str):
         try:

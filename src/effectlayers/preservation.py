@@ -182,7 +182,7 @@ def enumerate_algebras(theory: Theory, carrier_size: int):
             for o, t in zip(ops, combo)
         }
         A = FiniteAlgebra(carrier, interp, name=f"carrier{carrier_size}")
-        if all(find_violation(A, e) is None for e in theory.equations):
+        if all(find_violation(A, e, ()) is None for e in theory.equations):
             yield A
 
 
@@ -264,17 +264,14 @@ def check_preservation(
         for size in range(1, _MAX_BRUTE_CARRIER + 1):
             for A in enumerate_algebras(inner, size):
                 LA = lifted_algebra(T, A, b)
-                w = find_violation(LA, e)
+                w = find_violation(LA, e, b.prob_grid)
                 if w is not None:
                     return Verdict(
                         e,
                         FALSIFIED,
-                        counterexample={
-                            "base_algebra": _algebra_table(A, inner.signature),
-                            "valuation": w["valuation"],
-                            "lhs": w["lhs"],
-                            "rhs": w["rhs"],
-                        },
+                        counterexample=_counterexample(
+                            _algebra_table(A, inner.signature), w
+                        ),
                         evidence=(profile.relevant, profile.affine),
                         fragment=f"lifted algebra on carrier size {size}",
                     )
@@ -315,19 +312,21 @@ def _free_algebra_violation(T: MonadInstance, inner: Theory, e: Equation, X, b: 
         LA = lifted_algebra(T, A, b)
     except BoundExplosionError:
         return None, ""
-    w = find_violation(LA, e)
+    w = find_violation(LA, e, b.prob_grid)
     if w is None:
         return None, ""
+    base = f"free {kind.lower()} algebra on atoms {sorted(map(str, X))}"
     desc = f"lifted free {kind.lower()} algebra on {len(X)} atoms"
-    return (
-        {
-            "base_algebra": f"free {kind.lower()} algebra on atoms {sorted(map(str, X))}",
-            "valuation": w["valuation"],
-            "lhs": w["lhs"],
-            "rhs": w["rhs"],
-        },
-        desc,
-    )
+    return _counterexample(base, w), desc
+
+
+def _counterexample(base_algebra, w: dict) -> dict:
+    """A `find_violation` witness over `base_algebra`; its parameters when
+    the equation has any."""
+    out = {"base_algebra": base_algebra, "valuation": w["valuation"]}
+    if w["params"]:
+        out["params"] = w["params"]
+    return out | {"lhs": w["lhs"], "rhs": w["rhs"]}
 
 
 def _context_of(e: Equation):

@@ -435,12 +435,7 @@ def interpret_in_context(t: Term, A: FiniteAlgebra, context, valuation, param_en
         raise TermError(f"variable {exc.name!r} not in context {list(context)}") from None
 
 
-DEFAULT_PARAM_GRID = tuple(
-    Fraction(p, q) for p, q in [(0, 1), (1, 4), (1, 3), (1, 2), (2, 3), (3, 4), (1, 1)]
-)
-
-
-def find_violation(A: FiniteAlgebra, e: Equation, param_grid=DEFAULT_PARAM_GRID):
+def find_violation(A: FiniteAlgebra, e: Equation, param_grid):
     """First valuation (and parameter assignment) separating lhs from rhs.
 
     Returns None when the equation holds exhaustively; parameter instances
@@ -462,8 +457,3 @@ def find_violation(A: FiniteAlgebra, e: Equation, param_grid=DEFAULT_PARAM_GRID)
             if lv != rv:
                 return {"valuation": valuation, "params": env, "lhs": lv, "rhs": rv}
     return None
-
-
-def holds(A: FiniteAlgebra, e: Equation, param_grid=DEFAULT_PARAM_GRID) -> bool:
-    """Exhaustive validity of `e` in `A` over all valuations (and grid params)."""
-    return find_violation(A, e, param_grid) is None

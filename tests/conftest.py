@@ -49,7 +49,7 @@ def flagship_axiom_check(flagship, small_bound):
     s2 = flagship.stages[1]
     carrier = _enum(s2.composite.enumerate, ("a", "b"), small_bound, cap=12)
     outer_q = s2.outer_monad
-    algebra = composite_algebra(outer_q.monad, replace(s2.inner_monad), outer_q, carrier)
+    algebra = composite_algebra(replace(s2.inner_monad), outer_q, carrier)
     axioms = s2.weakened.generated + flagship.layers[2].theory.equations
     return algebra, axioms, small_bound.prob_grid
 

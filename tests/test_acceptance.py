@@ -57,6 +57,7 @@ from effectlayers.theories import (
 from effectlayers.values import Dist, MultiSet
 
 GRID3 = (F(0), F(1, 2), F(1))
+GRID5 = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +65,7 @@ GRID3 = (F(0), F(1, 2), F(1))
 
 
 def test_criterion_1_monad_and_monoidal_suite():
-    b = Bound()  # default bounds, default 5-point grid
+    b = Bound(max_set_size=4, prob_grid=GRID5)
     carriers = [("a",), ("a", "b"), ("a", "b", "c")]
     quotients = [
         quotient_monad(build())
@@ -236,7 +237,7 @@ def test_criterion_5_theorem_vs_oracle_soundness():
             for size in (1, 2):
                 for A in models[size]:
                     LA = lifted_algebra(T, A, b)
-                    w = find_violation(LA, e)
+                    w = find_violation(LA, e, b.prob_grid)
                     assert w is None, (T.name, e.describe(), size, w)
     assert checked == len(terms) ** 2 * 3
     assert preserved > 200  # the theorems do claim a substantial fraction

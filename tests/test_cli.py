@@ -290,7 +290,7 @@ class TestErrorPaths:
         assert out.strip() == program
 
     def test_depth_three_generic_term_evaluates(self, capsys, tmp_path):
-        # its closure spans every term of depth <= 3 over a, b: 4,058 terms
+        # its closure spans every term of depth <= 3 over a, b: 1,298 terms
         spec = tmp_path / "generic.layers"
         spec.write_text(_GENERIC_SEED, encoding="utf-8")
         code, out, _ = run(
@@ -298,6 +298,21 @@ class TestErrorPaths:
         )
         assert code == 0
         assert out.strip() == "a ⊕[1/2] m(a, b)"
+
+    @pytest.mark.parametrize("weight", ["1/3", "1/4"])
+    def test_off_grid_parameter_is_named(self, capsys, tmp_path, weight):
+        # the closure reads the default grid, so the term's depth is no cause
+        spec = tmp_path / "generic.layers"
+        spec.write_text(_GENERIC_SEED, encoding="utf-8")
+        code, _, err = run(
+            capsys, "eval", str(spec), "-e", f"a (+)[{weight}] b", "--stage", "0"
+        )
+        assert code == 3
+        assert err.strip() == (
+            "error: term outside the bounded universe: "
+            f"parameter {weight} is not on the grid {{0, 1/2, 1}}"
+        )
+        assert "max_term_depth" not in err
 
     @pytest.mark.parametrize("command", ["compose", "verify-laws"])
     def test_refused_law_exits_2(self, capsys, tmp_path, command):
@@ -312,3 +327,38 @@ class TestErrorPaths:
         code, _, err = run(capsys, command, str(spec))
         assert code == 2
         assert err.startswith("error: well-definedness check failed")
+
+
+# a parameterized operation whose idempotence the powerset lifting breaks at
+# every weight strictly between 0 and 1
+_SKEW = (
+    "atoms a b;\nlayer coin {\n"
+    '  op "⊕" : 2 param;\n'
+    "  eq x (+)[l] x = x;\n"
+    "  eq x (+)[l] y = y (+)[1 - l] x;\n}\n" + _NONDET
+)
+
+
+class TestPreservationGrid:
+    """Preservation searches the parameter grid of the bound it is given."""
+
+    def idem_verdict(self, capsys, tmp_path, *options):
+        spec = tmp_path / "skew.layers"
+        spec.write_text(_SKEW, encoding="utf-8")
+        report = tmp_path / "check.json"
+        code, _, err = run(capsys, "check", str(spec), "--json", str(report), *options)
+        assert code == 1 and err == ""
+        (stage,) = json.loads(report.read_text(encoding="utf-8"))["stages"]
+        (idem,) = [v for v in stage["verdicts"] if v["equation"].startswith("idem(⊕)")]
+        return idem
+
+    def test_default_grid_names_the_falsifying_weight(self, capsys, tmp_path):
+        idem = self.idem_verdict(capsys, tmp_path)
+        assert idem["status"] == "FALSIFIED"
+        assert idem["counterexample"]["params"] == {"l": "1/2"}
+
+    def test_a_grid_of_endpoints_leaves_idempotence_unknown(self, capsys, tmp_path):
+        bounds = tmp_path / "bounds.json"
+        bounds.write_text('{"prob_grid": [0, 1]}')
+        idem = self.idem_verdict(capsys, tmp_path, "--bounds", str(bounds))
+        assert idem["status"] == "UNKNOWN"

@@ -46,6 +46,7 @@ from effectlayers.theories import (
 )
 
 GRID3 = (F(0), F(1, 2), F(1))
+GRID5 = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
 B = Bound(max_word_len=2, max_set_size=2, max_term_depth=2, prob_grid=GRID3)
 X = ("a", "b")
 
@@ -258,7 +259,11 @@ class TestRefusal:
 class TestFallback:
     def test_refusal_of_every_fallback_gives_the_flattest_size(self):
         with pytest.raises(BoundExplosionError) as exc:
-            _enum(fin_powerset().enumerate, range(20), Bound(ceiling=3))
+            _enum(
+                fin_powerset().enumerate,
+                range(20),
+                Bound(max_set_size=4, prob_grid=GRID5, ceiling=3),
+            )
         # the flattest attempt allows sets of at most one of the 20 values
         assert exc.value.count == 21
         assert "-1" not in str(exc.value)

@@ -26,6 +26,7 @@ from effectlayers.theories import (
 from effectlayers.values import Dist, MultiSet, SumAtom
 
 GRID3 = (F(0), F(1, 2), F(1))
+GRID5 = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
 B = Bound(max_word_len=2, max_set_size=3, max_multiplicity=2, prob_grid=GRID3)
 
 
@@ -46,7 +47,7 @@ class TestBound:
         assert B.shrink().shrink() == B.shrink()
 
     def test_ceiling_guard(self):
-        tight = Bound(ceiling=5)
+        tight = Bound(max_set_size=4, prob_grid=GRID5, ceiling=5)
         with pytest.raises(BoundExplosionError):
             fin_powerset().enumerate(tuple("abcdefgh"), tight)
 
@@ -59,7 +60,9 @@ class TestMonadLaws:
 
     def test_term_monad_laws(self):
         T = free_term_monad(monoid_theory().signature)
-        reports = verify_monad(T, ("a", "b"), Bound(max_term_depth=2))
+        reports = verify_monad(
+            T, ("a", "b"), Bound(max_set_size=4, prob_grid=GRID5, max_term_depth=2)
+        )
         assert all(r.ok for r in reports)
 
 
@@ -280,7 +283,7 @@ class TestTrustedConstruction:
 
     def test_distribution(self):
         D = fin_distribution()
-        b = Bound()  # grid 0, 1/4, 1/2, 3/4, 1
+        b = Bound(max_set_size=4, prob_grid=GRID5)
         DX = D.enumerate(("a", "b"), b)
         DDX = D.enumerate(DX, b)
         for d1 in DX + DDX:

@@ -8,6 +8,7 @@ from effectlayers.distlaw import _enum, verify_monad
 from effectlayers.monads import Bound, free_term_monad
 from effectlayers.normal_forms import (
     CongruenceClosure,
+    InconclusiveNormalization,
     generic_quotient_monad,
     quotient_monad,
 )
@@ -146,6 +147,25 @@ class TestGenericClosure:
                 lhs = _subst(e.lhs, env)
                 rhs = _subst(e.rhs, env)
                 assert qg.normalize(lhs) == qg.normalize(rhs), e.name
+
+    def test_a_term_outside_the_universe_names_the_bound_it_breaks(self):
+        theory = monoid_theory()
+        dot = theory.signature[";"]
+        closure = CongruenceClosure(
+            theory, ("a",), Bound(max_term_depth=1, prob_grid=GRID3)
+        )
+        a, c = Const("a"), Const("c")
+        for t, why in [
+            (App(dot, (a, a), None), "depth 2 exceeds max_term_depth 1"),
+            (c, "constant c is not in the carrier"),
+            (
+                App(dot, (c, a), None),
+                "depth 2 exceeds max_term_depth 1; constant c is not in the carrier",
+            ),
+        ]:
+            with pytest.raises(InconclusiveNormalization) as exc:
+                closure.normal_form(t)
+            assert str(exc.value) == f"term outside the bounded universe: {why}"
 
 
 def _subst(t, env):

@@ -141,7 +141,7 @@ class TestEnumerateAlgebras:
 
         for A in algebras:
             for e in semilattice_theory().equations:
-                assert find_violation(A, e) is None
+                assert find_violation(A, e, ()) is None
 
     def test_singleton_carrier_is_trivial(self):
         assert list(enumerate_algebras(monoid_theory(), 1))

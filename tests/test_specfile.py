@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from effectlayers import theories
 from effectlayers.cli import _load_bounds
-from effectlayers.monads import Bound
 from effectlayers.pipeline import INNER_SEED, OUTER, compose_stack
 from effectlayers.render import render_term
 from effectlayers.specfile import (
@@ -20,6 +19,7 @@ from effectlayers.terms import App, Const, PBin, PVar
 from effectlayers.theories import recognize_theory
 from test_acceptance import STAGE1_PROGRAMS, STAGE2_PROGRAMS
 
+GRID5 = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
 SPEC_PATH = Path(__file__).resolve().parent.parent / "specs" / "probnetkat.layers"
 
 MINI = """
@@ -286,7 +286,7 @@ class TestRenderedTermsReadBack:
     @given(data=st.data())
     def test_random_terms(self, shipped, stage, data):
         sig = shipped.signature_at(stage)
-        t = data.draw(closed_terms(sig, shipped.atoms, Bound().prob_grid))
+        t = data.draw(closed_terms(sig, shipped.atoms, GRID5))
         assert parse_program(render_term(t), sig, shipped.atoms) == t
 
 
