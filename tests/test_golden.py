@@ -7,8 +7,12 @@ program and stage 0, 1, 2 of the shipped spec: the rendered value, or the
 `TermError` message. `golden/recognition.txt` holds one line per builder
 theory and per copy of it with one or two equations removed: the
 recognized kind, the roles' operations and every equation's pattern name.
-All four, and the text of an alarm term whose constants are sets, are also
-checked in fresh interpreters under PYTHONHASHSEED 0 and 1.
+`golden/fragments.txt` holds one line per `distlaw._enum` call of the
+conftest flagship and of the shipped spec at `Bound()`: the stage, the
+call's index within it, the number of values and a sha256 prefix of their
+canonical keys, so a change to how fragments are built cannot move them
+unseen. All five, and the text of an alarm term whose constants are sets,
+are also checked in fresh interpreters under PYTHONHASHSEED 0 and 1.
 `golden/compose.txt`, `golden/compose.json`, `golden/verify_laws.txt` and
 `golden/verify_laws.json` are the text and `--json` reports of
 `effectlayers compose` and `effectlayers verify-laws` on the shipped spec;
@@ -25,8 +29,10 @@ root, and the diff is reviewed with the change:
     PYTHONPATH=src python tests/test_golden.py               # flagship_laws.json
     PYTHONPATH=src python tests/test_golden.py eval          # eval.txt
     PYTHONPATH=src python tests/test_golden.py recognition   # recognition.txt
+    PYTHONPATH=src python tests/test_golden.py fragments     # fragments.txt
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -38,9 +44,11 @@ from pathlib import Path
 import pytest
 
 from effectlayers import Bound, compose_stack, eval_term, probnetkat_stack
+from effectlayers import distlaw, pipeline
 from effectlayers.cli import _load_bounds, main
 from effectlayers.render import render_value
 from effectlayers.reports import encode_value, laws_document
+from effectlayers.values import canon_key
 from effectlayers.specfile import parse_program, parse_spec
 from effectlayers.terms import Const, OpSymbol, Signature, TermError, Theory, app
 from effectlayers.theories import (
@@ -60,6 +68,11 @@ from test_acceptance import STAGE1_PROGRAMS, STAGE2_PROGRAMS
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = str(ROOT / "specs" / "probnetkat.layers")
+# the bound of the conftest flagship fixture
+FLAGSHIP_BOUND = Bound(
+    max_word_len=2, max_set_size=3, max_term_depth=2,
+    prob_grid=(F(0), F(1, 2), F(1)),
+)
 
 
 def test_check_report_is_unchanged(tmp_path, capsys):
@@ -138,6 +151,49 @@ def test_recognition_is_unchanged():
     assert text.encode() == (GOLDEN / "recognition.txt").read_bytes()
 
 
+def fragment_lines() -> str:
+    """`run stage S call I: N values KEYS` per `_enum` call, where KEYS is a
+    sha256 prefix of the values' canonical keys, in order.  The stage count
+    steps at each `build_quotient_law`, which opens every stage's checks."""
+    spec = parse_spec(Path(SPEC).read_text(encoding="utf-8"))
+    runs = (
+        ("flagship", probnetkat_stack(), ("a", "b"), FLAGSHIP_BOUND),
+        ("spec", spec.layers, spec.atoms, _load_bounds(None)),
+    )
+    enum, build = distlaw._enum, pipeline.build_quotient_law
+    lines = []
+    for run, layers, atoms, bound in runs:
+        at = {"stage": 0, "call": 0}
+
+        def build_stage(*args, **kwargs):
+            at["stage"] += 1
+            at["call"] = 0
+            return build(*args, **kwargs)
+
+        def recorded(*args, **kwargs):
+            vs = enum(*args, **kwargs)
+            keys = "\n".join(repr(canon_key(v)) for v in vs).encode()
+            lines.append(
+                f"{run} stage {at['stage']} call {at['call']}: {len(vs)} values "
+                f"{hashlib.sha256(keys).hexdigest()[:16]}\n"
+            )
+            at["call"] += 1
+            return vs
+
+        distlaw._enum = pipeline._enum = recorded
+        pipeline.build_quotient_law = build_stage
+        try:
+            compose_stack(layers, atoms=atoms, bound=bound)
+        finally:
+            distlaw._enum = pipeline._enum = enum
+            pipeline.build_quotient_law = build
+    return "".join(lines)
+
+
+def test_fragments_are_unchanged():
+    assert fragment_lines().encode() == (GOLDEN / "fragments.txt").read_bytes()
+
+
 def test_alarm_terms_print_sets_in_canonical_order():
     v = frozenset({(), ("a",), ("b",)})
     assert encode_value(app(SEQ, Const(v), Const(v))) == "{ε, a, b};{ε, a, b}"
@@ -163,14 +219,13 @@ if __name__ == "__main__" and sys.argv[1:] == ["eval"]:  # rewrite golden/eval.t
     (GOLDEN / "eval.txt").write_text(eval_lines(), encoding="utf-8")
 elif __name__ == "__main__" and sys.argv[1:] == ["recognition"]:
     (GOLDEN / "recognition.txt").write_text(recognition_lines(), encoding="utf-8")
+elif __name__ == "__main__" and sys.argv[1:] == ["fragments"]:
+    (GOLDEN / "fragments.txt").write_text(fragment_lines(), encoding="utf-8")
 elif __name__ == "__main__":  # rewrite golden/flagship_laws.json
     # the conftest flagship fixture, built outside pytest
-    bound = Bound(
-        max_word_len=2, max_set_size=3, max_term_depth=2,
-        prob_grid=(F(0), F(1, 2), F(1)),
-    )
     report = compose_stack(
-        probnetkat_stack(), atoms=("a", "b"), bound=bound, law_cap=60, algebra_cap=12
+        probnetkat_stack(), atoms=("a", "b"), bound=FLAGSHIP_BOUND, law_cap=60,
+        algebra_cap=12,
     )
     doc = laws_document(report).to_json() + "\n"
     (GOLDEN / "flagship_laws.json").write_text(doc, encoding="utf-8")
