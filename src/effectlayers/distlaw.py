@@ -228,7 +228,8 @@ def _sample(vs, cap: Optional[int]):
     if cap is None or len(vs) <= cap:
         return vs
     stride = len(vs) // cap
-    return vs[::stride][:cap]
+    # vs[::stride][:cap], building only the values kept
+    return vs[: stride * cap : stride]
 
 
 def _law(axiom: str, cases, witness, frag: str) -> LawReport:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -152,7 +153,7 @@ def composite(T: MonadInstance, S: MonadInstance, lam: Callable, name: str) -> M
         map=lambda f, v: T.map(lambda s: S.map(f, s), v),
         mult=lambda v: T.map(S.mult, T.mult(T.map(lam, v))),
         fubini=None,
-        enumerate=lambda X, b: T.enumerate(tuple(S.enumerate(tuple(X), b)), b),
+        enumerate=lambda X, b: T.enumerate(S.enumerate(tuple(X), b), b),
     )
 
 
@@ -210,19 +211,136 @@ def fin_powerset() -> MonadInstance:
 # ---------------------------------------------------------------------------
 # multisets (free commutative monoid)
 
+class Multisets(Sequence):
+    """The multisets over `base` with at most `distinct` distinct elements,
+    each count in 1..`mult` and total at most `total`, in `canon_key` order,
+    as a sequence that builds a value only when it is asked for.
+
+    That order is the pre-order of a trie whose edges are (element, count)
+    pairs, the elements in key order along a path and each node's children
+    ordered by element, then count: a key's prefix sorts first.  The length
+    is counted in closed form and `seq[i]` unranks value i alone (Feat:
+    Duregård, Jansson & Wang, Haskell Symposium 2012).  Each value is kept
+    once built; a slice builds only its indices.  Like a list, the sequence
+    equals a list, or another such sequence, of the same values.
+    """
+
+    def __init__(self, base, total: int, mult: int, distinct: int):
+        # a sequence of this class is already in canonical order
+        self._base = base if isinstance(base, Multisets) else sort_values(base)
+        self._mult, self._total = mult, total
+        self._distinct = distinct = min(distinct, len(self._base))
+        # _g[k][r]: the k-tuples of counts in 1..mult that sum to at most r
+        g = [[1] * (total + 1)]
+        for _ in range(distinct):
+            prev = g[-1]
+            g.append(
+                [sum(prev[r - c] for c in range(1, min(mult, r) + 1)) for r in range(total + 1)]
+            )
+        self._g = g
+        self._len = self._size(len(self._base), distinct, total)
+        self._built: dict = {}
+        self._all = None  # every value in order, once iterated
+
+    def _size(self, m: int, d: int, r: int) -> int:
+        """The multisets over m elements, <= d distinct, total <= r."""
+        g = self._g
+        return sum(math.comb(m, k) * g[k][r] for k in range(min(d, m) + 1))
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._len))]
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("multiset index out of range")
+        if self._all is not None:
+            return self._all[i]
+        v = self._built.get(i)
+        if v is None:
+            v = self._built[i] = _built_mset(self._unrank(i))
+        return v
+
+    def _unrank(self, idx: int):
+        """The (element, count) path of value `idx` in the trie."""
+        base, n, size = self._base, len(self._base), self._size
+        path = []
+        i, d, r = 0, self._distinct, self._total
+        while idx:
+            idx -= 1  # past the node itself, into its children's subtrees
+            # the subtrees of first elements at positions i..j-1 hold
+            # whole - size(n - j) values: find the last j starting <= idx
+            whole = size(n - i, d, r)
+            lo, hi = i, n - 1
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if whole - size(n - mid, d, r) <= idx:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            idx -= whole - size(n - lo, d, r)
+            c = 1
+            while idx >= (sub := size(n - lo - 1, d - 1, r - c)):
+                idx -= sub
+                c += 1
+            path.append((base[lo], c))
+            i, d, r = lo + 1, d - 1, r - c
+        return path
+
+    def _paths(self):
+        """Every (element, count) path, in pre-order."""
+        base, n, mult = self._base, len(self._base), self._mult
+        path = []
+
+        def node(i, d, r):
+            yield path
+            if d and r:
+                for j in range(i, n):
+                    for c in range(1, min(mult, r) + 1):
+                        path.append((base[j], c))
+                        yield from node(j + 1, d - 1, r - c)
+                        path.pop()
+
+        return node(0, self._distinct, self._total)
+
+    def __iter__(self):
+        if self._all is None:
+            built = self._built
+            self._all = [
+                built[i] if i in built else _built_mset(path)
+                for i, path in enumerate(self._paths())
+            ]
+            self._built = None
+        return iter(self._all)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Multisets)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # as a list's
+
+    def __repr__(self):
+        return f"Multisets(<{self._len} multisets over {len(self._base)} elements>)"
+
+
+def _built_mset(path) -> MultiSet:
+    """The multiset of an (element, count) path, whose order is canonical."""
+    v = MultiSet._trusted(dict(path))
+    v._items = tuple(path)
+    return v
+
+
 def _mset_enumerate(carrier, bound: Bound):
     n = len(carrier)
     s = min(n, bound.max_set_size)
     m = bound.max_multiplicity
     count = sum(math.comb(n, k) * m**k for k in range(s + 1))
     _guard("multisets", count, bound)
-    ordered = sort_values(carrier)
-    out = []
-    for k in range(s + 1):
-        for support in itertools.combinations(ordered, k):
-            for mults in itertools.product(range(1, m + 1), repeat=k):
-                out.append(MultiSet(dict(zip(support, mults))))
-    return sort_values(out)
+    return Multisets(carrier, s * m, m, s)
 
 
 # The monad operations below build their results with `_trusted`,

@@ -19,6 +19,7 @@ from typing import Callable, Optional
 from .monads import (
     Bound,
     MonadInstance,
+    Multisets,
     _graft,
     _guard,
     composite,
@@ -282,14 +283,6 @@ def _tm_words(atoms, max_len: int):
     ]
 
 
-def _tm_nfs(words, min_total: int, max_total: int):
-    return [
-        MultiSet(combo)
-        for total in range(min_total, max_total + 1)
-        for combo in itertools.combinations_with_replacement(words, total)
-    ]
-
-
 def _tm_enumerate(carrier, bound: Bound):
     # Every size is counted in closed form and guarded before any value is
     # built.  Distinct combinations of distinct words are distinct multisets,
@@ -317,12 +310,11 @@ def _tm_enumerate(carrier, bound: Bound):
 
     atoms = carrier
     if nest:
-        inner_words = _tm_words(carrier, ib.max_word_len)
-        atoms = carrier + [
-            SumAtom(m) for m in _tm_nfs(inner_words, 2, ib.max_set_size)
-        ]
-    nfs = _tm_nfs(_tm_words(atoms, bound.max_word_len), 0, bound.max_set_size)
-    return sort_values(dict.fromkeys(nfs))
+        S = ib.max_set_size
+        inner = Multisets(_tm_words(carrier, ib.max_word_len), S, S, S)
+        atoms = carrier + [SumAtom(m) for m in inner if m.total() >= 2]
+    S = bound.max_set_size
+    return Multisets(_tm_words(atoms, bound.max_word_len), S, S, S)
 
 
 def _tm_monad() -> MonadInstance:

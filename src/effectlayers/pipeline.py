@@ -196,13 +196,31 @@ def verify_generated_axioms(
 ):
     """holds() for each combined-language axiom on the composite algebra.
 
-    Each operation of `algebra` is memoized for the length of this call:
-    the axioms interpret the same few applications many times over, and
-    `interpret` passes `(args, param)` positionally, so a cache keyed by
-    its arguments computes each application once.
+    Each operation of `algebra` is tabled for the length of this call: the
+    axioms interpret the same few applications many times over, and
+    `interpret` passes `(args, param)` positionally, so a table keyed by
+    its arguments computes each application once.  The carrier and every
+    result are kept as one object per distinct value, so a table hit and
+    the check's `lv != rv` compare by identity, not by content.
     """
-    interp = {name: functools.cache(op) for name, op in algebra.interp.items()}
-    algebra = replace(algebra, interp=interp)
+    canon: dict = {}
+
+    def tabled(op):
+        table: dict = {}
+
+        def run(args, param=None):
+            key = (args, param)
+            out = table.get(key)
+            if out is None:
+                out = op(args, param)
+                out = table[key] = canon.setdefault(out, out)
+            return out
+
+        return run
+
+    carrier = tuple([canon.setdefault(v, v) for v in algebra.carrier])
+    interp = {name: tabled(op) for name, op in algebra.interp.items()}
+    algebra = replace(algebra, carrier=carrier, interp=interp)
     reports = []
     for e in eqs:
         witness = find_violation(algebra, e, param_grid)

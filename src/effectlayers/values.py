@@ -103,7 +103,7 @@ class _Weighted:
         return self._items
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, _Weighted)
             and other._tag == self._tag
             and self._d == other._d
