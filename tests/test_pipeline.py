@@ -1,13 +1,15 @@
+import functools
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 
-from effectlayers import terms
-from effectlayers.distlaw import _enum
+from effectlayers import pipeline, terms
+from effectlayers.distlaw import FAIL, PASS, LawReport, _enum
 from effectlayers.pipeline import (
     INNER_SEED,
+    OUTER,
     VERIFIED,
     LayerSpec,
     compose_stack,
@@ -21,9 +23,12 @@ from effectlayers.pipeline import (
 from effectlayers.render import render_term
 from effectlayers.terms import (
     Const,
+    OpSymbol,
     ParamDivisionByZero,
     PVar,
+    Signature,
     TermError,
+    Theory,
     Var,
     app,
     equation,
@@ -31,6 +36,7 @@ from effectlayers.terms import (
     interpret,
 )
 from effectlayers.theories import (
+    comm_monoid_theory,
     idem_semiring_theory,
     monoid_theory,
     semilattice_theory,
@@ -227,6 +233,99 @@ class TestAxiomVisits:
         assert len(calls) == visited
         (report,) = verify_generated_axioms(A, [e], grid)
         assert not report.ok and report.counterexample == reference
+
+
+class TestAxiomTables:
+    """`verify_generated_axioms` tables each operation and keeps one object
+    per distinct value.  `reference_check` is the check it replaced, whose
+    operations were memoized with `functools.cache`; both must give the same
+    reports, witnesses included."""
+
+    @staticmethod
+    def reference_check(algebra, eqs, param_grid):
+        interp = {name: functools.cache(op) for name, op in algebra.interp.items()}
+        algebra = replace(algebra, interp=interp)
+        reports = []
+        for e in eqs:
+            witness = find_violation(algebra, e, param_grid)
+            reports.append(
+                LawReport(
+                    f"axiom:{e.describe()}",
+                    FAIL if witness else PASS,
+                    witness,
+                    f"carrier of {len(algebra.carrier)} composite values",
+                )
+            )
+        return reports
+
+    def test_flagship_stage_two(self, flagship_axiom_check):
+        A, axioms, grid = flagship_axiom_check
+        reports = verify_generated_axioms(A, axioms, grid)
+        assert all(r.ok for r in reports)
+        assert reports == self.reference_check(A, axioms, grid)
+
+    def test_planted_failures(self, flagship, flagship_axiom_check):
+        A, _, grid = flagship_axiom_check
+        sig = flagship.stages[1].combined.signature
+        seq, plus, oplus = sig[";"], sig["+"], sig["⊕"]
+        x, y, l = Var("x"), Var("y"), PVar("l")
+        planted = [
+            equation(app(seq, x, y), app(seq, y, x)),
+            equation(app(plus, x, y), x),
+            equation(app(oplus, x, y, param=l), app(oplus, y, x, param=l)),
+        ]
+        reports = verify_generated_axioms(A, planted, grid)
+        assert not any(r.ok for r in reports)
+        assert reports == self.reference_check(A, planted, grid)
+
+    @staticmethod
+    def pair_stacks():
+        """The benchmark's two-layer stacks, outer operations renamed apart."""
+        x, y, z = Var("x"), Var("y"), Var("z")
+        star = OpSymbol("*", 2)
+        assoc = equation(
+            app(star, x, app(star, y, z)), app(star, app(star, x, y), z), name="assoc(*)"
+        )
+        u, zero = OpSymbol("u", 2), OpSymbol("zero", 0)
+        seeds = {
+            "monoid": (monoid_theory(), "MONOID"),
+            "semilattice": (semilattice_theory(), "SEMILATTICE"),
+            "commmonoid": (comm_monoid_theory(), "COMM_MONOID"),
+            "semigroup": (Theory(Signature((star,)), (assoc,), name="semigroup"), None),
+        }
+        outers = {
+            "powerset": (semilattice_theory(u, zero), "SEMILATTICE"),
+            "multiset": (comm_monoid_theory(u, zero), "COMM_MONOID"),
+        }
+        for seed, outer in (
+            ("monoid", "powerset"),
+            ("monoid", "multiset"),
+            ("semilattice", "powerset"),
+            ("commmonoid", "powerset"),
+            ("semigroup", "powerset"),
+        ):
+            yield pytest.param(
+                (
+                    LayerSpec(seed, *seeds[seed], INNER_SEED),
+                    LayerSpec(outer, *outers[outer], OUTER),
+                ),
+                id=f"{seed}>{outer}",
+            )
+
+    @pytest.mark.parametrize("layers", pair_stacks.__func__())
+    def test_pair_stacks(self, layers, monkeypatch, small_bound):
+        checks = []
+        original = pipeline.verify_generated_axioms
+
+        def recorded(algebra, eqs, grid):
+            reports = original(algebra, eqs, grid)
+            checks.append((algebra, eqs, grid, reports))
+            return reports
+
+        monkeypatch.setattr(pipeline, "verify_generated_axioms", recorded)
+        compose_stack(layers, atoms=("a", "b"), bound=small_bound)
+        ((algebra, eqs, grid, reports),) = checks
+        assert reports == self.reference_check(algebra, eqs, grid)
 
 
 class TestStackValidation:
