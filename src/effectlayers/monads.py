@@ -226,17 +226,16 @@ class Multisets(Sequence):
     """
 
     def __init__(self, base, total: int, mult: int, distinct: int):
-        # a sequence of this class is already in canonical order
-        self._base = base if isinstance(base, Multisets) else sort_values(base)
-        self._mult, self._total = mult, total
-        self._distinct = distinct = min(distinct, len(self._base))
+        self._base = sort_values(base)
+        self._mult, self._total, self._distinct = mult, total, distinct
         # _g[k][r]: the k-tuples of counts in 1..mult that sum to at most r
         g = [[1] * (total + 1)]
         for _ in range(distinct):
             prev = g[-1]
-            g.append(
-                [sum(prev[r - c] for c in range(1, min(mult, r) + 1)) for r in range(total + 1)]
-            )
+            g.append([
+                sum(prev[r - c] for c in range(1, min(mult, r) + 1))
+                for r in range(total + 1)
+            ])
         self._g = g
         self._len = self._size(len(self._base), distinct, total)
         self._built: dict = {}
@@ -307,6 +306,8 @@ class Multisets(Sequence):
         return node(0, self._distinct, self._total)
 
     def __iter__(self):
+        # one walk of the trie builds every value for less than unranking
+        # each; iterated again, the sequence reads the list it kept
         if self._all is None:
             built = self._built
             self._all = [
@@ -320,11 +321,6 @@ class Multisets(Sequence):
         if not isinstance(other, (list, Multisets)):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None  # as a list's
-
-    def __repr__(self):
-        return f"Multisets(<{self._len} multisets over {len(self._base)} elements>)"
 
 
 def _built_mset(path) -> MultiSet:

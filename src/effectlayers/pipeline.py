@@ -194,7 +194,7 @@ def composite_algebra(
 def verify_generated_axioms(
     algebra: FiniteAlgebra, eqs: Sequence[Equation], param_grid: Sequence
 ):
-    """holds() for each combined-language axiom on the composite algebra.
+    """`find_violation` for each combined-language axiom on the composite algebra.
 
     Each operation of `algebra` is tabled for the length of this call: the
     axioms interpret the same few applications many times over, and
@@ -208,7 +208,7 @@ def verify_generated_axioms(
     def tabled(op):
         table: dict = {}
 
-        def run(args, param=None):
+        def run(args, param):
             key = (args, param)
             out = table.get(key)
             if out is None:

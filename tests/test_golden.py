@@ -48,7 +48,6 @@ from effectlayers import distlaw, pipeline
 from effectlayers.cli import _load_bounds, main
 from effectlayers.render import render_value
 from effectlayers.reports import encode_value, laws_document
-from effectlayers.values import canon_key
 from effectlayers.specfile import parse_program, parse_spec
 from effectlayers.terms import Const, OpSymbol, Signature, TermError, Theory, app
 from effectlayers.theories import (
@@ -63,6 +62,7 @@ from effectlayers.theories import (
     semiring_theory,
     two_monoids_absorption_theory,
 )
+from effectlayers.values import canon_key
 from test_acceptance import STAGE1_PROGRAMS, STAGE2_PROGRAMS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
