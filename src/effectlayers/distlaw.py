@@ -16,7 +16,8 @@ bounded finite fragment.
 
 from __future__ import annotations
 
-from functools import partial
+import weakref
+from functools import cache, partial
 from itertools import product
 from dataclasses import dataclass, field
 from typing import Optional
@@ -58,10 +59,6 @@ class LawReport:
 class QuotientLaw:
     inner: QuotientMonad  # S, with q and representatives
     outer: MonadInstance  # T
-    # lambda of each S-value applied so far; a copy made with
-    # dataclasses.replace starts empty, and compose_stack empties it once
-    # the stage's law and monad checks are done
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # lambda's fold, the canonical algebra of S lifted through T, and
@@ -69,6 +66,12 @@ class QuotientLaw:
         # dataclasses.replace lifts both through its own outer
         fused = lift_interp(self.outer, self.inner.algebra())
         object.__setattr__(self, "_fused", FiniteAlgebra((), fused).op)
+        # lambda of each S-value; a copy starts empty, and compose_stack
+        # empties it once the stage's law and monad checks are done.  It
+        # reads the law through a weak reference: in a reference cycle, a
+        # law would outlive its report until the cyclic collector ran
+        law = weakref.ref(self)
+        object.__setattr__(self, "fold", cache(lambda sv: law()._fold(sv)))
         ops = {o.name: partial(App, o) for o in self.inner.theory.signature.ops}
         lifted = lift_interp(self.outer, FiniteAlgebra((), ops))
         object.__setattr__(self, "_rho_ops", FiniteAlgebra((), lifted).op)
@@ -89,13 +92,11 @@ class QuotientLaw:
         of `sv` in the lifted algebra T(op_S) o psi^(k) with leaves T(eta_S);
         it equals T(q) o rho, against which the well-definedness check
         tests it."""
-        try:
-            return self.memo[sv]
-        except KeyError:
-            pass
+        return self.fold(sv)
+
+    def _fold(self, sv):
         rep = self.inner.representative(sv)  # term over Const(T-value)
-        out = self.memo[sv] = interpret(rep, self._fused, self._unit_leaf)
-        return out
+        return interpret(rep, self._fused, self._unit_leaf)
 
 
 def _ground(u: Term):

@@ -45,6 +45,7 @@ from .terms import (
     interpret,
     map_consts,
     render_param,
+    tabled,
     term_depth,
     term_vars,
 )
@@ -64,20 +65,16 @@ class QuotientMonad:
     theory: Theory
     roles: Roles
     monad: MonadInstance
-    # each operation applied so far, by (op_name, args, param), and each
-    # mu_S, by its S(S Y) input; a copy made with dataclasses.replace
-    # starts empty, and compose_stack and eval_term empty them when done
-    op_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    mult_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # one object per distinct result of either table. Distinct inputs can
-    # give equal results (mu_S is many-to-one); as separate objects, a set
-    # would keep whichever its hash-seeded iteration met first, and how many
-    # canonical orders get computed would vary from run to run
-    result_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the canonical algebra's operations, looked up by `normalize`
         object.__setattr__(self, "_ops", self.algebra().op)
+        # each operation by (op_name, args, param) and mu_S by its input;
+        # a copy made with dataclasses.replace starts empty, and
+        # compose_stack and eval_term empty them when done
+        object.__setattr__(self, "_results", {})
+        object.__setattr__(self, "_op", tabled(self.compute_op, self._results))
+        object.__setattr__(self, "mult", tabled(self.monad.mult, self._results))
 
     # q_X: terms over Const(x) -> normal forms (a monad morphism onto SX)
     def normalize(self, t: Term):
@@ -91,35 +88,18 @@ class QuotientMonad:
     def apply_op(self, op_name: str, args, param=None):
         """Canonical algebra structure on SY for any carrier Y, computed
         once per distinct (op_name, args, param)."""
-        key = (op_name, tuple(args), param)
-        try:
-            return self.op_memo[key]
-        except KeyError:
-            pass
-        out = self.compute_op(*key)
-        out = self.op_memo[key] = self.result_memo.setdefault(out, out)
-        return out
+        return self._op(op_name, tuple(args), param)
 
     def compute_op(self, op_name: str, args, param=None):
         """`apply_op` computed afresh, without reading or filling the table."""
         shallow = _KINDS[self.kind][1]
         return self.monad.mult(shallow(self.roles, op_name, tuple(args), param))
 
-    def mult(self, v):
-        """mu_S: S(S Y) -> S Y, computed once per distinct input."""
-        try:
-            return self.mult_memo[v]
-        except KeyError:
-            pass
-        out = self.monad.mult(v)
-        out = self.mult_memo[v] = self.result_memo.setdefault(out, out)
-        return out
-
     def clear_memos(self):
         """Forget every tabulated operation and mu_S."""
-        self.op_memo.clear()
-        self.mult_memo.clear()
-        self.result_memo.clear()
+        self._op.cache_clear()
+        self.mult.cache_clear()
+        self._results.clear()
 
     def representative(self, value) -> Term:
         """Canonical term mapping to `value` under q (deterministic)."""
@@ -404,11 +384,14 @@ _KINDS = {
 CANONICAL_KINDS = tuple(_KINDS)
 
 
-def quotient_monad(theory: Theory, kind: Optional[str] = None) -> QuotientMonad:
+def quotient_monad(
+    theory: Theory, kind: Optional[str] = None, bound: Optional[Bound] = None
+) -> QuotientMonad:
     """Realize the free (signature, equations) monad by canonical normal forms.
 
     When `kind` is omitted the theory is recognized structurally; unknown
-    theories fall back to GENERIC bounded congruence classes.
+    theories fall back to GENERIC bounded congruence classes, which
+    normalize within `bound` (`Bound()` by default).
     """
     rec_kind, roles = recognize_theory(theory)
     if kind is None:
@@ -418,7 +401,7 @@ def quotient_monad(theory: Theory, kind: Optional[str] = None) -> QuotientMonad:
             f"theory {theory.name!r} was recognized as {rec_kind}, not {kind}"
         )
     if kind == "GENERIC":
-        return generic_quotient_monad(theory)
+        return generic_quotient_monad(theory, bound)
     return QuotientMonad(kind, theory, roles, _KINDS[kind][0]())
 
 
@@ -566,26 +549,30 @@ class CongruenceClosure:
         return "; ".join(why)
 
 
-def generic_quotient_monad(theory: Theory) -> QuotientMonad:
-    """Congruence-class realization; sound only up to the enumeration bound."""
+def generic_quotient_monad(
+    theory: Theory, bound: Optional[Bound] = None
+) -> QuotientMonad:
+    """Congruence-class realization; sound only up to the enumeration bound.
 
-    closures: dict = {}
+    Operations and mu normalize in closures built from `bound` (`Bound()` by
+    default), deepened to the term's depth.
+    """
 
-    def closure(carrier, bound: Bound) -> CongruenceClosure:
-        key = (tuple(carrier), bound)
-        if key not in closures:
-            closures[key] = CongruenceClosure(theory, tuple(carrier), bound)
-        return closures[key]
+    @functools.cache
+    def closure(carrier: tuple, b: Bound) -> CongruenceClosure:
+        # the module's name is read at each build, so a wrapper on it sees all
+        return CongruenceClosure(theory, carrier, b)
 
-    default_bound = Bound()
-    bounds: dict = {}  # by depth: building a Bound validates its grid
+    default_bound = bound or Bound()
+
+    @functools.cache
+    def depth_bound(depth: int) -> Bound:  # building a Bound validates its grid
+        return replace(default_bound, max_term_depth=depth)
 
     def norm_term(t: Term):
         carrier = tuple(sort_values(set(_consts(t))))
         depth = max(default_bound.max_term_depth, term_depth(t))
-        if depth not in bounds:
-            bounds[depth] = replace(default_bound, max_term_depth=depth)
-        return closure(carrier, bounds[depth]).normal_form(t)
+        return closure(carrier, depth_bound(depth)).normal_form(t)
 
     def unit(x):
         return Const(x)
@@ -598,7 +585,7 @@ def generic_quotient_monad(theory: Theory) -> QuotientMonad:
 
     def enum(carrier, bound: Bound):
         # one normal form per class, in the order the universe meets them
-        return list(dict.fromkeys(closure(carrier, bound)._reps))
+        return list(dict.fromkeys(closure(tuple(carrier), bound)._reps))
 
     monad = MonadInstance(
         name=f"generic({theory.name or 'theory'})",

@@ -11,6 +11,7 @@ distributivity axioms of the combined language.
 from __future__ import annotations
 
 import functools
+import string
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -47,6 +48,7 @@ from .terms import (
     equation,
     find_violation,
     interpret,
+    tabled,
 )
 
 INNER_SEED = "INNER_SEED"
@@ -198,28 +200,14 @@ def verify_generated_axioms(
 
     Each operation of `algebra` is tabled for the length of this call: the
     axioms interpret the same few applications many times over, and
-    `interpret` passes `(args, param)` positionally, so a table keyed by
-    its arguments computes each application once.  The carrier and every
-    result are kept as one object per distinct value, so a table hit and
-    the check's `lv != rv` compare by identity, not by content.
+    `interpret` passes `(args, param)` positionally, so `tabled` computes
+    each application once.  The carrier and every result are kept as one
+    object per distinct value, so a table hit and the check's `lv != rv`
+    compare by identity, not by content.
     """
     canon: dict = {}
-
-    def tabled(op):
-        table: dict = {}
-
-        def run(args, param):
-            key = (args, param)
-            out = table.get(key)
-            if out is None:
-                out = op(args, param)
-                out = table[key] = canon.setdefault(out, out)
-            return out
-
-        return run
-
     carrier = tuple([canon.setdefault(v, v) for v in algebra.carrier])
-    interp = {name: tabled(op) for name, op in algebra.interp.items()}
+    interp = {name: tabled(op, canon) for name, op in algebra.interp.items()}
     algebra = replace(algebra, carrier=carrier, interp=interp)
     reports = []
     for e in eqs:
@@ -254,9 +242,14 @@ def compose_stack(
         raise TermError("at least one outer layer is required after the seed")
     b = bound or Bound()
     X = tuple(atoms)
+    if len(X) < 2:
+        # the probes, preservation and law checks run on two atoms at least:
+        # on one, every distribution is a point mass, and no probe can
+        # refute relevance
+        X += tuple(c for c in string.ascii_lowercase if c not in X)[: 2 - len(X)]
 
     current = layers[0].theory
-    seed_monad = quotient_monad(current, layers[0].normalizer)  # seed must normalize
+    seed_monad = quotient_monad(current, layers[0].normalizer, bound=b)  # must normalize
     stages = []
     for index, layer in enumerate(layers[1:], start=1):
         clash = [
@@ -267,7 +260,7 @@ def compose_stack(
                 f"layer {layer.name!r} redeclares operations {clash}; "
                 "each layer must bring distinct operation names"
             )
-        outer_q = quotient_monad(layer.theory, layer.normalizer)
+        outer_q = quotient_monad(layer.theory, layer.normalizer, bound=b)
         T = outer_q.monad
         T.require_outer()
         profile = profile_monad(T, X, b)
@@ -303,7 +296,7 @@ def compose_stack(
         law = composite = None
         law_reports = monad_reports = axiom_reports = ()
         status = UNVERIFIED if has_unknown else VERIFIED
-        S = quotient_monad(weak_inner)
+        S = quotient_monad(weak_inner, bound=b)
         if build_laws and not has_unknown:
             law, wd = build_quotient_law(S, T, X, b)
             composite = compose(T, S, law).monad
@@ -311,7 +304,7 @@ def compose_stack(
             monad_reports = tuple(verify_monad(composite, X, b))
             # the carrier and the axioms never apply lambda; S's tables go
             # too, so no two checks' tables are held at once
-            law.memo.clear()
+            law.fold.cache_clear()
             S.clear_memos()
             carrier = _enum(composite.enumerate, X, b, cap=algebra_cap)
             algebra = composite_algebra(S, outer_q, carrier)

@@ -49,6 +49,8 @@ def _render_element(v) -> str:
         return "(" + " + ".join(parts) + ")"
     if isinstance(v, Fraction):
         return render_param(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return str(v)
     if isinstance(v, Term):
         return render_term(v)
     raise TypeError(f"no canonical rendering for {type(v).__name__}")

@@ -59,15 +59,12 @@ def encode_value(v):
     if v is None or isinstance(v, (bool, int, str)):
         return v
     if isinstance(v, (tuple, frozenset, MultiSet, Dist, SumAtom, Fraction, Term)):
-        try:
-            return render_value(v)
-        except TypeError:
-            pass
+        return render_value(v)
     if isinstance(v, Equation):
         return describe_eq(v)
     if isinstance(v, dict):
         return {str(k): encode_value(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
+    if isinstance(v, list):
         return [encode_value(x) for x in v]
     return repr(v)
 

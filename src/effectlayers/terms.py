@@ -15,6 +15,7 @@ evaluator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -340,6 +341,19 @@ def classify(e: Equation) -> SyntacticClass:
 
 # ---------------------------------------------------------------------------
 # finite algebras and interpretation
+
+def tabled(fn: Callable, results: dict) -> Callable:
+    """`functools.cache` over `fn`, each result kept as one object per
+    distinct value in `results`: equal results of distinct inputs compare
+    by identity, and a set of them keeps one object under every hash seed."""
+
+    @functools.cache
+    def run(*args):
+        out = fn(*args)
+        return results.setdefault(out, out)
+
+    return run
+
 
 @dataclass(frozen=True)
 class FiniteAlgebra:

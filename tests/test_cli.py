@@ -118,6 +118,21 @@ class TestCheck:
         assert doc.to_json() + "\n" == text
 
 
+def test_a_one_atom_spec_drops_what_the_shipped_spec_drops(capsys, tmp_path):
+    # the checks pad the atoms to two; eval keeps the spec's one atom
+    spec = tmp_path / "one.layers"
+    text = Path(SPEC).read_text(encoding="utf-8")
+    spec.write_text(text.replace("atoms a b c;", "atoms a;"), encoding="utf-8")
+    out_path = tmp_path / "check.json"
+    code, _, err = run(capsys, "check", str(spec), "--json", str(out_path))
+    assert (code, err) == (1, "")
+    doc = json.loads(out_path.read_text())
+    dropped = {d.split(":")[0] for stage in doc["stages"] for d in stage["dropped"]}
+    assert dropped == {"idem(+)", "distrib-right(;,+)", "distrib-left(;,+)"}
+    code, _, err = run(capsys, "eval", str(spec), "-e", "a;b")
+    assert code == 3 and "unbound atom 'b'" in err
+
+
 @pytest.mark.parametrize("command, code", [("compose", 1), ("verify-laws", 0)])
 def test_report_matches_its_golden_file(capsys, tmp_path, command, code):
     """`tests/test_golden.py` says how to regenerate the golden files."""
@@ -313,6 +328,21 @@ class TestErrorPaths:
             f"parameter {weight} is not on the grid {{0, 1/2, 1}}"
         )
         assert "max_term_depth" not in err
+
+    def test_generic_operations_read_the_bounds_grid(self, capsys, tmp_path):
+        # the enumeration and the operations both close over the file's grid;
+        # a set size of 2 keeps the law checks short
+        spec = tmp_path / "generic.layers"
+        spec.write_text(_GENERIC_SEED, encoding="utf-8")
+        bounds = tmp_path / "bounds.json"
+        bounds.write_text('{"prob_grid": [0, "1/4", "3/4", 1], "max_set_size": 2}')
+        code, out, err = run(capsys, "compose", str(spec), "--bounds", str(bounds))
+        assert (code, err) == (0, "")
+        assert out.endswith("exit_code: 0\n")
+        program = "a (+)[1/4] m(a, b)"
+        argv = ["eval", str(spec), "-e", program, "--stage", "0", "--bounds", str(bounds)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, "a ⊕[1/4] m(a, b)\n", "")
 
     @pytest.mark.parametrize("command", ["compose", "verify-laws"])
     def test_refused_law_exits_2(self, capsys, tmp_path, command):

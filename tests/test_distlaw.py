@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -168,6 +170,20 @@ class TestFusedLambda:
         assert law.apply((frozenset({"a"}), frozenset({"a", "b"}))) == frozenset(
             {("a", "a"), ("a", "b")}
         )
+
+    def test_a_law_and_its_table_go_with_the_last_reference(self):
+        """λ's table refers to its law weakly: no reference cycle keeps a
+        dropped law, and what its table holds, until the cyclic collector runs."""
+        law, _ = monoid_over(fin_powerset())
+        assert law.apply((frozenset({"a"}), frozenset({"a", "b"})))
+        assert law.fold.cache_info().currsize
+        ref = weakref.ref(law)
+        gc.disable()
+        try:
+            del law
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_a_fault_in_the_fused_lambda_is_refused(self, monkeypatch):
         class Swapped(QuotientLaw):

@@ -356,27 +356,36 @@ def _table_inputs(q):
 TABLE_CASES = THEORIES + [(_semigroup, "GENERIC")]
 
 
+def _table_sizes(q):
+    """The entries of q's operation and mu_S tables, and its distinct results."""
+    return q._op.cache_info().currsize, q.mult.cache_info().currsize, len(q._results)
+
+
 @pytest.mark.parametrize("build, kind", TABLE_CASES, ids=[k for _, k in TABLE_CASES])
 def test_tabulated_operations_equal_a_fresh_monad(build, kind):
     q, fresh = quotient_monad(build()), quotient_monad(build())
     assert q.kind == kind
     ops, mults = _table_inputs(q)
     assert ops and mults
+    results = []
     for name, args, p in ops:
         out = q.apply_op(name, args, p)
         assert out == fresh.compute_op(name, args, p), (name, args, p)
         assert q.apply_op(name, list(args), p) is out
+        results.append(out)
     for v in mults:
         out = q.mult(v)
         assert out == fresh.monad.mult(v), v
         assert q.mult(v) is out
-    assert fresh.op_memo == fresh.mult_memo == fresh.result_memo == {}
-    assert len(q.mult_memo) == len(set(mults))
+        results.append(out)
+    assert _table_sizes(fresh) == (0, 0, 0)
+    assert _table_sizes(q)[:2] == (len(ops), len(set(mults)))
     # equal results of distinct inputs are one object
-    results = list(q.op_memo.values()) + list(q.mult_memo.values())
-    assert len({id(r) for r in results}) == len(set(results)) < len(results)
+    distinct = len(set(results))
+    assert len({id(r) for r in results}) == distinct < len(results)
+    assert _table_sizes(q)[2] == distinct
     q.clear_memos()
-    assert q.op_memo == q.mult_memo == q.result_memo == {}
+    assert _table_sizes(q) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("build, kind", THEORIES, ids=[k for _, k in THEORIES])
@@ -386,10 +395,10 @@ def test_a_copy_starts_with_empty_tables(build, kind):
     q.apply_op(*ops[-1])
     q.mult(mults[-1])
     copy = replace(q)
-    assert copy == q and q.op_memo and q.mult_memo
-    assert copy.op_memo == copy.mult_memo == copy.result_memo == {}
+    assert copy == q and _table_sizes(q)[:2] == (1, 1)
+    assert _table_sizes(copy) == (0, 0, 0)
     assert copy.apply_op(*ops[-1]) == q.apply_op(*ops[-1])
-    assert q.op_memo is not copy.op_memo
+    assert q._op is not copy._op and q.mult is not copy.mult
 
 
 def test_a_copy_of_a_generic_monad_starts_with_empty_tables():
@@ -399,8 +408,8 @@ def test_a_copy_of_a_generic_monad_starts_with_empty_tables():
         q.apply_op(*op)
     q.mult(mults[-1])
     copy = replace(q)
-    assert copy.kind == "GENERIC" and copy == q and q.op_memo and q.mult_memo
-    assert copy.op_memo == copy.mult_memo == copy.result_memo == {}
+    assert copy.kind == "GENERIC" and copy == q and all(_table_sizes(q))
+    assert _table_sizes(copy) == (0, 0, 0)
     depth3 = replace(NB, max_term_depth=3)
     terms = free_term_monad(q.theory.signature).enumerate(("a", "b"), depth3)
     assert len(terms) > len({q.normalize(t) for t in terms}) > 2

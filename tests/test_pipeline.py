@@ -19,6 +19,7 @@ from effectlayers.pipeline import (
     monoid_layer,
     nondet_layer,
     prob_layer,
+    probnetkat_stack,
 )
 from effectlayers.render import render_term
 from effectlayers.terms import (
@@ -126,26 +127,34 @@ class TestStageTwo(object):
         assert flagship.exit_code == 1
 
 
+def _table_sizes(q):
+    """The entries of q's operation and mu_S tables, and its distinct results."""
+    return q._op.cache_info().currsize, q.mult.cache_info().currsize, len(q._results)
+
+
 class TestLambdaMemo:
     def test_no_stage_keeps_a_memo(self, choice_over_choice):
         stages = choice_over_choice.stages
         laws = [s.law for s in stages]
-        assert laws and all(law is not None and law.memo == {} for law in laws)
+        assert laws and all(
+            law is not None and law.fold.cache_info().currsize == 0 for law in laws
+        )
         for s in stages:
             for q in (s.inner_monad, s.outer_monad):
-                assert q.op_memo == q.mult_memo == q.result_memo == {}
+                assert _table_sizes(q) == (0, 0, 0)
 
     def test_cached_lambda_equals_the_first_call(self, choice_over_choice, small_bound):
         for stage in choice_over_choice.stages:
             # a copy of S too: lambda fills S's operation table
             law = replace(stage.law, inner=replace(stage.law.inner))
-            assert law.memo == {} and law.memo is not stage.law.memo
+            assert law.fold.cache_info().currsize == 0 and law.fold is not stage.law.fold
             S, T = law.inner, law.outer
             for s in _enum(S.monad.enumerate, ("a", "b"), small_bound):
                 sv = S.monad.map(T.unit, s)  # a DL.1 input
                 first = law.apply(sv)
-                assert sv in law.memo
-                assert law.apply(sv) == first
+                hits = law.fold.cache_info().hits
+                assert law.apply(sv) is first  # read from the table
+                assert law.fold.cache_info().hits == hits + 1
                 assert first == T.map(S.normalize, law.rho(S.representative(sv)))
 
 
@@ -338,6 +347,51 @@ class TestStackValidation:
             compose_stack([monoid_layer()], bound=small_bound)
 
 
+class TestAtomPadding:
+    """The checks run on two atoms at least: on one, every distribution is a
+    point mass, and the flagship's stage 2 would keep `idem(+)`."""
+
+    # the paper's verdict: drops per stage, stage statuses, exit code
+    PAPER = (
+        [[], ["distrib-left(;,+)", "distrib-right(;,+)", "idem(+)"]],
+        [VERIFIED, VERIFIED],
+        1,
+    )
+
+    @staticmethod
+    def outcome(report):
+        return (
+            [sorted(e.describe() for e, _ in s.weakened.dropped) for s in report.stages],
+            [s.status for s in report.stages],
+            report.exit_code,
+        )
+
+    def test_one_atom_gives_the_two_atom_verdicts(self, flagship):
+        one = compose_stack(probnetkat_stack(), atoms=("a",))
+        assert self.outcome(one) == self.outcome(flagship) == self.PAPER
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_the_verdicts_do_not_depend_on_the_number_of_atoms(self, n):
+        atoms = tuple("abcd"[:n])
+        report = compose_stack(probnetkat_stack(), atoms=atoms, build_laws=False)
+        assert self.outcome(report) == self.PAPER
+
+    def test_the_padding_takes_the_first_free_letters(self, monkeypatch):
+        seen = []
+        profile = pipeline.profile_monad
+
+        def recording(T, X, b):
+            seen.append(X)
+            return profile(T, X, b)
+
+        monkeypatch.setattr(pipeline, "profile_monad", recording)
+        for atoms in [(), ("a",), ("b",), ("ab",), ("a", "c"), ("c", "b", "a")]:
+            compose_stack(probnetkat_stack(), atoms=atoms, build_laws=False)
+        assert seen[::2] == [
+            ("a", "b"), ("a", "b"), ("b", "a"), ("ab", "a"), ("a", "c"), ("c", "b", "a")
+        ]
+
+
 class TestSemilatticeOverPowerset:
     """Lifting nondeterminism over itself: idempotence does not survive."""
 
@@ -423,10 +477,10 @@ class TestEvalTerm:
         for n in range(4):
             prog = app(seq, prog, Const("ab"[n % 2]))
             assert eval_term(flagship, prog, stage, ("a", "b"))
-            assert all(q.op_memo == q.mult_memo == q.result_memo == {} for q in monads)
+            assert all(_table_sizes(q) == (0, 0, 0) for q in monads)
         with pytest.raises(TermError, match="unbound atom 'z'"):
             eval_term(flagship, app(seq, prog, Const("z")), stage, ("a", "b"))
-        assert all(q.op_memo == q.mult_memo == q.result_memo == {} for q in monads)
+        assert all(_table_sizes(q) == (0, 0, 0) for q in monads)
 
     @pytest.mark.parametrize("stage", [0, 1, 2])
     def test_open_program_is_an_error(self, flagship, stage):

@@ -28,6 +28,7 @@ from effectlayers.terms import (
     interpret,
     interpret_in_context,
     prepare_indices,
+    tabled,
     term_args,
     term_depth,
     term_vars,
@@ -244,6 +245,26 @@ def test_interpret_agrees_with_the_argument_consuming_reference():
                 assert interpret_in_context(t, A, ctx, valuation, env) == expected
                 checked += 1
     assert checked == 55 * 8 * 5
+
+
+def test_tabled_computes_once_per_input_and_keeps_one_object_per_result():
+    calls, results = [], {}
+
+    def parity(args, param):
+        calls.append((args, param))
+        return frozenset({sum(args) % 2})  # a new object on every call
+
+    op = tabled(parity, results)
+    inputs = [((1, 2), None), ((2, 1), None), ((2, 2), None), ((1, 2), None)]
+    outs = [op(*i) for i in inputs]
+    assert calls == inputs[:3]  # once per distinct input
+    # equal results of distinct inputs are one object
+    assert outs[0] is outs[1] is outs[3] and outs[2] == frozenset({0})
+    assert results == {frozenset({1}): outs[0], frozenset({0}): outs[2]}
+    assert op.cache_info().currsize == 3
+    op.cache_clear()
+    assert op.cache_info().currsize == 0
+    assert op((1, 2), None) is outs[0] and len(calls) == 4  # computed again
 
 
 # ---------------------------------------------------------------------------

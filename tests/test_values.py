@@ -310,6 +310,15 @@ class TestRendering:
         d = Dist({("a",): F(1, 2), ("b",): F(1, 2)})
         assert render_value(app(seq, Const(s), Const(d))) == "{ε, a, b};[a: 1/2, b: 1/2]"
 
+    def test_integers_render_as_numerals(self):
+        from effectlayers.reports import encode_value
+
+        d = Dist({0: F(1, 2), 1: F(1, 2)})  # a counterexample on an integer carrier
+        assert render_value(d) == encode_value(d) == "0: 1/2, 1: 1/2"
+        assert render_value(frozenset({1, 0})) == "{0, 1}"
+        with pytest.raises(TypeError, match="no canonical rendering for bool"):
+            render_value(True)
+
     @settings(max_examples=300)
     @given(readable_values)
     def test_round_trip(self, v):
