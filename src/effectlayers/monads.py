@@ -371,7 +371,10 @@ def multiset() -> MonadInstance:
 # finitely supported rational distributions
 
 def _grid_dists(carrier, grid):
-    """All distributions with weights drawn from the grid, deterministic order."""
+    """All distributions with weights drawn from the grid, deterministic order.
+
+    The carrier's values are distinct, so each weighting is one distribution.
+    """
     ordered = sort_values(carrier)
 
     def go(i, remaining):
@@ -386,14 +389,7 @@ def _grid_dists(carrier, grid):
 
     if not ordered:
         return []
-    seen = []
-    found = set()
-    for pairs in go(0, Fraction(1)):
-        d = Dist(pairs)
-        if d not in found:
-            found.add(d)
-            seen.append(d)
-    return seen
+    return [Dist(pairs) for pairs in go(0, Fraction(1))]
 
 
 def _dist_enumerate(carrier, bound: Bound):

@@ -241,10 +241,10 @@ def compose_stack(
     if len(layers) < 2 or any(l.role != OUTER for l in layers[1:]):
         raise TermError("at least one outer layer is required after the seed")
     b = bound or Bound()
-    X = tuple(atoms)
+    X = tuple(dict.fromkeys(atoms))
     if len(X) < 2:
-        # the probes, preservation and law checks run on two atoms at least:
-        # on one, every distribution is a point mass, and no probe can
+        # the probes, preservation and law checks run on two distinct atoms at
+        # least: on one, every distribution is a point mass, and no probe can
         # refute relevance
         X += tuple(c for c in string.ascii_lowercase if c not in X)[: 2 - len(X)]
 

@@ -21,7 +21,6 @@ from .terms import (
     classify,
     find_violation,
     prepare_indices,
-    term_vars,
 )
 from .values import canon_key
 
@@ -250,8 +249,8 @@ def check_preservation(
     if profile.relevant.holds and profile.affine.holds:
         return Verdict(e, PRESERVED_SYNTACTIC, THM_CARTESIAN)
 
-    ctx = _context_of(e)
-    if all(residual_commutes(T, side, ctx, X, b).holds for side in (e.lhs, e.rhs)):
+    sides = (e.lhs, e.rhs)
+    if all(residual_commutes(T, side, e.context, X, b).holds for side in sides):
         return Verdict(
             e, PRESERVED_RESIDUAL, fragment=f"residual diagrams on |X|={len(X)}"
         )
@@ -327,14 +326,6 @@ def _counterexample(base_algebra, w: dict) -> dict:
     if w["params"]:
         out["params"] = w["params"]
     return out | {"lhs": w["lhs"], "rhs": w["rhs"]}
-
-
-def _context_of(e: Equation):
-    ctx = list(term_vars(e.lhs))
-    for x in term_vars(e.rhs):
-        if x not in ctx:
-            ctx.append(x)
-    return tuple(ctx)
 
 
 def _signature_of(e: Equation):

@@ -313,7 +313,10 @@ def parse_spec(text: str) -> SpecFile:
     tok = ts.expect("ident", "atoms")
     atoms = []
     while ts.peek().kind == "ident":
-        atoms.append(ts.next().text)
+        t = ts.next()
+        if t.text in atoms:
+            raise SpecParseError(f"atom {t.text!r} declared twice", t.line, t.col)
+        atoms.append(t.text)
     ts.expect("punct", ";")
     if not atoms:
         raise SpecParseError("at least one atom is required", tok.line, tok.col)

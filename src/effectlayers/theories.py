@@ -1,7 +1,8 @@
 """Standard algebraic theories and structural recognition of equation patterns.
 
-The named laws on plain binary operations are written once, in `_LAWS`; the
-theory builders, the equation names and recognition all read that table.
+The named laws are written once, in `_LAWS`: those of plain binary operations
+and the convex-algebra laws of a parameterized one (⊕).  The theory builders,
+the equation names and recognition all read that table.
 Recognition drives two things: picking the canonical normal-form realization
 for a (possibly weakened) theory, and naming equations in reports
 ("assoc(;)", "idem(+)", ...).
@@ -43,7 +44,7 @@ def _match(t: Term, pat: Term, varmap: dict) -> bool:
         varmap[pat.name] = t
         return True
     if isinstance(pat, App):
-        # the patterns' operations take no parameter, so neither side has one
+        # names do not compare weights: a parameter on either side is ignored
         if not isinstance(t, App) or t.op != pat.op:
             return False
         return all(_match(a, p, varmap) for a, p in zip(t.args, pat.args))
@@ -63,22 +64,31 @@ def equation_matches(e: Equation, pat_lhs: Term, pat_rhs: Term) -> bool:
 # named laws
 
 _x, _y, _z = Var("x"), Var("y"), Var("z")
+_l, _t = PVar("l"), PVar("t")
+_inv = PBin("-", PConst(Fraction(1)), _l)  # 1 - l
+_outer = PBin("+", _l, PBin("*", _inv, _t))  # l + (1 - l) * t
+_PLAIN, _PARAM, _EITHER = (False,), (True,), (False, True)
 
-# The named laws on a plain binary operation f.  Each maps to the arity of
-# the law's second operation o (None: it has none; 0: a constant; 2: a
-# second plain binary operation) and a builder of the law's two sides.
+# The named laws.  Each maps to the kind of binary operation f it is a law of
+# (plain, parameterized or either), the arity of the law's second operation o
+# (None: it has none; 0: a constant; 2: a second plain binary operation) and
+# a builder of the law's two sides.  A parameterized f takes the weight l.
 _LAWS = {
     "assoc": (
+        _PLAIN,
         None,
         lambda f, o: (app(f, _x, app(f, _y, _z)), app(f, app(f, _x, _y), _z)),
     ),
-    "comm": (None, lambda f, o: (app(f, _x, _y), app(f, _y, _x))),
-    "idem": (None, lambda f, o: (app(f, _x, _x), _x)),
-    "unit-left": (0, lambda f, o: (app(f, app(o), _x), _x)),
-    "unit-right": (0, lambda f, o: (app(f, _x, app(o)), _x)),
-    "absorb-left": (0, lambda f, o: (app(f, app(o), _x), app(o))),
-    "absorb-right": (0, lambda f, o: (app(f, _x, app(o)), app(o))),
+    "comm": (_PLAIN, None, lambda f, o: (app(f, _x, _y), app(f, _y, _x))),
+    "idem": (
+        _EITHER, None, lambda f, o: (app(f, _x, _x, param=_l if f.param else None), _x)
+    ),
+    "unit-left": (_PLAIN, 0, lambda f, o: (app(f, app(o), _x), _x)),
+    "unit-right": (_PLAIN, 0, lambda f, o: (app(f, _x, app(o)), _x)),
+    "absorb-left": (_PLAIN, 0, lambda f, o: (app(f, app(o), _x), app(o))),
+    "absorb-right": (_PLAIN, 0, lambda f, o: (app(f, _x, app(o)), app(o))),
     "distrib-left": (
+        _PLAIN,
         2,
         lambda f, o: (
             app(f, _x, app(o, _y, _z)),
@@ -86,10 +96,24 @@ _LAWS = {
         ),
     ),
     "distrib-right": (
+        _PLAIN,
         2,
         lambda f, o: (
             app(f, app(o, _y, _z), _x),
             app(o, app(f, _y, _x), app(f, _z, _x)),
+        ),
+    ),
+    "skew-comm": (
+        _PARAM,
+        None,
+        lambda f, o: (app(f, _x, _y, param=_l), app(f, _y, _x, param=_inv)),
+    ),
+    "skew-assoc": (
+        _PARAM,
+        None,
+        lambda f, o: (
+            app(f, _x, app(f, _y, _z, param=_t), param=_l),
+            app(f, app(f, _x, _y, param=PBin("/", _l, _outer)), _z, param=_outer),
         ),
     ),
 }
@@ -100,8 +124,10 @@ def _law_name(law: str, f: OpSymbol, o: Optional[OpSymbol] = None) -> str:
 
 
 def _instances(f: OpSymbol, ops):
-    """(law, o) for each law on the plain binary f, its o drawn from `ops`."""
-    for law, (arity, _) in _LAWS.items():
+    """(law, o) for each law on the binary f, its o drawn from `ops`."""
+    for law, (kinds, arity, _) in _LAWS.items():
+        if f.param not in kinds:
+            continue
         if arity is None:
             yield law, None
             continue
@@ -111,7 +137,7 @@ def _instances(f: OpSymbol, ops):
 
 
 def _law(name: str, f: OpSymbol, other=None, label: str = "") -> Equation:
-    lhs, rhs = _LAWS[name][1](f, other)
+    lhs, rhs = _LAWS[name][2](f, other)
     return equation(lhs, rhs, name=label or _law_name(name, f, other))
 
 
@@ -120,13 +146,8 @@ def _pattern_name(e: Equation, sig: Signature) -> Optional[str]:
     for f in sig.ops:
         if f.arity != 2:
             continue
-        if f.param:
-            name = _describe_param_equation(e, f)
-            if name:
-                return name
-            continue
         for law, o in _instances(f, sig.ops):
-            if equation_matches(e, *_LAWS[law][1](f, o)):
+            if equation_matches(e, *_LAWS[law][2](f, o)):
                 return _law_name(law, f, o)
     return None
 
@@ -134,34 +155,6 @@ def _pattern_name(e: Equation, sig: Signature) -> Optional[str]:
 def describe_equation(e: Equation, sig: Signature) -> str:
     """Best-effort pattern name for reports; falls back to rendered terms."""
     return _pattern_name(e, sig) or e.describe()
-
-
-def _describe_param_equation(e: Equation, f: OpSymbol):
-    """Shapes of parameterized binary operations, ignoring the weights."""
-
-    def is_f(t):
-        return isinstance(t, App) and t.op == f
-
-    l, r = e.lhs, e.rhs
-    if is_f(l) and isinstance(r, Var) and l.args == (r, r):
-        return f"idem({f.name})"
-    if is_f(l) and is_f(r) and l.args == tuple(reversed(r.args)):
-        if all(isinstance(a, Var) for a in l.args) and l.args[0] != l.args[1]:
-            return f"skew-comm({f.name})"
-    for left, right in ((l, r), (r, l)):
-        if (
-            is_f(left)
-            and is_f(right)
-            and isinstance(left.args[0], Var)
-            and is_f(left.args[1])
-            and is_f(right.args[0])
-            and isinstance(right.args[1], Var)
-            and left.args[0] == right.args[0].args[0]
-            and left.args[1].args[0] == right.args[0].args[1]
-            and left.args[1].args[1] == right.args[1]
-        ):
-            return f"skew-assoc({f.name})"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -207,27 +200,9 @@ def comm_monoid_theory(plus: OpSymbol = PLUS, unit: OpSymbol = ABORT) -> Theory:
 
 
 def convex_theory(oplus: OpSymbol = OPLUS) -> Theory:
-    lam, tau = PVar("l"), PVar("t")
-    one = PConst(Fraction(1))
-    inv = PBin("-", one, lam)
-    outer = PBin("+", lam, PBin("*", inv, tau))  # l + (1-l)*t
-    ratio = PBin("/", lam, outer)
-    sig = Signature((oplus,))
     return Theory(
-        sig,
-        (
-            equation(App(oplus, (_x, _x), lam), _x, name=f"idem({oplus.name})"),
-            equation(
-                App(oplus, (_x, _y), lam),
-                App(oplus, (_y, _x), inv),
-                name=f"skew-comm({oplus.name})",
-            ),
-            equation(
-                App(oplus, (_x, App(oplus, (_y, _z), tau)), lam),
-                App(oplus, (App(oplus, (_x, _y), ratio), _z), outer),
-                name=f"skew-assoc({oplus.name})",
-            ),
-        ),
+        Signature((oplus,)),
+        tuple(_law(law, oplus) for law in ("idem", "skew-comm", "skew-assoc")),
         name="convex algebra",
     )
 

@@ -176,9 +176,6 @@ class MultiSet(_Weighted):
             counts[e] = counts.get(e, 0) + n
         return MultiSet._trusted(counts)
 
-    def scale(self, k: int) -> "MultiSet":
-        return MultiSet({e: n * k for e, n in self._d.items()})
-
 
 _ONE = Fraction(1)  # the weight of every point mass, shared
 

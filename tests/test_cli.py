@@ -156,6 +156,16 @@ class TestInputErrors:
         assert code == 3
         assert "3:" in err  # line of the offending token
 
+    def test_a_repeated_atom_exits_3(self, capsys, tmp_path):
+        # two equal atoms would pass for two distinct ones and evade the padding
+        bad = tmp_path / "bad.layers"
+        text = Path(SPEC).read_text(encoding="utf-8")
+        bad.write_text(text.replace("atoms a b c;", "atoms a a;"), encoding="utf-8")
+        line = text[: text.index("atoms a b c;")].count("\n") + 1
+        code, _, err = run(capsys, "check", str(bad))
+        assert code == 3
+        assert err.strip() == f"error: {line}:9: atom 'a' declared twice"
+
     @pytest.mark.parametrize("digit", ["²", "٣"])
     def test_non_ascii_digit_exits_3(self, capsys, tmp_path, digit):
         bad = tmp_path / "bad.layers"

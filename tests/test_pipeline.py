@@ -370,6 +370,10 @@ class TestAtomPadding:
         one = compose_stack(probnetkat_stack(), atoms=("a",))
         assert self.outcome(one) == self.outcome(flagship) == self.PAPER
 
+    def test_a_repeated_atom_gives_the_two_atom_verdicts(self, flagship):
+        twice = compose_stack(probnetkat_stack(), atoms=("a", "a"))
+        assert self.outcome(twice) == self.outcome(flagship) == self.PAPER
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_the_verdicts_do_not_depend_on_the_number_of_atoms(self, n):
         atoms = tuple("abcd"[:n])
@@ -385,10 +389,17 @@ class TestAtomPadding:
             return profile(T, X, b)
 
         monkeypatch.setattr(pipeline, "profile_monad", recording)
-        for atoms in [(), ("a",), ("b",), ("ab",), ("a", "c"), ("c", "b", "a")]:
+        cases = [(), ("a",), ("a", "a"), ("b",), ("ab",), ("a", "c"), ("c", "b", "a")]
+        for atoms in cases:
             compose_stack(probnetkat_stack(), atoms=atoms, build_laws=False)
         assert seen[::2] == [
-            ("a", "b"), ("a", "b"), ("b", "a"), ("ab", "a"), ("a", "c"), ("c", "b", "a")
+            ("a", "b"),
+            ("a", "b"),
+            ("a", "b"),
+            ("b", "a"),
+            ("ab", "a"),
+            ("a", "c"),
+            ("c", "b", "a"),
         ]
 
 

@@ -15,7 +15,17 @@ from effectlayers.specfile import (
     parse_program,
     parse_spec,
 )
-from effectlayers.terms import App, Const, PBin, PVar
+from effectlayers.terms import (
+    App,
+    Const,
+    OpSymbol,
+    PBin,
+    PVar,
+    Signature,
+    Theory,
+    Var,
+    equation,
+)
 from effectlayers.theories import recognize_theory
 from test_acceptance import STAGE1_PROGRAMS, STAGE2_PROGRAMS
 
@@ -147,6 +157,11 @@ class TestParseErrors:
         with pytest.raises(SpecParseError):
             parse_spec("layer l { }")
 
+    def test_repeated_atom_is_located(self):
+        with pytest.raises(SpecParseError, match="atom 'b' declared twice") as exc:
+            parse_spec(MINI.replace("atoms a b;", "atoms a b b;"))
+        assert (exc.value.line, exc.value.col) == (2, 11)
+
     def test_unknown_normalizer_is_located(self):
         bad = MINI.replace("normalizer monoid;", "normalizer ring;")
         with pytest.raises(SpecParseError) as exc:
@@ -213,6 +228,64 @@ class TestMiniRoundTrip:
         # at l = t = 1/2 the reassociated left weight is (1/2)/(3/4) = 2/3
         inner = skew_assoc.rhs.args[0]
         assert eval_param(inner.param, {"l": F(1, 2), "t": F(1, 2)}) == F(2, 3)
+
+
+def hand_built_convex_theory(oplus=theories.OPLUS):
+    """The convex-algebra laws written out by hand: the law table's reference."""
+    x, y, z = Var("x"), Var("y"), Var("z")
+    lam, tau = PVar("l"), PVar("t")
+    inv = PBin("-", PConst_one(), lam)
+    outer = PBin("+", lam, PBin("*", inv, tau))  # l + (1-l)*t
+    ratio = PBin("/", lam, outer)
+    return Theory(
+        Signature((oplus,)),
+        (
+            equation(App(oplus, (x, x), lam), x, name=f"idem({oplus.name})"),
+            equation(
+                App(oplus, (x, y), lam),
+                App(oplus, (y, x), inv),
+                name=f"skew-comm({oplus.name})",
+            ),
+            equation(
+                App(oplus, (x, App(oplus, (y, z), tau)), lam),
+                App(oplus, (App(oplus, (x, y), ratio), z), outer),
+                name=f"skew-assoc({oplus.name})",
+            ),
+        ),
+        name="convex algebra",
+    )
+
+
+class TestConvexLaws:
+    """The law table builds and names the convex-algebra laws of ⊕."""
+
+    @pytest.mark.parametrize("oplus", [theories.OPLUS, OpSymbol("o", 2, param=True)])
+    def test_the_table_builds_the_hand_built_laws(self, oplus):
+        assert theories.convex_theory(oplus) == hand_built_convex_theory(oplus)
+
+    @staticmethod
+    def names(*eqs):
+        text = 'atoms a;\nlayer p {\n  op "⊕" : 2 param;\n'
+        text += "".join(f"  eq {e};\n" for e in eqs) + "}\n"
+        (layer,) = parse_spec(text).layers
+        return [e.name for e in layer.theory.equations]
+
+    def test_renamed_variables_and_swapped_sides_are_named(self):
+        assert self.names(
+            "u (+)[p] u = u",
+            "v (+)[1 - q] u = u (+)[q] v",
+            "(a1 (+)[p / (p + (1 - p) * s)] a2) (+)[p + (1 - p) * s] a3"
+            " = a1 (+)[p] (a2 (+)[s] a3)",
+        ) == ["idem(⊕)", "skew-comm(⊕)", "skew-assoc(⊕)"]
+
+    def test_names_are_alpha_equivalence(self):
+        # the other orientation of idempotence is the same law; instances of
+        # skew-associativity with equal variables are not its alpha variants
+        assert self.names(
+            "x = x (+)[l] x",
+            "x (+)[l] (x (+)[t] x) = (x (+)[l] x) (+)[t] x",
+            "x (+)[l] (y (+)[t] y) = (x (+)[l] y) (+)[t] y",
+        ) == ["idem(⊕)", "", ""]
 
 
 BUILDERS = [
