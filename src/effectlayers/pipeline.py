@@ -36,7 +36,6 @@ from .preservation import (
     profile_monad,
 )
 from .terms import (
-    App,
     Const,
     Equation,
     FiniteAlgebra,
@@ -44,12 +43,12 @@ from .terms import (
     Term,
     TermError,
     Theory,
-    Var,
     equation,
     find_violation,
     interpret,
     tabled,
 )
+from .theories import convex_theory, distributivity, monoid_theory, semilattice_theory
 
 INNER_SEED = "INNER_SEED"
 OUTER = "OUTER"
@@ -90,7 +89,7 @@ class StageResult:
     law_reports: tuple = ()
     monad_reports: tuple = ()
     axiom_reports: tuple = ()
-    unweakened_refusal: str = ""     # why the original theory admits no law
+    unweakened_refusal: str = ""     # why the lifting gives the full theory no law
 
     @property
     def dropped_any(self) -> bool:
@@ -125,51 +124,23 @@ class CompositionReport:
 def generate_distributivity(inner_sig: Signature, outer_sig: Signature):
     """Distributivity of every inner operation over every outer operation.
 
-    For inner f (arity m >= 1), outer g (arity n >= 1), and argument
-    position j: f(..., g(y1..yn), ...) = g(f(...,y1,...), ..., f(...,yn,...)).
-    Outer constants are absorbing: f(..., c, ...) = c.
+    For inner f (arity m >= 1), outer g and argument position j,
+    `theories.distributivity(f, g, j)`: g distributes out of f's argument
+    j, and an outer constant is absorbing.
     """
-    from .terms import PVar
-
     eqs = []
     for f in inner_sig.ops:
         if f.arity == 0:
             continue
-        fp = PVar("fp") if f.param else None
         for g in outer_sig.ops:
-            gp = PVar("gp") if g.param else None
             if g.arity == 0:
-                for j in range(f.arity):
-                    xs = [Var(f"x{i + 1}") for i in range(f.arity)]
-                    largs = list(xs)
-                    largs[j] = App(g, ())
-                    side = ("left", "right")[j] if f.arity == 2 else str(j)
-                    eqs.append(
-                        equation(
-                            App(f, tuple(largs), fp),
-                            App(g, ()),
-                            name=f"absorb-{side}({f.name},{g.name})",
-                        )
-                    )
-                continue
+                law, sides = "absorb", ("left", "right")
+            else:
+                law, sides = "distrib", ("right", "left")
             for j in range(f.arity):
-                xs = [Var(f"x{i + 1}") for i in range(f.arity)]
-                ys = [Var(f"y{i + 1}") for i in range(g.arity)]
-                largs = list(xs)
-                largs[j] = App(g, tuple(ys), gp)
-                rargs = []
-                for y in ys:
-                    inner_args = list(xs)
-                    inner_args[j] = y
-                    rargs.append(App(f, tuple(inner_args), fp))
-                side = ("right", "left")[j] if f.arity == 2 else str(j)
-                eqs.append(
-                    equation(
-                        App(f, tuple(largs), fp),
-                        App(g, tuple(rargs), gp),
-                        name=f"distrib-{side}({f.name},{g.name})",
-                    )
-                )
+                side = sides[j] if f.arity == 2 else str(j)
+                name = f"{law}-{side}({f.name},{g.name})"
+                eqs.append(equation(*distributivity(f, g, j), name=name))
     return eqs
 
 
@@ -278,7 +249,10 @@ def compose_stack(
             else:
                 dropped.append((v.equation, v))
 
-        # the unweakened theory admits no law: its verdicts refuse one
+        # the lifting T(op)∘ψ gives the unweakened theory no law: its verdicts
+        # refuse one.  That no law exists at all is a no-go theorem for
+        # probability over nondeterminism (Varacca & Winskel, MSCS 2006;
+        # Zwart & Marsden, LICS 2019), not a result of these checks
         refusal = str(unpreserved_refusal(verdicts)) if dropped else ""
 
         weak_name = current.name + ("" if not dropped else " (weakened)")
@@ -392,20 +366,14 @@ def eval_term(report: CompositionReport, t: Term, stage: int, atoms) -> object:
 # canonical layer stacks
 
 def monoid_layer(name: str = "sequencing") -> LayerSpec:
-    from .theories import monoid_theory
-
     return LayerSpec(name, monoid_theory(), "MONOID", INNER_SEED)
 
 
 def nondet_layer(name: str = "nondeterminism") -> LayerSpec:
-    from .theories import semilattice_theory
-
     return LayerSpec(name, semilattice_theory(), "SEMILATTICE", OUTER)
 
 
 def prob_layer(name: str = "probability") -> LayerSpec:
-    from .theories import convex_theory
-
     return LayerSpec(name, convex_theory(), "CONVEX", OUTER)
 
 

@@ -12,16 +12,20 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .monads import Bound, MonadInstance, fubini_tuples, lift_interp
+from .monads import Bound, BoundExplosionError, MonadInstance, fubini_tuples, lift_interp
+from .normal_forms import quotient_monad
 from .terms import (
+    App,
     Equation,
     FiniteAlgebra,
+    Signature,
     SyntacticClass,
     Theory,
     classify,
     find_violation,
     prepare_indices,
 )
+from .theories import recognize_theory
 from .values import canon_key
 
 
@@ -292,10 +296,6 @@ _FREE_CARRIER_CAP = 16
 
 def _free_algebra_violation(T: MonadInstance, inner: Theory, e: Equation, X, b: Bound):
     """Search the lifted free algebra of the inner theory over atoms X."""
-    from .monads import BoundExplosionError
-    from .normal_forms import quotient_monad
-    from .theories import recognize_theory
-
     kind, _ = recognize_theory(inner)
     if kind == "GENERIC":
         return None, ""
@@ -329,8 +329,6 @@ def _counterexample(base_algebra, w: dict) -> dict:
 
 
 def _signature_of(e: Equation):
-    from .terms import App, Signature
-
     ops = {}
 
     def walk(t):

@@ -311,12 +311,12 @@ def _parse_term_atom(ts: _Stream, sig: Signature, leaf) -> Term:
 def parse_spec(text: str) -> SpecFile:
     ts = _Stream(_tokenize(text))
     tok = ts.expect("ident", "atoms")
-    atoms = []
+    atoms = {}
     while ts.peek().kind == "ident":
         t = ts.next()
         if t.text in atoms:
             raise SpecParseError(f"atom {t.text!r} declared twice", t.line, t.col)
-        atoms.append(t.text)
+        atoms[t.text] = t
     ts.expect("punct", ";")
     if not atoms:
         raise SpecParseError("at least one atom is required", tok.line, tok.col)
@@ -327,6 +327,11 @@ def parse_spec(text: str) -> SpecFile:
     if not layers:
         t = ts.peek()
         raise SpecParseError("at least one inner seed layer is required", t.line, t.col)
+    # a program would read such an atom as the operation
+    ops = {o.name for layer in layers for o in layer.theory.signature.ops}
+    for t in atoms.values():
+        if t.text in ops:
+            raise SpecParseError(f"atom {t.text!r} names an operation", t.line, t.col)
     return SpecFile(tuple(atoms), tuple(layers))
 
 

@@ -1,11 +1,15 @@
 """Standard algebraic theories and structural recognition of equation patterns.
 
 The named laws are written once, in `_LAWS`: those of plain binary operations
-and the convex-algebra laws of a parameterized one (⊕).  The theory builders,
-the equation names and recognition all read that table.
-Recognition drives two things: picking the canonical normal-form realization
-for a (possibly weakened) theory, and naming equations in reports
-("assoc(;)", "idem(+)", ...).
+and the convex-algebra laws of a parameterized one (⊕).  The laws of each
+canonical kind are written once, in `_KIND_LAWS`, as (law, role of f, role
+of o) triples.  The theory builders, the equation names and recognition all
+read these tables.  Recognition drives two things: picking the canonical
+normal-form realization for a (possibly weakened) theory, and naming
+equations in reports ("assoc(;)", "idem(+)", ...).  A theory of plain
+operations is a kind exactly when its operations, one to each role, make
+its named laws the kind's laws; one parameterized binary operation alone
+is CONVEX.  Anything else is GENERIC.
 """
 
 from __future__ import annotations
@@ -69,6 +73,27 @@ _inv = PBin("-", PConst(Fraction(1)), _l)  # 1 - l
 _outer = PBin("+", _l, PBin("*", _inv, _t))  # l + (1 - l) * t
 _PLAIN, _PARAM, _EITHER = (False,), (True,), (False, True)
 
+
+def distributivity(f: OpSymbol, g: OpSymbol, j: int):
+    """The two sides of f distributing over g in f's argument j:
+    f(.., g(y1..yn), ..) = g(f(.., y1, ..), .., f(.., yn, ..)), the other
+    arguments x1..xm.  A constant g is absorbing: f(.., g, ..) = g.  A
+    parameterized f or g carries the weight fp or gp."""
+    fp = PVar("fp") if f.param else None
+    xs = [Var(f"x{i + 1}") for i in range(f.arity)]
+
+    def f_at_j(arg: Term) -> Term:
+        args = list(xs)
+        args[j] = arg
+        return App(f, tuple(args), fp)
+
+    if g.arity == 0:
+        return f_at_j(App(g, ())), App(g, ())
+    gp = PVar("gp") if g.param else None
+    ys = [Var(f"y{i + 1}") for i in range(g.arity)]
+    return f_at_j(App(g, tuple(ys), gp)), App(g, tuple(map(f_at_j, ys)), gp)
+
+
 # The named laws.  Each maps to the kind of binary operation f it is a law of
 # (plain, parameterized or either), the arity of the law's second operation o
 # (None: it has none; 0: a constant; 2: a second plain binary operation) and
@@ -85,24 +110,10 @@ _LAWS = {
     ),
     "unit-left": (_PLAIN, 0, lambda f, o: (app(f, app(o), _x), _x)),
     "unit-right": (_PLAIN, 0, lambda f, o: (app(f, _x, app(o)), _x)),
-    "absorb-left": (_PLAIN, 0, lambda f, o: (app(f, app(o), _x), app(o))),
-    "absorb-right": (_PLAIN, 0, lambda f, o: (app(f, _x, app(o)), app(o))),
-    "distrib-left": (
-        _PLAIN,
-        2,
-        lambda f, o: (
-            app(f, _x, app(o, _y, _z)),
-            app(o, app(f, _x, _y), app(f, _x, _z)),
-        ),
-    ),
-    "distrib-right": (
-        _PLAIN,
-        2,
-        lambda f, o: (
-            app(f, app(o, _y, _z), _x),
-            app(o, app(f, _y, _x), app(f, _z, _x)),
-        ),
-    ),
+    "absorb-left": (_PLAIN, 0, lambda f, o: distributivity(f, o, 0)),
+    "absorb-right": (_PLAIN, 0, lambda f, o: distributivity(f, o, 1)),
+    "distrib-left": (_PLAIN, 2, lambda f, o: distributivity(f, o, 1)),
+    "distrib-right": (_PLAIN, 2, lambda f, o: distributivity(f, o, 0)),
     "skew-comm": (
         _PARAM,
         None,
@@ -141,24 +152,26 @@ def _law(name: str, f: OpSymbol, other=None, label: str = "") -> Equation:
     return equation(lhs, rhs, name=label or _law_name(name, f, other))
 
 
-def _pattern_name(e: Equation, sig: Signature) -> Optional[str]:
-    """The named law `e` is an instance of, trying the operations in order."""
+def _pattern(e: Equation, sig: Signature):
+    """(law, f, o) of the named law `e` is an instance of, trying the
+    operations in order; None when it is none."""
     for f in sig.ops:
         if f.arity != 2:
             continue
         for law, o in _instances(f, sig.ops):
             if equation_matches(e, *_LAWS[law][2](f, o)):
-                return _law_name(law, f, o)
+                return law, f, o
     return None
 
 
 def describe_equation(e: Equation, sig: Signature) -> str:
     """Best-effort pattern name for reports; falls back to rendered terms."""
-    return _pattern_name(e, sig) or e.describe()
+    pattern = _pattern(e, sig)
+    return _law_name(*pattern) if pattern else e.describe()
 
 
 # ---------------------------------------------------------------------------
-# canonical theory builders
+# canonical kinds and their theories
 
 SEQ = OpSymbol(";", 2)
 SKIP = OpSymbol("skip", 0)
@@ -166,37 +179,63 @@ PLUS = OpSymbol("+", 2)
 ABORT = OpSymbol("abort", 0)
 OPLUS = OpSymbol("⊕", 2, param=True)
 
+# each role's default operation, whose arity every operation in the role has
+_ROLE_OPS = {"seq": SEQ, "skip": SKIP, "plus": PLUS, "abort": ABORT}
+
+# The laws of each canonical kind but CONVEX, written once as (law, role of
+# f, role of o) and in the builders' equation order.  The builders and
+# recognition both read this table.
+_MONOID = (
+    ("unit-right", "seq", "skip"),
+    ("unit-left", "seq", "skip"),
+    ("assoc", "seq", None),
+)
+_UNITS = (("unit-left", "plus", "abort"), ("unit-right", "plus", "abort"))
+_COMM = (("comm", "plus", None), ("assoc", "plus", None))
+_SEMILATTICE = _UNITS + (("idem", "plus", None),) + _COMM
+_DISTRIB = (("distrib-left", "seq", "plus"), ("distrib-right", "seq", "plus"))
+_ABSORB = (("absorb-right", "seq", "abort"), ("absorb-left", "seq", "abort"))
+_KIND_LAWS = {
+    "MONOID": ("monoid", _MONOID),
+    "SEMILATTICE": ("semilattice", _SEMILATTICE),
+    "COMM_MONOID": ("commutative monoid", _UNITS + _COMM),
+    "IDEM_SEMIRING": (
+        "idempotent semiring", _MONOID + _SEMILATTICE + _DISTRIB + _ABSORB
+    ),
+    "SEMIRING": ("semiring", _MONOID + _UNITS + _COMM + _DISTRIB + _ABSORB),
+    "TWO_MONOIDS_ABSORB": (
+        "two monoids with absorption", _MONOID + _UNITS + _COMM + _ABSORB
+    ),
+}
+# each kind's roles, in order of first appearance: its signature's order
+_KIND_ROLES = {
+    kind: tuple(dict.fromkeys(r for _, *roles in laws for r in roles if r))
+    for kind, (_, laws) in _KIND_LAWS.items()
+}
+
+
+def _kind_theory(kind: str, **roles: OpSymbol) -> Theory:
+    """The theory of `kind` with the given operations in its roles.  A unit
+    law is labelled by its binary operation alone."""
+    name, laws = _KIND_LAWS[kind]
+    eqs = []
+    for law, f, o in laws:
+        label = f"{law}({roles[f].name})" if law.startswith("unit") else ""
+        eqs.append(_law(law, roles[f], roles.get(o), label))
+    sig = Signature(tuple(roles[r] for r in _KIND_ROLES[kind]))
+    return Theory(sig, tuple(eqs), name=name)
+
 
 def monoid_theory(seq: OpSymbol = SEQ, unit: OpSymbol = SKIP) -> Theory:
-    return Theory(
-        Signature((seq, unit)),
-        (
-            _law("unit-right", seq, unit, label=f"unit-right({seq.name})"),
-            _law("unit-left", seq, unit, label=f"unit-left({seq.name})"),
-            _law("assoc", seq),
-        ),
-        name="monoid",
-    )
+    return _kind_theory("MONOID", seq=seq, skip=unit)
 
 
 def semilattice_theory(plus: OpSymbol = PLUS, unit: OpSymbol = ABORT) -> Theory:
-    return Theory(
-        Signature((plus, unit)),
-        (
-            _law("unit-left", plus, unit, label=f"unit-left({plus.name})"),
-            _law("unit-right", plus, unit, label=f"unit-right({plus.name})"),
-            _law("idem", plus),
-            _law("comm", plus),
-            _law("assoc", plus),
-        ),
-        name="semilattice",
-    )
+    return _kind_theory("SEMILATTICE", plus=plus, abort=unit)
 
 
 def comm_monoid_theory(plus: OpSymbol = PLUS, unit: OpSymbol = ABORT) -> Theory:
-    base = semilattice_theory(plus, unit)
-    eqs = tuple(e for e in base.equations if not e.name.startswith("idem"))
-    return Theory(base.signature, eqs, name="commutative monoid")
+    return _kind_theory("COMM_MONOID", plus=plus, abort=unit)
 
 
 def convex_theory(oplus: OpSymbol = OPLUS) -> Theory:
@@ -208,30 +247,15 @@ def convex_theory(oplus: OpSymbol = OPLUS) -> Theory:
 
 
 def idem_semiring_theory() -> Theory:
-    sig = Signature((SEQ, SKIP, PLUS, ABORT))
-    eqs = (
-        monoid_theory().equations
-        + semilattice_theory().equations
-        + (
-            _law("distrib-left", SEQ, PLUS),
-            _law("distrib-right", SEQ, PLUS),
-            _law("absorb-right", SEQ, ABORT),
-            _law("absorb-left", SEQ, ABORT),
-        )
-    )
-    return Theory(sig, eqs, name="idempotent semiring")
+    return _kind_theory("IDEM_SEMIRING", **_ROLE_OPS)
 
 
 def semiring_theory() -> Theory:
-    base = idem_semiring_theory()
-    eqs = tuple(e for e in base.equations if e.name != "idem(+)")
-    return Theory(base.signature, eqs, name="semiring")
+    return _kind_theory("SEMIRING", **_ROLE_OPS)
 
 
 def two_monoids_absorption_theory() -> Theory:
-    base = semiring_theory()
-    eqs = tuple(e for e in base.equations if not e.name.startswith("distrib"))
-    return Theory(base.signature, eqs, name="two monoids with absorption")
+    return _kind_theory("TWO_MONOIDS_ABSORB", **_ROLE_OPS)
 
 
 # ---------------------------------------------------------------------------
@@ -250,65 +274,27 @@ def recognize_theory(theory: Theory):
     """Map a theory onto a canonical normal-form kind plus operation roles.
 
     Returns (kind_name, Roles); kind_name "GENERIC" when no canonical normal
-    form is known for the equation set.
+    form is known for the equation set.  A theory of plain operations is a
+    kind of `_KIND_LAWS` exactly when its operations, one to each role and
+    of the role's arity, make its named laws the kind's laws.
     """
     sig = theory.signature
     param_ops = [o for o in sig.ops if o.param]
     binaries = [o for o in sig.ops if o.arity == 2 and not o.param]
-    consts = [o for o in sig.ops if o.arity == 0]
 
     if param_ops:
         if len(param_ops) == 1 and not binaries and param_ops[0].arity == 2:
             return "CONVEX", Roles(oplus=param_ops[0])
         return "GENERIC", Roles()
 
-    names = [_pattern_name(e, sig) for e in theory.equations]
-
-    def has(law, f, o=None) -> bool:
-        return _law_name(law, f, o) in names
-
-    def unit(f):
-        both = (c for c in consts if has("unit-left", f, c) and has("unit-right", f, c))
-        return next(both, None)
-
-    def accounted(roles: Roles) -> bool:
-        """Every equation is a roles' law; nothing distributes over seq."""
-        ops = [o for o in (roles.skip, roles.abort, roles.plus) if o is not None]
-        laws = set()
-        for f in (roles.seq, roles.plus):
-            if f is not None:
-                laws.update(_law_name(law, f, o) for law, o in _instances(f, ops))
-        return all(n in laws for n in names)
-
-    if len(binaries) == 1:
-        f = binaries[0]
-        c = unit(f)
-        if has("assoc", f) and c is not None:
-            if has("comm", f):
-                roles = Roles(plus=f, abort=c)
-                kind = "SEMILATTICE" if has("idem", f) else "COMM_MONOID"
-            else:
-                roles = Roles(seq=f, skip=c)
-                kind = "MONOID"
-            if accounted(roles):
-                return kind, roles
-        return "GENERIC", Roles()
-
-    if len(binaries) == 2:
-        for f, g in itertools.permutations(binaries):
-            if not (has("assoc", f) and has("assoc", g) and has("comm", g)):
+    laws = {_pattern(e, sig) for e in theory.equations}
+    for kind, (_, kind_laws) in _KIND_LAWS.items():
+        if len(_KIND_ROLES[kind]) != len(sig.ops):
+            continue
+        for ops in itertools.permutations(sig.ops):
+            roles = dict(zip(_KIND_ROLES[kind], ops))
+            if any(o.arity != _ROLE_OPS[r].arity for r, o in roles.items()):
                 continue
-            c, d = unit(f), unit(g)
-            if c is None or d is None:
-                continue
-            if not (has("absorb-left", f, d) and has("absorb-right", f, d)):
-                continue
-            roles = Roles(seq=f, skip=c, plus=g, abort=d)
-            if not accounted(roles):
-                continue
-            if has("distrib-left", f, g) and has("distrib-right", f, g):
-                return ("IDEM_SEMIRING" if has("idem", g) else "SEMIRING"), roles
-            return "TWO_MONOIDS_ABSORB", roles
-        return "GENERIC", Roles()
-
+            if laws == {(law, roles[f], roles.get(o)) for law, f, o in kind_laws}:
+                return kind, Roles(**roles)
     return "GENERIC", Roles()

@@ -166,6 +166,19 @@ class TestInputErrors:
         assert code == 3
         assert err.strip() == f"error: {line}:9: atom 'a' declared twice"
 
+    @pytest.mark.parametrize(
+        "command", [["check"], ["eval", "-e", "skip;a"]], ids=["check", "eval"]
+    )
+    def test_an_atom_naming_an_operation_exits_3(self, capsys, tmp_path, command):
+        # a program would read the atom as the operation
+        bad = tmp_path / "bad.layers"
+        text = Path(SPEC).read_text(encoding="utf-8")
+        bad.write_text(text.replace("atoms a b c;", "atoms skip a;"), encoding="utf-8")
+        line = text[: text.index("atoms a b c;")].count("\n") + 1
+        code, _, err = run(capsys, command[0], str(bad), *command[1:])
+        assert code == 3
+        assert err.strip() == f"error: {line}:7: atom 'skip' names an operation"
+
     @pytest.mark.parametrize("digit", ["²", "٣"])
     def test_non_ascii_digit_exits_3(self, capsys, tmp_path, digit):
         bad = tmp_path / "bad.layers"
@@ -367,6 +380,75 @@ class TestErrorPaths:
         code, _, err = run(capsys, command, str(spec))
         assert code == 2
         assert err.startswith("error: well-definedness check failed")
+
+
+# nondeterminism on operations named apart from a seed's + and abort
+_CHOICE = """
+layer choice {
+  op "u" : 2;
+  op "zero" : 0;
+  eq u(zero, x) = x;
+  eq u(x, zero) = x;
+  eq u(x, x) = x;
+  eq u(x, y) = u(y, x);
+  eq u(x, u(y, z)) = u(u(x, y), z);
+  normalizer semilattice;
+}
+"""
+
+# a unit idempotent monoid: a semilattice without commutativity
+_IDEM_MONOID_SEED = (
+    "atoms a b;\nlayer seed {\n"
+    '  op "+" : 2;\n  op "abort" : 0;\n'
+    "  eq x + (y + z) = (x + y) + z;\n"
+    "  eq abort + x = x;\n  eq x + abort = x;\n  eq x + x = x;\n}\n" + _CHOICE
+)
+
+# the monoid laws beside a constant that plays no monoid role
+_EXTRA_CONSTANT_SEED = (
+    "atoms a b;\nlayer seed {\n"
+    '  op ";" : 2;\n  op "skip" : 0;\n  op "k" : 0;\n'
+    "  eq x;skip = x;\n  eq skip;x = x;\n  eq x;(y;z) = (x;y);z;\n}\n" + _NONDET
+)
+
+
+class TestRecognition:
+    """A seed gets a kind's normal forms only when its laws are that kind's."""
+
+    def test_a_unit_idempotent_monoid_keeps_its_idempotence(self, capsys, tmp_path):
+        spec = tmp_path / "idem.layers"
+        spec.write_text(_IDEM_MONOID_SEED, encoding="utf-8")
+        code, out, err = run(capsys, "eval", str(spec), "-e", "a + a", "--stage", "0")
+        assert (code, out, err) == (0, "a\n", "")
+
+    def test_a_constant_without_a_role_is_generic(self, capsys, tmp_path):
+        spec = tmp_path / "extra.layers"
+        spec.write_text(_EXTRA_CONSTANT_SEED, encoding="utf-8")
+        code, out, err = run(capsys, "eval", str(spec), "-e", "k;a", "--stage", "0")
+        assert (code, out, err) == (0, "k;a\n", "")
+        code, out, err = run(capsys, "compose", str(spec))
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize(
+        "seed, last_law",
+        [
+            (_IDEM_MONOID_SEED, "  eq x + x = x;\n"),
+            (_EXTRA_CONSTANT_SEED, "  eq x;(y;z) = (x;y);z;\n"),
+        ],
+        ids=["idempotent", "extra-constant"],
+    )
+    def test_a_normalizer_of_another_kind_exits_3(
+        self, capsys, tmp_path, seed, last_law
+    ):
+        spec = tmp_path / "monoid.layers"
+        text = seed.replace(last_law, last_law + "  normalizer monoid;\n", 1)
+        assert text != seed
+        spec.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "check", str(spec))
+        assert code == 3
+        assert err.strip() == (
+            "error: theory 'seed' was recognized as GENERIC, not MONOID"
+        )
 
 
 # a parameterized operation whose idempotence the powerset lifting breaks at

@@ -4,9 +4,11 @@ from itertools import product
 
 import pytest
 
+from effectlayers import theories
 from effectlayers.distlaw import _enum, verify_monad
 from effectlayers.monads import Bound, free_term_monad
 from effectlayers.normal_forms import (
+    CANONICAL_KINDS,
     CongruenceClosure,
     InconclusiveNormalization,
     generic_quotient_monad,
@@ -80,6 +82,11 @@ def small_carrier(q, cap=6):
         return vs
     step = max(1, len(vs) // cap)
     return vs[::step][:cap]
+
+
+def test_every_kind_but_convex_has_its_laws_in_the_kind_table():
+    # theories writes each kind's laws; normal_forms holds its monad
+    assert set(theories._KIND_LAWS) | {"CONVEX"} == set(CANONICAL_KINDS)
 
 
 @pytest.mark.parametrize("build, kind", THEORIES, ids=[k for _, k in THEORIES])

@@ -177,6 +177,11 @@ class TestGeneratedAxioms:
         assert render_term(absorb.lhs) == "x1;abort"
         assert render_term(absorb.rhs) == "abort"
 
+    def test_stage_one_is_the_idempotent_semiring_builder(self, flagship):
+        # the kept laws and the generated axioms: names and sides alike
+        combined = flagship.stages[0].combined.equations
+        assert set(combined) == set(idem_semiring_theory().equations)
+
 
 class TestAxiomVisits:
     """`find_violation` interprets each side through the module's
