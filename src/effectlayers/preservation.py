@@ -165,13 +165,25 @@ def lifted_algebra(T: MonadInstance, A: FiniteAlgebra, b: Bound) -> FiniteAlgebr
 def enumerate_algebras(theory: Theory, carrier_size: int):
     """All (signature, equations)-respecting algebras on a canonical carrier.
 
+    A backtracking search: operations get their tables in signature order,
+    each operation's tables in `itertools.product` order, so the algebras
+    come in the order of the product of all tables.  An equation is checked
+    as soon as the last of its operations has a table (one with no
+    operation at the root), and a partial assignment that fails it is
+    dropped with all its extensions.
+
     Only for parameter-free theories; parameterized signatures have no finite
     table enumeration and are skipped by the caller.
     """
-    if any(o.param for o in theory.signature.ops):
+    ops = theory.signature.ops
+    if any(o.param for o in ops):
         return
     carrier = tuple(range(carrier_size))
-    ops = theory.signature.ops
+    position = {o.name: i for i, o in enumerate(ops)}
+    due = [[] for _ in range(len(ops) + 1)]  # equations to check at each depth
+    for e in theory.equations:
+        used = [position[o.name] for o in _signature_of(e).ops]
+        due[max(used, default=-1) + 1].append(e)
     tables = []
     for o in ops:
         inputs = list(itertools.product(carrier, repeat=o.arity))
@@ -179,14 +191,19 @@ def enumerate_algebras(theory: Theory, carrier_size: int):
             [dict(zip(inputs, outs))
              for outs in itertools.product(carrier, repeat=len(inputs))]
         )
-    for combo in itertools.product(*tables):
-        interp = {
-            o.name: (lambda table: (lambda args, param=None: table[args]))(t)
-            for o, t in zip(ops, combo)
-        }
+
+    def search(interp: dict, depth: int):
         A = FiniteAlgebra(carrier, interp, name=f"carrier{carrier_size}")
-        if all(find_violation(A, e, ()) is None for e in theory.equations):
+        if any(find_violation(A, e, ()) is not None for e in due[depth]):
+            return
+        if depth == len(ops):
             yield A
+            return
+        for t in tables[depth]:
+            fn = (lambda table: (lambda args, param=None: table[args]))(t)
+            yield from search(interp | {ops[depth].name: fn}, depth + 1)
+
+    yield from search({}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +270,13 @@ def check_preservation(
     if profile.relevant.holds and profile.affine.holds:
         return Verdict(e, PRESERVED_SYNTACTIC, THM_CARTESIAN)
 
-    sides = (e.lhs, e.rhs)
+    # a side whose variables each occur once, in context order, rearranges
+    # by the identity, and its square commutes because T(id) = id
+    identity = tuple(range(len(e.context)))
+    sides = [
+        side for side in (e.lhs, e.rhs)
+        if prepare_indices(side, e.context) != identity
+    ]
     if all(residual_commutes(T, side, e.context, X, b).holds for side in sides):
         return Verdict(
             e, PRESERVED_RESIDUAL, fragment=f"residual diagrams on |X|={len(X)}"

@@ -1,10 +1,12 @@
 """Canonical rendering of effect values, and the one term printer.
 
 One fixed textual form per value: words concatenate their atoms ("ac",
-empty word "ε"), sets use braces, multisets use ⟨⟨…⟩⟩ with elements
-repeated by multiplicity, nested sums are parenthesized "+"-joined words,
-and distributions are comma-joined "value: p/q" entries, bracketed
-("{[h: 1/2, s: 1/2]}") inside a set, a multiset or another distribution.
+empty word "ε") or, once an atom has a longer name, join them with "·"
+("ab·c", and "·ab" for the word of the one atom "ab"), sets use braces,
+multisets use ⟨⟨…⟩⟩ with elements repeated by multiplicity, nested sums
+are parenthesized "+"-joined words, and distributions are comma-joined
+"value: p/q" entries, bracketed ("{[h: 1/2, s: 1/2]}") inside a set, a
+multiset or another distribution.
 `specfile.parse_value` reads them back.
 
 `render_term` prints terms in the syntax `specfile.parse_program` reads,
@@ -81,4 +83,7 @@ def _render_word(w: tuple) -> str:
     rendered = [_render_element(a) for a in w]
     if all(len(r) == 1 for r in rendered):
         return "".join(rendered)
+    if len(w) == 1 and isinstance(w[0], str):
+        # a lone multi-letter atom: without the "·", "ab" reads back as a·b
+        return "·" + rendered[0]
     return "·".join(rendered)

@@ -142,7 +142,8 @@ def _tokenize(text: str):
         elif kind == "bad" or (kind == "ident" and not (s[0].isalpha() or s[0] == "_")):
             message = "unterminated string" if s == '"' else f"unexpected character {s[0]!r}"
             raise _RefusedCharacter(message, _Tok(kind, s[0], pos, text))
-        toks.append(_Tok(kind, s, pos, text))
+        # tuple.__new__ skips the Python-level __new__ NamedTuple generates
+        toks.append(tuple.__new__(_Tok, (kind, s, pos, text)))
     toks.append(_Tok("end", "", end, text))
     return toks
 
@@ -496,11 +497,13 @@ def _parse_elements(ts: _Stream, close: str) -> list:
 
 
 def _parse_word(ts: _Stream) -> tuple:
-    """ε, one identifier read as one-letter atoms, or atoms joined by "·"."""
+    """ε, one identifier read as one-letter atoms, or atoms joined by "·"
+    (with a leading "·" for a word of one atom: "·ab" is the word ab)."""
     first = ts.peek()
     if first.kind == "ident" and first.text == EMPTY_WORD:
         ts.next()
         return ()
+    ts.accept("·")
     atoms = [_parse_atom(ts)]
     while ts.accept("·"):
         atoms.append(_parse_atom(ts))

@@ -258,6 +258,12 @@ class TestRendering:
                 MultiSet([Dist({("a",): 1}), Dist({("a",): F(1, 2), ("b",): F(1, 2)})]),
                 "⟨⟨[a: 1], [a: 1/2, b: 1/2]⟩⟩",
             ),
+            # a lone multi-letter atom takes a leading "·", or it would read
+            # back as a word of one-letter atoms
+            (("ab",), "·ab"),
+            (frozenset({("ab",), ("ab", "cd")}), "{·ab, ab·cd}"),
+            (MultiSet([("ab",), ("ab", "cd")]), "⟨⟨·ab, ab·cd⟩⟩"),
+            (Dist({("ab",): F(1, 2), ("ab", "cd"): F(1, 2)}), "·ab: 1/2, ab·cd: 1/2"),
         ],
     )
     def test_canonical_forms(self, value, text):
