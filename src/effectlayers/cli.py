@@ -58,11 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("spec", help="path to a .layers file")
         sp.add_argument("--bounds", help="JSON file overriding enumeration bounds")
         sp.add_argument("--json", dest="json_path", help="write the machine report here")
-        sp.add_argument(
-            "--keep-unknown",
-            action="store_true",
-            help="keep equations with UNKNOWN verdicts (marks the stage UNVERIFIED)",
-        )
         if name == "eval":
             sp.add_argument("-e", "--program", required=True, help="program text")
             sp.add_argument("--stage", type=int, default=None,
@@ -138,7 +133,6 @@ def main(argv=None) -> int:
             spec.layers,
             atoms=spec.atoms,
             bound=bound,
-            keep_unknown=args.keep_unknown,
             build_laws=args.command in ("compose", "verify-laws"),
         )
         if args.command == "check":

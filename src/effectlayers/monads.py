@@ -68,6 +68,8 @@ class Bound:
                     "or a string"
                 )
         grid = set(Fraction(g) for g in self.prob_grid)
+        if not grid:
+            raise ValueError("prob_grid must not be empty")
         if not all(0 <= g <= 1 for g in grid):
             raise ValueError("prob_grid must lie in [0,1]")
         if grid != {1 - g for g in grid}:

@@ -3,8 +3,11 @@
 Each canonical theory (monoid, semilattice, commutative monoid, convex
 algebra, idempotent semiring, semiring, two monoids with absorption) comes
 with a normal-form value type, a normalizer q (terms -> normal forms), a
-representative map back into terms, and a lawful monad structure.  A bounded
-congruence-closure fallback covers theories without a known normal form.
+representative map back into terms, and a lawful monad structure.  Its row
+of `_KINDS` holds one step per role, which a `QuotientMonad` looks up by
+operation name: a sum or a sum of words in a set or multiset, or the convex
+mix.  A bounded congruence-closure fallback covers theories without a known
+normal form.
 """
 
 from __future__ import annotations
@@ -69,6 +72,13 @@ class QuotientMonad:
     def __post_init__(self):
         # the canonical algebra's operations, looked up by `normalize`
         object.__setattr__(self, "_ops", self.algebra().op)
+        # each operation's one-layer step, by its name; GENERIC has none
+        steps = _KINDS[self.kind][1] if self.kind in _KINDS else {}
+        object.__setattr__(
+            self,
+            "_steps",
+            {getattr(self.roles, role).name: step for role, step in steps.items()},
+        )
         # each operation by (op_name, args, param) and mu_S by its input;
         # a copy made with dataclasses.replace starts empty, and
         # compose_stack and eval_term empty them when done
@@ -92,8 +102,12 @@ class QuotientMonad:
 
     def compute_op(self, op_name: str, args, param=None):
         """`apply_op` computed afresh, without reading or filling the table."""
-        shallow = _KINDS[self.kind][1]
-        return self.monad.mult(shallow(self.roles, op_name, tuple(args), param))
+        step = self._steps.get(op_name)
+        if step is None:
+            raise TermError(
+                f"{self.kind.lower()} normal forms do not interpret {op_name!r}"
+            )
+        return self.monad.mult(step(tuple(args), param))
 
     def clear_memos(self):
         """Forget every tabulated operation and mu_S."""
@@ -115,40 +129,30 @@ class QuotientMonad:
 
 
 # ---------------------------------------------------------------------------
-# shallow one-layer applications: build S(S Y) from an op and S Y arguments
+# one-layer steps: each role's operation on S Y arguments, as a value of
+# S(S Y) that mu_S flattens
 
-def _sh_monoid(roles: Roles, op, args, param):
-    if op == roles.seq.name:
-        return args  # a 2-letter word of values
-    if op == roles.skip.name:
-        return ()
-    raise TermError(f"monoid normal forms do not interpret {op!r}")
+def _sum(bag) -> dict:
+    """+ and abort as a sum of the arguments in `bag`, frozenset or MultiSet."""
+    return {"plus": lambda args, p: bag(args), "abort": lambda args, p: bag()}
 
 
-def _sh_semilattice(roles: Roles, op, args, param):
-    if op == roles.plus.name:
-        return frozenset(args)
-    if op == roles.abort.name:
-        return frozenset()
-    raise TermError(f"semilattice normal forms do not interpret {op!r}")
+def _sum_of_words(bag) -> dict:
+    """The four roles as a sum in `bag` of words of the arguments: ; is one
+    word of two letters, + two words of one letter."""
+    return {
+        "seq": lambda args, p: bag([args]),
+        "skip": lambda args, p: bag([()]),
+        "plus": lambda args, p: bag([(a,) for a in args]),
+        "abort": lambda args, p: bag(),
+    }
 
 
-def _sh_comm_monoid(roles: Roles, op, args, param):
-    if op == roles.plus.name:
-        return MultiSet(args)
-    if op == roles.abort.name:
-        return MultiSet()
-    raise TermError(f"multiset normal forms do not interpret {op!r}")
-
-
-def _sh_convex(roles: Roles, op, args, param):
-    if op == roles.oplus.name:
-        lam = param if type(param) is Fraction else Fraction(param)
-        if not 0 <= lam <= 1:
-            raise TermError(f"probability parameter {lam} outside [0,1]")
-        a, b = args
-        return _mix_pair(a, b, lam)
-    raise TermError(f"convex normal forms do not interpret {op!r}")
+def _mix(args, param):
+    lam = param if type(param) is Fraction else Fraction(param)
+    if not 0 <= lam <= 1:
+        raise TermError(f"probability parameter {lam} outside [0,1]")
+    return _mix_pair(*args, lam)
 
 
 def _mix_pair(a, b, lam):
@@ -159,30 +163,6 @@ def _mix_pair(a, b, lam):
     if a == b:
         return Dist.dirac(a)
     return Dist._trusted({a: lam, b: 1 - lam})  # 0 < lam < 1, a != b
-
-
-def _sh_idem_semiring(roles: Roles, op, args, param):
-    if op == roles.seq.name:
-        return frozenset([args])  # one word of two letters
-    if op == roles.skip.name:
-        return frozenset([()])
-    if op == roles.plus.name:
-        return frozenset([(a,) for a in args])
-    if op == roles.abort.name:
-        return frozenset()
-    raise TermError(f"idempotent-semiring normal forms do not interpret {op!r}")
-
-
-def _sh_semiring(roles: Roles, op, args, param):
-    if op == roles.seq.name:
-        return MultiSet([args])
-    if op == roles.skip.name:
-        return MultiSet([()])
-    if op == roles.plus.name:
-        return MultiSet([(a,) for a in args])
-    if op == roles.abort.name:
-        return MultiSet()
-    raise TermError(f"semiring normal forms do not interpret {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -360,25 +340,30 @@ def _rep_words(roles: Roles, v) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# kind -> (monad factory, shallow one-layer application, representative)
+# kind -> (monad factory, one-layer steps by role, representative)
 
 _KINDS = {
-    "MONOID": (free_monoid, _sh_monoid, _word_term),
-    "SEMILATTICE": (fin_powerset, _sh_semilattice, _rep_sum),
-    "COMM_MONOID": (multiset, _sh_comm_monoid, _rep_sum),
-    "CONVEX": (fin_distribution, _sh_convex, _rep_convex),
+    # ; is a word of two letters, skip the empty word
+    "MONOID": (
+        free_monoid,
+        {"seq": lambda args, p: args, "skip": lambda args, p: ()},
+        _word_term,
+    ),
+    "SEMILATTICE": (fin_powerset, _sum(frozenset), _rep_sum),
+    "COMM_MONOID": (multiset, _sum(MultiSet), _rep_sum),
+    "CONVEX": (fin_distribution, {"oplus": _mix}, _rep_convex),
     "IDEM_SEMIRING": (
         lambda: _words_in(fin_powerset(), "set-of-words"),
-        _sh_idem_semiring,
+        _sum_of_words(frozenset),
         _rep_words,
     ),
     "SEMIRING": (
         lambda: _words_in(multiset(), "multiset-of-words"),
-        _sh_semiring,
+        _sum_of_words(MultiSet),
         _rep_words,
     ),
-    # same one-layer shape as the semiring, different mult
-    "TWO_MONOIDS_ABSORB": (_tm_monad, _sh_semiring, _rep_words),
+    # same one-layer steps as the semiring, different mult
+    "TWO_MONOIDS_ABSORB": (_tm_monad, _sum_of_words(MultiSet), _rep_words),
 }
 
 CANONICAL_KINDS = tuple(_KINDS)

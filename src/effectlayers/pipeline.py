@@ -29,12 +29,7 @@ from .distlaw import (
 )
 from .monads import Bound, MonadInstance, lift_interp
 from .normal_forms import QuotientMonad, quotient_monad
-from .preservation import (
-    UNKNOWN,
-    MonadProfile,
-    check_preservation,
-    profile_monad,
-)
+from .preservation import MonadProfile, check_preservation, profile_monad
 from .terms import (
     Const,
     Equation,
@@ -201,7 +196,6 @@ def compose_stack(
     layers: Sequence[LayerSpec],
     atoms=("a", "b"),
     bound: Optional[Bound] = None,
-    keep_unknown: bool = False,
     law_cap: int = 60,
     algebra_cap: int = 12,
     build_laws: bool = True,
@@ -239,13 +233,10 @@ def compose_stack(
             check_preservation(T, e, profile, X, b, theory=current)
             for e in current.equations
         )
-        kept, dropped, has_unknown = [], [], False
+        kept, dropped = [], []
         for v in verdicts:
             if v.preserved:
                 kept.append(v.equation)
-            elif v.status == UNKNOWN and keep_unknown:
-                kept.append(v.equation)
-                has_unknown = True
             else:
                 dropped.append((v.equation, v))
 
@@ -269,9 +260,8 @@ def compose_stack(
 
         law = composite = None
         law_reports = monad_reports = axiom_reports = ()
-        status = UNVERIFIED if has_unknown else VERIFIED
         S = quotient_monad(weak_inner, bound=b)
-        if build_laws and not has_unknown:
+        if build_laws:
             law, wd = build_quotient_law(S, T, X, b)
             composite = compose(T, S, law).monad
             law_reports = (wd,) + tuple(verify_distlaw(law, X, b, law_cap))
@@ -288,10 +278,7 @@ def compose_stack(
                 )
             )
             S.clear_memos()  # the report's monads start with empty tables
-            if not all(
-                r.ok for r in law_reports + monad_reports + axiom_reports
-            ):
-                status = UNVERIFIED
+        reports = law_reports + monad_reports + axiom_reports
 
         stages.append(
             StageResult(
@@ -303,7 +290,7 @@ def compose_stack(
                     tuple(kept), tuple(dropped), generated, combined_sig
                 ),
                 combined=combined,
-                status=status,
+                status=VERIFIED if all(r.ok for r in reports) else UNVERIFIED,
                 law=law,
                 composite=composite,
                 inner_monad=S,

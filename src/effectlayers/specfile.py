@@ -79,17 +79,12 @@ class SpecFile:
     atoms: tuple
     layers: tuple  # LayerSpec, seed first
 
-    @property
-    def signature_at(self):
-        """signature_at(stage) -> combined signature visible at that stage."""
-
-        def at(stage: int) -> Signature:
-            sig = self.layers[0].theory.signature
-            for layer in self.layers[1 : stage + 1]:
-                sig = sig.merge(layer.theory.signature)
-            return sig
-
-        return at
+    def signature_at(self, stage: int) -> Signature:
+        """The combined signature visible at `stage`."""
+        sig = self.layers[0].theory.signature
+        for layer in self.layers[1 : stage + 1]:
+            sig = sig.merge(layer.theory.signature)
+        return sig
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +186,7 @@ class _Stream:
 # ---------------------------------------------------------------------------
 # term parsing
 
-def _can_start_term(t: _Tok, sig: Signature) -> bool:
+def _can_start_term(t: _Tok) -> bool:
     if t.kind == "ident":
         return t.text not in KEYWORDS
     return t.kind == "punct" and t.text == "("
@@ -261,7 +256,7 @@ def _parse_term(ts: _Stream, sig: Signature, leaf, prec: int = 0) -> Term:
         if op_prec <= prec:
             return left
         # ';' also terminates statements: only an operator before a term
-        if t.text == ";" and not _can_start_term(ts.peek(1), sig):
+        if t.text == ";" and not _can_start_term(ts.peek(1)):
             return left
         if t.text not in sig:
             raise SpecParseError(f"operation {t.text!r} not declared", t.line, t.col)
@@ -351,7 +346,9 @@ def _parse_layer(ts: _Stream, role: str) -> LayerSpec:
             break
         if t.kind == "ident" and t.text == "op":
             ts.next()
-            opname = ts.expect("string").text
+            op = ts.expect("string")
+            if any(o.name == op.text for o in ops):
+                raise SpecParseError(f"operation {op.text!r} declared twice", op.line, op.col)
             ts.expect("punct", ":")
             arity = int(ts.expect("number").text)
             param = False
@@ -359,7 +356,7 @@ def _parse_layer(ts: _Stream, role: str) -> LayerSpec:
                 ts.next()
                 param = True
             ts.expect("punct", ";")
-            ops.append(OpSymbol(opname, arity, param))
+            ops.append(OpSymbol(op.text, arity, param))
             continue
         if t.kind == "ident" and t.text == "eq":
             ts.next()

@@ -459,7 +459,7 @@ def find_violation(A: FiniteAlgebra, e: Equation, param_grid):
     envs = [
         dict(zip(pnames, combo))
         for combo in itertools.product(param_grid, repeat=len(pnames))
-    ] or [{}]
+    ]
     for values in itertools.product(A.carrier, repeat=len(e.context)):
         valuation = dict(zip(e.context, values))
         for env in envs:

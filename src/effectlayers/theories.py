@@ -6,7 +6,9 @@ canonical kind are written once, in `_KIND_LAWS`, as (law, role of f, role
 of o) triples.  The theory builders, the equation names and recognition all
 read these tables.  Recognition drives two things: picking the canonical
 normal-form realization for a (possibly weakened) theory, and naming
-equations in reports ("assoc(;)", "idem(+)", ...).  A theory of plain
+equations in reports ("assoc(;)", "idem(+)", ...).  An equation is named
+by its shape, the equation up to renaming, looked up in one index of the
+signature's law instances in both orientations.  A theory of plain
 operations is a kind exactly when its operations, one to each role, make
 its named laws the kind's laws; one parameterized binary operation alone
 is CONVEX.  Anything else is GENERIC.
@@ -14,6 +16,7 @@ is CONVEX.  Anything else is GENERIC.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,36 +36,6 @@ from .terms import (
     app,
     equation,
 )
-
-# ---------------------------------------------------------------------------
-# alpha matching of equations against patterns
-
-def _match(t: Term, pat: Term, varmap: dict) -> bool:
-    if isinstance(pat, Var):
-        if pat.name in varmap:
-            return varmap[pat.name] == t
-        if not isinstance(t, Var):
-            return False
-        if t in varmap.values():
-            return False
-        varmap[pat.name] = t
-        return True
-    if isinstance(pat, App):
-        # names do not compare weights: a parameter on either side is ignored
-        if not isinstance(t, App) or t.op != pat.op:
-            return False
-        return all(_match(a, p, varmap) for a, p in zip(t.args, pat.args))
-    return t == pat
-
-
-def equation_matches(e: Equation, pat_lhs: Term, pat_rhs: Term) -> bool:
-    """Alpha-equivalence of the equation with the pattern, either orientation."""
-    for l, r in ((e.lhs, e.rhs), (e.rhs, e.lhs)):
-        varmap: dict = {}
-        if _match(l, pat_lhs, varmap) and _match(r, pat_rhs, varmap):
-            return True
-    return False
-
 
 # ---------------------------------------------------------------------------
 # named laws
@@ -152,22 +125,41 @@ def _law(name: str, f: OpSymbol, other=None, label: str = "") -> Equation:
     return equation(lhs, rhs, name=label or _law_name(name, f, other))
 
 
-def _pattern(e: Equation, sig: Signature):
-    """(law, f, o) of the named law `e` is an instance of, trying the
-    operations in order; None when it is none."""
+def _shape(lhs: Term, rhs: Term) -> tuple:
+    """The equation lhs = rhs up to renaming: its variables numbered by first
+    occurrence, its weights left out."""
+    numbers: dict = {}
+
+    def walk(t: Term):
+        if isinstance(t, Var):
+            return numbers.setdefault(t.name, len(numbers))
+        if isinstance(t, App):
+            return (t.op, *map(walk, t.args))
+        return t
+
+    return walk(lhs), walk(rhs)
+
+
+@functools.cache
+def _named_laws(sig: Signature) -> dict:
+    """(law, f, o) of each law instance of `sig`, by its shape in either
+    orientation; a shape keeps its first instance, trying the operations in
+    order."""
+    index: dict = {}
     for f in sig.ops:
         if f.arity != 2:
             continue
         for law, o in _instances(f, sig.ops):
-            if equation_matches(e, *_LAWS[law][2](f, o)):
-                return law, f, o
-    return None
+            lhs, rhs = _LAWS[law][2](f, o)
+            index.setdefault(_shape(lhs, rhs), (law, f, o))
+            index.setdefault(_shape(rhs, lhs), (law, f, o))
+    return index
 
 
 def describe_equation(e: Equation, sig: Signature) -> str:
     """Best-effort pattern name for reports; falls back to rendered terms."""
-    pattern = _pattern(e, sig)
-    return _law_name(*pattern) if pattern else e.describe()
+    law = _named_laws(sig).get(_shape(e.lhs, e.rhs))
+    return _law_name(*law) if law else e.describe()
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +279,8 @@ def recognize_theory(theory: Theory):
             return "CONVEX", Roles(oplus=param_ops[0])
         return "GENERIC", Roles()
 
-    laws = {_pattern(e, sig) for e in theory.equations}
+    named = _named_laws(sig)
+    laws = {named.get(_shape(e.lhs, e.rhs)) for e in theory.equations}
     for kind, (_, kind_laws) in _KIND_LAWS.items():
         if len(_KIND_ROLES[kind]) != len(sig.ops):
             continue

@@ -166,6 +166,17 @@ class TestInputErrors:
         assert code == 3
         assert err.strip() == f"error: {line}:9: atom 'a' declared twice"
 
+    def test_a_repeated_operation_exits_3(self, capsys, tmp_path):
+        # the signature would refuse it with a traceback, unlocated
+        bad = tmp_path / "bad.layers"
+        text = Path(SPEC).read_text(encoding="utf-8")
+        old = '  op "skip" : 0;\n'
+        bad.write_text(text.replace(old, old + old), encoding="utf-8")
+        line = text[: text.index(old)].count("\n") + 2
+        code, out, err = run(capsys, "check", str(bad))
+        assert (code, out) == (3, "")
+        assert err.strip() == f"error: {line}:6: operation 'skip' declared twice"
+
     @pytest.mark.parametrize(
         "command", [["check"], ["eval", "-e", "skip;a"]], ids=["check", "eval"]
     )
@@ -235,6 +246,15 @@ class TestInputErrors:
         code, out, err = run(capsys, "check", SPEC, "--bounds", str(bounds))
         assert code == 3 and out == ""
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("command", ["check", "compose"])
+    def test_an_empty_grid_exits_3(self, capsys, tmp_path, command):
+        # with no weight, a parameterized equation would hold vacuously
+        bounds = tmp_path / "bounds.json"
+        bounds.write_text('{"prob_grid": []}')
+        code, out, err = run(capsys, command, SPEC, "--bounds", str(bounds))
+        assert (code, out) == (3, "")
+        assert err.strip() == "error: prob_grid must not be empty"
 
     def test_decimal_grid_is_read_exactly(self, capsys, tmp_path):
         outputs = []
@@ -366,6 +386,19 @@ class TestErrorPaths:
         argv = ["eval", str(spec), "-e", program, "--stage", "0", "--bounds", str(bounds)]
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (0, "a ⊕[1/4] m(a, b)\n", "")
+
+    def test_an_operation_without_a_step_exits_3(self, capsys, tmp_path):
+        # one parameterized binary operation makes the seed CONVEX, whatever
+        # else it declares, and the convex normal forms have no constant
+        spec = tmp_path / "coin.layers"
+        spec.write_text(
+            'atoms a b;\nlayer coin {\n  op "⊕" : 2 param;\n  op "c" : 0;\n}\n'
+            + _NONDET,
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "eval", str(spec), "-e", "c", "--stage", "0")
+        assert (code, out) == (3, "")
+        assert err.strip() == "error: convex normal forms do not interpret 'c'"
 
     @pytest.mark.parametrize("command", ["compose", "verify-laws"])
     def test_refused_law_exits_2(self, capsys, tmp_path, command):

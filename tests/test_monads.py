@@ -43,6 +43,11 @@ class TestBound:
         with pytest.raises(ValueError, match="0.5"):
             Bound(prob_grid=(0, 0.5, 1))
 
+    def test_grid_must_not_be_empty(self):
+        # an equation with a parameter would hold vacuously on no weight
+        with pytest.raises(ValueError, match="prob_grid"):
+            Bound(prob_grid=())
+
     def test_shrink_is_idempotent(self):
         assert B.shrink().shrink() == B.shrink()
 

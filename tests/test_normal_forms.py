@@ -11,6 +11,7 @@ from effectlayers.normal_forms import (
     CANONICAL_KINDS,
     CongruenceClosure,
     InconclusiveNormalization,
+    _mix_pair,
     generic_quotient_monad,
     quotient_monad,
 )
@@ -20,6 +21,7 @@ from effectlayers.terms import (
     OpSymbol,
     ParamDivisionByZero,
     Signature,
+    TermError,
     Theory,
     Var,
     app,
@@ -33,13 +35,14 @@ from effectlayers.terms import (
 from effectlayers.theories import (
     comm_monoid_theory,
     convex_theory,
+    describe_equation,
     idem_semiring_theory,
     monoid_theory,
     semilattice_theory,
     semiring_theory,
     two_monoids_absorption_theory,
 )
-from effectlayers.values import SumAtom, canon_key
+from effectlayers.values import MultiSet, SumAtom, canon_key
 
 GRID3 = (F(0), F(1, 2), F(1))
 NB = Bound(max_word_len=2, max_set_size=2, max_multiplicity=2, prob_grid=GRID3)
@@ -422,3 +425,159 @@ def test_a_copy_of_a_generic_monad_starts_with_empty_tables():
     assert len(terms) > len({q.normalize(t) for t in terms}) > 2
     assert [copy.normalize(t) for t in terms] == [q.normalize(t) for t in terms]
     assert [copy.apply_op(*op) for op in ops] == [q.apply_op(*op) for op in ops]
+
+
+# ---------------------------------------------------------------------------
+# the step tables and the law index against the code they replaced: one
+# if-chain per kind, and an alpha-matcher run on every law instance
+
+
+def _old_step(kind):
+    """The one-layer application of `kind` as one if-chain on the role names."""
+
+    def monoid(roles, op, args, param):
+        if op == roles.seq.name:
+            return args
+        if op == roles.skip.name:
+            return ()
+        raise TermError(f"monoid normal forms do not interpret {op!r}")
+
+    def sums(bag):
+        def step(roles, op, args, param):
+            if op == roles.plus.name:
+                return bag(args)
+            if op == roles.abort.name:
+                return bag()
+            raise TermError(f"sum normal forms do not interpret {op!r}")
+
+        return step
+
+    def convex(roles, op, args, param):
+        if op == roles.oplus.name:
+            lam = param if type(param) is F else F(param)
+            if not 0 <= lam <= 1:
+                raise TermError(f"probability parameter {lam} outside [0,1]")
+            a, b = args
+            return _mix_pair(a, b, lam)
+        raise TermError(f"convex normal forms do not interpret {op!r}")
+
+    def words(bag):
+        def step(roles, op, args, param):
+            if op == roles.seq.name:
+                return bag([args])
+            if op == roles.skip.name:
+                return bag([()])
+            if op == roles.plus.name:
+                return bag([(a,) for a in args])
+            if op == roles.abort.name:
+                return bag()
+            raise TermError(f"word-sum normal forms do not interpret {op!r}")
+
+        return step
+
+    return {
+        "MONOID": monoid,
+        "SEMILATTICE": sums(frozenset),
+        "COMM_MONOID": sums(MultiSet),
+        "CONVEX": convex,
+        "IDEM_SEMIRING": words(frozenset),
+        "SEMIRING": words(MultiSet),
+        "TWO_MONOIDS_ABSORB": words(MultiSet),
+    }[kind]
+
+
+@pytest.mark.parametrize("build, kind", THEORIES, ids=[k for _, k in THEORIES])
+def test_step_tables_equal_the_if_chains(build, kind):
+    q = quotient_monad(build())
+    old = _old_step(kind)
+    small = Bound(max_word_len=2, max_set_size=2, max_multiplicity=1, max_term_depth=1)
+    values = q.monad.enumerate(("a", "b"), small)
+    assert len(values) >= 3
+    checked = 0
+    for o in q.theory.signature.ops:
+        for args in product(values, repeat=o.arity):
+            for p in GRID3 if o.param else (None,):
+                want = q.monad.mult(old(q.roles, o.name, args, p))
+                assert q.compute_op(o.name, args, p) == want, (o.name, args, p)
+                checked += 1
+    assert checked >= len(values) ** 2
+
+
+def _old_match(t, pat, varmap):
+    if isinstance(pat, Var):
+        if pat.name in varmap:
+            return varmap[pat.name] == t
+        if not isinstance(t, Var):
+            return False
+        if t in varmap.values():
+            return False
+        varmap[pat.name] = t
+        return True
+    if isinstance(pat, App):
+        if not isinstance(t, App) or t.op != pat.op:
+            return False
+        return all(_old_match(a, p, varmap) for a, p in zip(t.args, pat.args))
+    return t == pat
+
+
+def _old_equation_matches(e, pat_lhs, pat_rhs):
+    for l, r in ((e.lhs, e.rhs), (e.rhs, e.lhs)):
+        varmap = {}
+        if _old_match(l, pat_lhs, varmap) and _old_match(r, pat_rhs, varmap):
+            return True
+    return False
+
+
+def _old_pattern(e, sig):
+    for f in sig.ops:
+        if f.arity != 2:
+            continue
+        for law, o in theories._instances(f, sig.ops):
+            if _old_equation_matches(e, *theories._LAWS[law][2](f, o)):
+                return law, f, o
+    return None
+
+
+def _old_describe(e, sig):
+    pattern = _old_pattern(e, sig)
+    return theories._law_name(*pattern) if pattern else e.describe()
+
+
+_M, _K = OpSymbol("m", 2), OpSymbol("k", 0, param=True)
+_MIXED_SIG = Signature((_M, theories.OPLUS, OpSymbol("c", 0), _K))
+
+
+@pytest.mark.parametrize(
+    "sig",
+    [build().signature for build, _ in THEORIES] + [_MIXED_SIG],
+    ids=[k for _, k in THEORIES] + ["mixed"],
+)
+def test_law_names_equal_the_alpha_matcher(sig):
+    """Every law instance, in both orientations, under a renaming of its
+    variables and with two of them merged, and a few equations that are no
+    law, get the name the matcher gave."""
+    equations = []
+    for f in sig.ops:
+        if f.arity != 2:
+            continue
+        for law, o in theories._instances(f, sig.ops):
+            lhs, rhs = theories._LAWS[law][2](f, o)
+            names = equation(lhs, rhs).context
+            renamed = {v: Var(f"v{len(names) - i}") for i, v in enumerate(names)}
+            merged = {v: Var(names[0]) for v in names}
+            for l, r in ((lhs, rhs), (rhs, lhs)):
+                equations.append(equation(l, r))
+                for env in (renamed, merged):
+                    equations.append(equation(subst_vars(l, env), subst_vars(r, env)))
+    x, y = Var("x"), Var("y")
+    for f in sig.ops:
+        if f.arity == 2:
+            w = F(1, 2) if f.param else None
+            fxy, fxx = app(f, x, y, param=w), app(f, x, x, param=w)
+            equations += [equation(fxy, x), equation(fxx, fxx)]
+    equations.append(equation(x, y))
+    named = 0
+    for e in equations:
+        assert describe_equation(e, sig) == _old_describe(e, sig), e.describe()
+        named += _old_pattern(e, sig) is not None
+    assert named > len(equations) // 3

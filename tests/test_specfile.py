@@ -162,6 +162,15 @@ class TestParseErrors:
             parse_spec(MINI.replace("atoms a b;", "atoms a b b;"))
         assert (exc.value.line, exc.value.col) == (2, 11)
 
+    def test_repeated_operation_is_located(self):
+        text = SPEC_PATH.read_text()
+        old = '  op "skip" : 0;\n'
+        assert text.count(old) == 1
+        with pytest.raises(SpecParseError, match="operation 'skip' declared twice") as exc:
+            parse_spec(text.replace(old, old + old))
+        line = text[: text.index(old)].count("\n") + 2
+        assert (exc.value.line, exc.value.col) == (line, 6)
+
     def test_unknown_normalizer_is_located(self):
         bad = MINI.replace("normalizer monoid;", "normalizer ring;")
         with pytest.raises(SpecParseError) as exc:
