@@ -1,9 +1,16 @@
 """Concrete finitary monads with exact arithmetic and bounded enumerators.
 
-Each monad is a bundle of pure functions (unit, map, mult, fubini) on
-canonical container values.  Enumerators list *all* values over a finite
-carrier within a `Bound`, in deterministic order, and refuse to run when
-the count would exceed the configured ceiling.
+Each monad is a bundle of pure functions (unit, map, mult, lift) on
+canonical container values.  An outer (commutative) monad's `lift` is its
+one kernel for the lifting T(f)∘ψ^(k): it runs once over the product of its
+k arguments, which is the monad's n-ary monoidal structure (Kock, "Strong
+functors and monoidal monads", 1972).  ψ^(k) (`fubini_tuples`) and binary ψ
+(`MonadInstance.fubini`) are derived from it.  Their coherence (MF.1-3,
+MM.1-2, SYM) is checked by the Tier-1 tests, `distlaw.verify_monoidal` in
+`tests/test_monads.py` and acceptance criterion 1, not by the pipeline.
+Enumerators list *all* values over a finite carrier within a
+`Bound`, in deterministic order, and refuse to run when the count would
+exceed the configured ceiling.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial, reduce
+from operator import mul
 from typing import Callable, Optional
 
 from .terms import (
@@ -93,14 +102,20 @@ class MonadInstance:
     unit: Callable
     map: Callable        # (f, tv) -> tv'
     mult: Callable       # T(T X) value -> T X value
-    fubini: Optional[Callable]  # (tx, ty) -> T(X x Y) of pairs; None if inner-only
+    # (f, k T-values) -> T(f) o psi^(k), one pass over the product of the
+    # values; None if inner-only
+    lift: Optional[Callable]
     enumerate: Callable  # (carrier: Sequence, Bound) -> list
 
     def require_outer(self):
-        if self.fubini is None:
+        if self.lift is None:
             raise InnerOnlyMonadError(
                 f"monad {self.name!r} is non-commutative and can only be an inner layer"
             )
+
+    def fubini(self, u, v):
+        """Binary psi: T X x T Y -> T(X x Y), the pairs of the kernel."""
+        return lift(self, tuple, (u, v))
 
 
 def _guard(what, count, bound: Bound):
@@ -109,26 +124,28 @@ def _guard(what, count, bound: Bound):
 
 
 # ---------------------------------------------------------------------------
-# iterated Fubini
-
-def fubini_tuples(T: MonadInstance, k: int, values) -> object:
-    """psi^(k) returning T of flat k-tuples, left-nested evaluation order."""
-    values = list(values)
-    if len(values) != k:
-        raise TermError(f"expected {k} values, got {len(values)}")
-    if k == 0:
-        return T.unit(())
-    acc = T.map(lambda x: (x,), values[0])
-    for v in values[1:]:
-        T.require_outer()
-        paired = T.fubini(acc, v)
-        acc = T.map(lambda p: p[0] + (p[1],), paired)
-    return acc
-
+# the lifting T(f) o psi^(k)
 
 def lift(T: MonadInstance, f: Callable, values):
-    """T(f) o psi^(k): apply `f` to each k-tuple drawn from the k T-values."""
-    return T.map(f, fubini_tuples(T, len(values), values))
+    """T(f) o psi^(k): apply `f` to each k-tuple drawn from the k T-values.
+
+    An outer monad runs its kernel.  With no kernel, k <= 1 needs no psi
+    (psi^(0) = eta_1 and psi^(1) = T(x -> (x,))), and k >= 2 is refused."""
+    if T.lift is not None:
+        return T.lift(f, values)
+    if len(values) == 0:
+        return T.unit(f(()))
+    if len(values) == 1:
+        return T.map(lambda x: f((x,)), values[0])
+    T.require_outer()  # raises: T has no psi
+
+
+def fubini_tuples(T: MonadInstance, k: int, values) -> object:
+    """psi^(k): the T-value of flat k-tuples drawn from the k T-values."""
+    values = tuple(values)
+    if len(values) != k:
+        raise TermError(f"expected {k} values, got {len(values)}")
+    return lift(T, tuple, values)  # `tuple` of a tuple is that tuple
 
 
 def lift_interp(T: MonadInstance, A: FiniteAlgebra):
@@ -154,7 +171,7 @@ def composite(T: MonadInstance, S: MonadInstance, lam: Callable, name: str) -> M
         unit=lambda x: T.unit(S.unit(x)),
         map=lambda f, v: T.map(lambda s: S.map(f, s), v),
         mult=lambda v: T.map(S.mult, T.mult(T.map(lam, v))),
-        fubini=None,
+        lift=None,
         enumerate=lambda X, b: T.enumerate(S.enumerate(tuple(X), b), b),
     )
 
@@ -176,9 +193,9 @@ def free_monoid() -> MonadInstance:
     return MonadInstance(
         name="word",
         unit=lambda x: (x,),
-        map=lambda f, w: tuple(f(x) for x in w),
-        mult=lambda ww: tuple(x for w in ww for x in w),
-        fubini=None,  # pointwise zip is unsound; no monoidal structure is provided
+        map=lambda f, w: tuple(map(f, w)),
+        mult=lambda ww: tuple(itertools.chain.from_iterable(ww)),
+        lift=None,  # pointwise zip is unsound; no monoidal structure is provided
         enumerate=_word_enumerate,
     )
 
@@ -203,9 +220,9 @@ def fin_powerset() -> MonadInstance:
     return MonadInstance(
         name="powerset",
         unit=lambda x: frozenset([x]),
-        map=lambda f, u: frozenset(f(x) for x in u),
-        mult=lambda uu: frozenset(x for u in uu for x in u),
-        fubini=lambda u, v: frozenset((x, y) for x in u for y in v),
+        map=lambda f, u: frozenset(map(f, u)),
+        mult=lambda uu: frozenset().union(*uu),
+        lift=lambda f, us: frozenset(map(f, itertools.product(*us))),
         enumerate=_set_enumerate,
     )
 
@@ -345,9 +362,15 @@ def _mset_enumerate(carrier, bound: Bound):
 # without the constructors' checks: multiplicities are products and sums of
 # positive ints, and weights are products of positive Fractions summing to 1.
 
-def _mset_fubini(m1: MultiSet, m2: MultiSet) -> MultiSet:
-    pairs = {(a, b): i * j for a, i in m1._d.items() for b, j in m2._d.items()}
-    return MultiSet._trusted(pairs)
+def _mset_lift(f, ms) -> MultiSet:
+    # the tuples of elements and of their counts, in the same product order
+    xss = itertools.product(*[m._d for m in ms])
+    nss = itertools.product(*[m._d.values() for m in ms])
+    counts: dict = {}
+    for xs, ns in zip(xss, nss):
+        y, n = f(xs), math.prod(ns)
+        counts[y] = counts[y] + n if y in counts else n
+    return MultiSet._trusted(counts)
 
 
 def _mset_mult(mm: MultiSet) -> MultiSet:
@@ -364,7 +387,7 @@ def multiset() -> MonadInstance:
         unit=lambda x: MultiSet._trusted({x: 1}),
         map=lambda f, m: m.map(f),
         mult=_mset_mult,
-        fubini=_mset_fubini,
+        lift=_mset_lift,
         enumerate=_mset_enumerate,
     )
 
@@ -401,17 +424,45 @@ def _dist_enumerate(carrier, bound: Bound):
     return _grid_dists(carrier, sorted(grid))
 
 
+# A point mass has weight exactly 1, so the kernels below skip its
+# arithmetic: the results are the same Fractions.  This holds for `Dist`
+# only; a one-element `MultiSet` may have count 2.
+
 def _dist_mult(dd: Dist) -> Dist:
+    if len(dd._d) == 1:  # mu(delta_d) = d
+        (d,) = dd._d
+        return d
     weights: dict = {}
     for inner, w in dd._d.items():
+        if len(inner._d) == 1:  # its element takes the outer weight
+            (x,) = inner._d
+            weights[x] = weights[x] + w if x in weights else w
+            continue
         for x, v in inner._d.items():
-            weights[x] = weights[x] + w * v if x in weights else w * v
+            wv = w * v
+            weights[x] = weights[x] + wv if x in weights else wv
     return Dist._trusted(weights)
 
 
-def _dist_fubini(d1: Dist, d2: Dist) -> Dist:
-    pairs = {(a, b): p * q for a, p in d1._d.items() for b, q in d2._d.items()}
-    return Dist._trusted(pairs)
+_weight_of = partial(reduce, mul)  # the product of a tuple of weights
+
+
+def _dist_lift(f, ds) -> Dist:
+    # a point mass is one factor of size 1 in the product, so the tuples
+    # of elements come in the order of the other arguments' weights
+    spread = [d._d.values() for d in ds if len(d._d) > 1]
+    xss = itertools.product(*[d._d for d in ds])
+    if not spread:
+        return Dist.dirac(f(next(xss)))
+    if len(spread) == 1:
+        weights = spread[0]
+    else:
+        weights = map(_weight_of, itertools.product(*spread))
+    out: dict = {}
+    for xs, w in zip(xss, weights):
+        y = f(xs)
+        out[y] = out[y] + w if y in out else w
+    return Dist._trusted(out)
 
 
 def fin_distribution() -> MonadInstance:
@@ -420,7 +471,7 @@ def fin_distribution() -> MonadInstance:
         unit=Dist.dirac,
         map=lambda f, d: d.map(f),
         mult=_dist_mult,
-        fubini=_dist_fubini,
+        lift=_dist_lift,
         enumerate=_dist_enumerate,
     )
 
@@ -493,6 +544,6 @@ def free_term_monad(sig: Signature) -> MonadInstance:
         unit=Const,
         map=lambda f, t: map_consts(t, f),
         mult=_graft,
-        fubini=None,  # free term monads over nontrivial signatures are not commutative
+        lift=None,  # free term monads over nontrivial signatures are not commutative
         enumerate=_term_enumerate_factory(sig),
     )

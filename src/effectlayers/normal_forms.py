@@ -30,7 +30,7 @@ from .monads import (
     fin_powerset,
     free_monoid,
     free_term_monad,
-    fubini_tuples,
+    lift,
     multiset,
 )
 from .terms import (
@@ -171,7 +171,8 @@ def _mix_pair(a, b, lam):
 # a word of C-values to a C-value of words
 
 def _words_in(C: MonadInstance, name: str) -> MonadInstance:
-    return composite(C, free_monoid(), lambda w: fubini_tuples(C, len(w), w), name)
+    # the law is psi^(k) at a word of k C-values
+    return composite(C, free_monoid(), lambda w: lift(C, tuple, w), name)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +284,7 @@ def _tm_monad() -> MonadInstance:
         unit=tm_unit,
         map=lambda f, v: _tm_eval(v, lambda x: tm_unit(f(x))),
         mult=lambda vv: _tm_eval(vv, lambda inner: inner),
-        fubini=None,
+        lift=None,
         enumerate=_tm_enumerate,
     )
 
@@ -577,7 +578,7 @@ def generic_quotient_monad(
         unit=unit,
         map=mmap,
         mult=mult,
-        fubini=None,
+        lift=None,
         enumerate=enum,
     )
     _, roles = recognize_theory(theory)

@@ -228,9 +228,12 @@ def compose_stack(
         outer_q = quotient_monad(layer.theory, layer.normalizer, bound=b)
         T = outer_q.monad
         T.require_outer()
-        profile = profile_monad(T, X, b)
+        # the probes, residual squares and lifted algebras share one
+        # enumeration of each carrier of T
+        T_frag = replace(T, enumerate=functools.cache(T.enumerate))
+        profile = profile_monad(T_frag, X, b)
         verdicts = tuple(
-            check_preservation(T, e, profile, X, b, theory=current)
+            check_preservation(T_frag, e, profile, X, b, theory=current)
             for e in current.equations
         )
         kept, dropped = [], []

@@ -109,6 +109,15 @@ def param_vars(expr):
 # ---------------------------------------------------------------------------
 # signatures and terms
 
+def _kept_hash(obj, fields: tuple) -> int:
+    """The hash of `fields`, the one the generated `__hash__` of `obj`'s
+    frozen dataclass would give, computed on first use and kept: a term is
+    hashed at every table lookup, and recomputing it walks the whole term."""
+    h = hash(fields)
+    object.__setattr__(obj, "_hash", h)
+    return h
+
+
 @dataclass(frozen=True)
 class OpSymbol:
     name: str
@@ -118,6 +127,12 @@ class OpSymbol:
     def __post_init__(self):
         if self.arity < 0:
             raise TermError(f"negative arity for {self.name!r}")
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            return _kept_hash(self, (self.name, self.arity, self.param))
 
 
 @dataclass(frozen=True)
@@ -159,6 +174,12 @@ class Const(Term):
     """A ground leaf: an element of the carrier embedded in a term."""
     value: object
 
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            return _kept_hash(self, (self.value,))
+
 
 @dataclass(frozen=True)
 class App(Term):
@@ -175,6 +196,12 @@ class App(Term):
             raise TermError(f"{self.op.name!r} requires a parameter")
         if not self.op.param and self.param is not None:
             raise TermError(f"{self.op.name!r} takes no parameter")
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            return _kept_hash(self, (self.op, self.args, self.param))
 
 
 def app(op: OpSymbol, *args, param=None) -> App:

@@ -133,6 +133,22 @@ def test_a_one_atom_spec_drops_what_the_shipped_spec_drops(capsys, tmp_path):
     assert code == 3 and "unbound atom 'b'" in err
 
 
+# the programs of golden/eval_cli.txt, one output line each: a stage-1
+# program and a stage-2 program with ⊕, as the CI console-script step runs them
+EVAL_GOLDEN = (
+    ("(a + b);(c + skip)", "1"),
+    ("((a (+)[1/2] b) + c);(skip (+)[1/4] (a + b))", "2"),
+)
+
+
+def test_eval_matches_its_golden_file(capsys):
+    out = "".join(
+        run(capsys, "eval", SPEC, "-e", program, "--stage", stage)[1]
+        for program, stage in EVAL_GOLDEN
+    )
+    assert out.encode() == (ROOT / "tests" / "golden" / "eval_cli.txt").read_bytes()
+
+
 @pytest.mark.parametrize("command, code", [("compose", 1), ("verify-laws", 0)])
 def test_report_matches_its_golden_file(capsys, tmp_path, command, code):
     """`tests/test_golden.py` says how to regenerate the golden files."""

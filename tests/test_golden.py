@@ -17,6 +17,9 @@ are also checked in fresh interpreters under PYTHONHASHSEED 0 and 1.
 `golden/verify_laws.json` are the text and `--json` reports of
 `effectlayers compose` and `effectlayers verify-laws` on the shipped spec;
 `tests/test_cli.py` checks them, once, since each takes seconds.
+`golden/eval_cli.txt` is the output of `effectlayers eval` on one stage-1
+and one stage-2 program of the shipped spec, checked by `tests/test_cli.py`
+and by CI.
 A change that alters one on purpose regenerates it from the repository
 root, and the diff is reviewed with the change:
 
@@ -26,6 +29,11 @@ root, and the diff is reviewed with the change:
         --json tests/golden/compose.json > tests/golden/compose.txt
     PYTHONPATH=src python -m effectlayers verify-laws specs/probnetkat.layers \\
         --json tests/golden/verify_laws.json > tests/golden/verify_laws.txt
+    (PYTHONPATH=src python -m effectlayers eval specs/probnetkat.layers \\
+        -e '(a + b);(c + skip)' --stage 1
+     PYTHONPATH=src python -m effectlayers eval specs/probnetkat.layers \\
+        -e '((a (+)[1/2] b) + c);(skip (+)[1/4] (a + b))' --stage 2) \\
+        > tests/golden/eval_cli.txt
     PYTHONPATH=src python tests/test_golden.py               # flagship_laws.json
     PYTHONPATH=src python tests/test_golden.py eval          # eval.txt
     PYTHONPATH=src python tests/test_golden.py recognition   # recognition.txt

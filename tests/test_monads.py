@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import product
 from math import comb
 
 import pytest
@@ -14,6 +15,7 @@ from effectlayers.monads import (
     free_monoid,
     free_term_monad,
     fubini_tuples,
+    lift,
     multiset,
 )
 from effectlayers.distlaw import verify_monad, verify_monoidal
@@ -106,6 +108,95 @@ class TestFubini:
     def test_iterated_fubini_produces_flat_tuples(self, T):
         vals = [T.unit("a"), T.unit("b"), T.unit("c")]
         assert fubini_tuples(T, 3, vals) == T.unit(("a", "b", "c"))
+
+
+TERMS = free_term_monad(monoid_theory().signature)
+
+
+def naive_psi(T, u, v):
+    """Binary psi of each outer monad, from its definition."""
+    if T.name == "powerset":
+        return frozenset((x, y) for x in u for y in v)
+    if T.name == "multiset":
+        return MultiSet({(x, y): i * j for x, i in u.items() for y, j in v.items()})
+    return Dist({(x, y): p * q for x, p in u.items() for y, q in v.items()})
+
+
+def naive_flatten(T, tt):
+    if T.name == "powerset":
+        return frozenset(x for u in tt for x in u)
+    if T.name == "multiset":
+        counts = {}
+        for inner, n in tt.items():
+            for x, k in inner.items():
+                counts[x] = counts.get(x, 0) + n * k
+        return MultiSet(counts)
+    return Dist([(x, w * p) for inner, w in tt.items() for x, p in inner.items()])
+
+
+def left_nested_psi(T, values):
+    """psi^(k) as the left-nested iterate of binary psi from eta(())."""
+    acc = T.unit(())
+    for v in values:
+        acc = T.map(lambda p: p[0] + (p[1],), naive_psi(T, acc, v))
+    return acc
+
+
+class TestLiftKernels:
+    """Each outer monad's one-pass kernel against psi^(k) built from its
+    definition, and the exact point-mass shortcuts of the distributions."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("T", outer_monads(), ids=lambda t: t.name)
+    def test_kernel_is_the_map_of_iterated_binary_psi(self, T, k):
+        TX = T.enumerate(("a", "b"), B)
+
+        def merge(xs):  # many tuples, one image
+            return xs.count("a")
+
+        for vs in product(TX, repeat=k):
+            psi = left_nested_psi(T, vs)
+            assert fubini_tuples(T, k, vs) == psi == lift(T, tuple, vs)
+            assert lift(T, merge, vs) == T.map(merge, psi)
+        if k == 2:
+            for u, v in product(TX, repeat=2):
+                assert T.fubini(u, v) == naive_psi(T, u, v)
+
+    @pytest.mark.parametrize("T", outer_monads(), ids=lambda t: t.name)
+    def test_mult_is_the_naive_flatten(self, T):
+        TX = T.enumerate(("a", "b"), B)
+        for tt in T.enumerate(TX, B.shrink()):
+            assert T.mult(tt) == naive_flatten(T, tt)
+
+    def test_mult_of_a_point_mass_is_its_distribution(self):
+        D = fin_distribution()
+        for d in D.enumerate(("a", "b"), B):
+            assert D.mult(Dist.dirac(d)) is d
+
+    def test_a_multiset_of_one_element_keeps_its_count(self):
+        # a one-element multiset is no point mass: count 2 doubles the counts
+        M, two = multiset(), MultiSet({"a": 2})
+        assert lift(M, tuple, (two,)) == MultiSet({("a",): 2})
+        for m in M.enumerate(("a", "b"), B):
+            pairs = {(x, y): 2 * n for x, _ in two.items() for y, n in m.items()}
+            assert lift(M, tuple, (two, m)) == MultiSet(pairs)
+            assert M.mult(MultiSet({m: 2})) == MultiSet({x: 2 * n for x, n in m.items()})
+
+    @pytest.mark.parametrize("T", outer_monads(), ids=lambda t: t.name)
+    def test_coherence_at_the_default_bound(self, T):
+        reports = verify_monoidal(T, ("a", "b", "c"), Bound())
+        assert all(r.ok for r in reports), [r.axiom for r in reports if not r.ok]
+
+    @pytest.mark.parametrize(
+        "T, v", [(free_monoid(), ("a", "b")), (TERMS, TERMS.unit("a"))], ids=["word", "terms"]
+    )
+    def test_inner_only_monads_lift_only_up_to_one_argument(self, T, v):
+        assert lift(T, len, ()) == T.unit(0)
+        assert lift(T, lambda xs: xs, (v,)) == T.map(lambda x: (x,), v)
+        with pytest.raises(InnerOnlyMonadError):
+            lift(T, tuple, (v, v))
+        with pytest.raises(InnerOnlyMonadError):
+            fubini_tuples(T, 3, (v, v, v))
 
 
 class TestEnumerators:
