@@ -199,21 +199,23 @@ def _well_defined_report(law: QuotientLaw, X, b: Bound) -> LawReport:
 # ---------------------------------------------------------------------------
 # DL axioms and naturality
 
+def _fallbacks(b: Bound):
+    """`b`, then flatter bounds, each built only once the one before is refused."""
+    yield b
+    yield _replace(b.shrink(), max_term_depth=1)
+    yield _replace(
+        b,
+        max_word_len=1,
+        max_set_size=1,
+        max_multiplicity=1,
+        max_term_depth=1,
+    )
+
+
 def _enum(en, carrier, b: Bound, cap: Optional[int] = None):
     """Enumerate with graceful degradation: flatter bounds when the space
     explodes, then an evenly spaced sample when a cap is requested."""
-    candidates = (
-        b,
-        _replace(b.shrink(), max_term_depth=1),
-        _replace(
-            b,
-            max_word_len=1,
-            max_set_size=1,
-            max_multiplicity=1,
-            max_term_depth=1,
-        ),
-    )
-    for cb in candidates:
+    for cb in _fallbacks(b):
         try:
             vs = en(tuple(carrier), cb)
         except BoundExplosionError as exc:

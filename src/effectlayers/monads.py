@@ -20,8 +20,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial, reduce
-from operator import mul
+from functools import cached_property
 from typing import Callable, Optional
 
 from .terms import (
@@ -87,6 +86,11 @@ class Bound:
 
     def shrink(self) -> "Bound":
         """Smaller bounds for nested fragments (values of values)."""
+        return self._shrunk
+
+    @cached_property
+    def _shrunk(self) -> "Bound":
+        # built once per bound: building a Bound validates its grid
         return replace(
             self,
             max_word_len=min(self.max_word_len, 2),
@@ -359,8 +363,8 @@ def _mset_enumerate(carrier, bound: Bound):
 
 
 # The monad operations below build their results with `_trusted`,
-# without the constructors' checks: multiplicities are products and sums of
-# positive ints, and weights are products of positive Fractions summing to 1.
+# without the constructors' checks: multiplicities, and the numerators of
+# distributions, are products and sums of positive ints.
 
 def _mset_lift(f, ms) -> MultiSet:
     # the tuples of elements and of their counts, in the same product order
@@ -398,23 +402,31 @@ def multiset() -> MonadInstance:
 def _grid_dists(carrier, grid):
     """All distributions with weights drawn from the grid, deterministic order.
 
-    The carrier's values are distinct, so each weighting is one distribution.
+    The weights are enumerated as numerators over the grid's common
+    denominator.  The carrier's values are distinct, so each weighting is
+    one distribution.
     """
     ordered = sort_values(carrier)
-
-    def go(i, remaining):
-        if i == len(ordered) - 1:
-            if remaining in grid:
-                yield ((ordered[i], remaining),)
-            return
-        for g in grid:
-            if g <= remaining:
-                for rest in go(i + 1, remaining - g):
-                    yield ((ordered[i], g),) + rest
-
     if not ordered:
         return []
-    return [Dist(pairs) for pairs in go(0, Fraction(1))]
+    scale = math.lcm(*[g.denominator for g in grid])
+    steps = [g.numerator * scale // g.denominator for g in grid]
+    last = len(ordered) - 1
+
+    def go(i, remaining):
+        if i == last:
+            if remaining in steps:
+                yield (remaining,)
+            return
+        for n in steps:
+            if n <= remaining:
+                for rest in go(i + 1, remaining - n):
+                    yield (n,) + rest
+
+    return [
+        Dist._trusted({e: n for e, n in zip(ordered, ns) if n})
+        for ns in go(0, scale)
+    ]
 
 
 def _dist_enumerate(carrier, bound: Bound):
@@ -424,32 +436,34 @@ def _dist_enumerate(carrier, bound: Bound):
     return _grid_dists(carrier, sorted(grid))
 
 
-# A point mass has weight exactly 1, so the kernels below skip its
-# arithmetic: the results are the same Fractions.  This holds for `Dist`
+# A point mass has numerator 1 and total 1, so the kernels below skip its
+# arithmetic: the results are the same numerators.  This holds for `Dist`
 # only; a one-element `MultiSet` may have count 2.
 
 def _dist_mult(dd: Dist) -> Dist:
     if len(dd._d) == 1:  # mu(delta_d) = d
         (d,) = dd._d
         return d
+    # each inner distribution's numerators, scaled to the common total
+    totals = [sum(inner._d.values()) for inner in dd._d]
+    common = math.lcm(*totals)
     weights: dict = {}
-    for inner, w in dd._d.items():
-        if len(inner._d) == 1:  # its element takes the outer weight
+    for (inner, n), total in zip(dd._d.items(), totals):
+        if total == 1:  # a point mass: its element takes the outer weight
             (x,) = inner._d
+            w = n * common
             weights[x] = weights[x] + w if x in weights else w
             continue
+        scale = n * (common // total)
         for x, v in inner._d.items():
-            wv = w * v
+            wv = scale * v
             weights[x] = weights[x] + wv if x in weights else wv
     return Dist._trusted(weights)
 
 
-_weight_of = partial(reduce, mul)  # the product of a tuple of weights
-
-
 def _dist_lift(f, ds) -> Dist:
     # a point mass is one factor of size 1 in the product, so the tuples
-    # of elements come in the order of the other arguments' weights
+    # of elements come in the order of the other arguments' numerators
     spread = [d._d.values() for d in ds if len(d._d) > 1]
     xss = itertools.product(*[d._d for d in ds])
     if not spread:
@@ -457,7 +471,7 @@ def _dist_lift(f, ds) -> Dist:
     if len(spread) == 1:
         weights = spread[0]
     else:
-        weights = map(_weight_of, itertools.product(*spread))
+        weights = map(math.prod, itertools.product(*spread))
     out: dict = {}
     for xs, w in zip(xss, weights):
         y = f(xs)

@@ -149,20 +149,25 @@ def _sum_of_words(bag) -> dict:
 
 
 def _mix(args, param):
+    if isinstance(param, float):
+        raise TermError(
+            f"probability parameter {param!r} is a float; give a Fraction, an "
+            "int or a string"
+        )
     lam = param if type(param) is Fraction else Fraction(param)
-    if not 0 <= lam <= 1:
+    if not 0 <= lam.numerator <= lam.denominator:
         raise TermError(f"probability parameter {lam} outside [0,1]")
     return _mix_pair(*args, lam)
 
 
 def _mix_pair(a, b, lam):
-    if lam == 1:
+    """a ⊕[lam] b: numerators p and q - p for lam = p/q."""
+    p, q = lam.numerator, lam.denominator
+    if p == q or a == b:
         return Dist.dirac(a)
-    if lam == 0:
+    if p == 0:
         return Dist.dirac(b)
-    if a == b:
-        return Dist.dirac(a)
-    return Dist._trusted({a: lam, b: 1 - lam})  # 0 < lam < 1, a != b
+    return Dist._trusted({a: p, b: q - p})  # 0 < p < q, a != b
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +320,10 @@ def _rep_sum(roles: Roles, v) -> Term:
 
 
 def _rep_convex(roles: Roles, d: Dist) -> Term:
-    items = list(d.items())
-    if not items:
-        raise TermError("empty distribution has no representative")
-    if len(items) == 1:
-        return Const(items[0][0])
-    (x, w), rest = items[0], items[1:]
-    tail = Dist({e: p / (1 - w) for e, p in rest})
+    (x, w), *rest = d.items()
+    if not rest:
+        return Const(x)
+    tail = Dist._trusted({e: d._d[e] for e, _ in rest})
     return App(roles.oplus, (Const(x), _rep_convex(roles, tail)), w)
 
 

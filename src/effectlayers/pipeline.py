@@ -167,9 +167,10 @@ def verify_generated_axioms(
     Each operation of `algebra` is tabled for the length of this call: the
     axioms interpret the same few applications many times over, and
     `interpret` passes `(args, param)` positionally, so `tabled` computes
-    each application once.  The carrier and every result are kept as one
-    object per distinct value, so a table hit and the check's `lv != rv`
-    compare by identity, not by content.
+    each application once (a staged application with a rational parameter
+    reads that parameter's table).  The carrier and every result are kept
+    as one object per distinct value, so a table hit and the check's
+    `lv != rv` compare by identity, not by content.
     """
     canon: dict = {}
     carrier = tuple([canon.setdefault(v, v) for v in algebra.carrier])

@@ -205,6 +205,11 @@ class App(Term):
 
 
 def app(op: OpSymbol, *args, param=None) -> App:
+    if isinstance(param, float):
+        raise TermError(
+            f"parameter {param!r} of {op.name!r} is a float; give a Fraction, "
+            "an int or a string"
+        )
     if param is not None and not isinstance(param, ParamExpr):
         param = Fraction(param)
     return App(op, tuple(args), param)
@@ -372,13 +377,27 @@ def classify(e: Equation) -> SyntacticClass:
 def tabled(fn: Callable, results: dict) -> Callable:
     """`functools.cache` over `fn`, each result kept as one object per
     distinct value in `results`: equal results of distinct inputs compare
-    by identity, and a set of them keeps one object under every hash seed."""
+    by identity, and a set of them keeps one object under every hash seed.
 
-    @functools.cache
-    def run(*args):
+    For an operation `fn(args, param)`, `.at(param)` is the table of
+    `args -> fn(args, param)` for one rational parameter, found by its
+    `(numerator, denominator)` pair.  A staged term looks it up once, so
+    no call hashes the `Fraction`, whose hash runs in Python.
+    """
+
+    def kept(*args):
         out = fn(*args)
         return results.setdefault(out, out)
 
+    @functools.cache
+    def by_ratio(num: int, den: int):
+        param = Fraction(num, den)
+        return functools.cache(lambda args: kept(args, param))
+
+    run = functools.cache(kept)
+    run.at = lambda p: by_ratio(p.numerator, p.denominator)
+    clear = run.cache_clear
+    run.cache_clear = lambda: (clear(), by_ratio.cache_clear())
     return run
 
 
@@ -416,8 +435,15 @@ class FiniteAlgebra:
 
     def _node(self, name: str):
         f = self.op(name)
+        at = getattr(f, "at", None)  # a tabled operation's table per parameter
 
         def build(subs, p):
+            if at is not None and type(p) is Fraction:
+                g = at(p)
+                if len(subs) == 2:
+                    a, b = subs
+                    return lambda val: g((a(val), b(val)))
+                return lambda val: g(tuple([s(val) for s in subs]))
             if len(subs) == 2:  # the common case, without a list per call
                 a, b = subs
                 return lambda val: f((a(val), b(val)), p)

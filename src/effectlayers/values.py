@@ -5,15 +5,23 @@ both legs bit-exactly.  A `MultiSet` or `Dist` is identified by its
 content, the merged `{element: weight}` dict: equality compares the
 dicts, and the hash is that of their item set.  The canonical order, by
 `canon_key`, is built only when an ordered view (`items()`, iteration,
-`canon_key`) is first asked for, and then kept.  Probabilities are
-`fractions.Fraction`; floating point is banned from the semantics, and
-the validating constructors refuse a float.
+`canon_key`) is first asked for, and then kept.
+
+A `Dist` stores its weights up to scale: each element maps to a positive
+int numerator, the numerators coprime, and an element's weight is its
+numerator over their sum.  Reduced numerators are unique to a
+distribution, so equality and hashing compare ints, and the kernels
+multiply and add ints.  `Fraction` stays at the boundary: the validating
+constructor takes exact rationals, and `items()` and `canon_key` give
+each weight as a reduced fraction.  Floating point is banned from the
+semantics, and the validating constructors refuse a float.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd, lcm
 from operator import itemgetter
 
 
@@ -78,6 +86,9 @@ def _order(v):
     """Fill the ordered view and the key of `v` from one sort of its dict."""
     keyed = [(canon_key(e), e, w) for e, w in v._d.items()]
     keyed.sort(key=itemgetter(0))
+    if v._tag == "dist":  # the weights: numerators over their sum
+        total = sum(v._d.values())
+        keyed = [(k, e, Fraction(n, total)) for k, e, n in keyed]
     v._items = tuple([(e, w) for _, e, w in keyed])
     if v._tag == "mset":
         payload = tuple([(k, n) for k, _, n in keyed])
@@ -129,7 +140,6 @@ class _Weighted:
         out: dict = {}
         for e, w in self._d.items():
             fe = f(e)
-            # not `out.get(fe, 0) + w`: adding a Fraction to 0 is slow
             out[fe] = out[fe] + w if fe in out else w
         return self._trusted(out)
 
@@ -177,12 +187,10 @@ class MultiSet(_Weighted):
         return MultiSet._trusted(counts)
 
 
-_ONE = Fraction(1)  # the weight of every point mass, shared
-
-
 class Dist(_Weighted):
     """Finitely supported distribution with exact rational weights summing
-    to 1, identified by content."""
+    to 1, identified by content: `_d` maps each element to a positive int
+    numerator, the numerators coprime, over their sum."""
 
     __slots__ = ()
     _tag = "dist"
@@ -206,11 +214,25 @@ class Dist(_Weighted):
             raise ValueError_(
                 f"weights sum to {sum(weights.values())}, expected 1"
             )
-        _canonical(self, weights)
+        # over the least common denominator the numerators are coprime
+        scale = lcm(*[w.denominator for w in weights.values()])
+        _canonical(
+            self, {e: w.numerator * scale // w.denominator for e, w in weights.items()}
+        )
+
+    @classmethod
+    def _trusted(cls, items: dict):
+        """The distribution of the merged positive int numerators `items`
+        over their sum, built without the constructor's checks: every kernel
+        builds its result here, where the numerators are made coprime."""
+        g = gcd(*items.values())
+        if g != 1:
+            items = {e: n // g for e, n in items.items()}
+        return _canonical(object.__new__(cls), items)
 
     @staticmethod
     def dirac(e) -> "Dist":
-        return Dist._trusted({e: _ONE})
+        return _canonical(object.__new__(Dist), {e: 1})
 
 
 class SumAtom:

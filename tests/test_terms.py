@@ -89,6 +89,12 @@ class TestParams:
         with pytest.raises(ParamDivisionByZero):
             eval_param(e, {"l": F(0)})
 
+    def test_a_float_parameter_is_refused(self):
+        oplus = OpSymbol("⊕", 2, param=True)
+        with pytest.raises(TermError, match=r"parameter 0\.1 of '⊕' is a float"):
+            app(oplus, x, y, param=0.1)
+        assert app(oplus, x, y, param="1/10").param == F(1, 10)
+
 
 class TestClassification:
     def test_linear(self):
@@ -265,6 +271,34 @@ def test_tabled_computes_once_per_input_and_keeps_one_object_per_result():
     op.cache_clear()
     assert op.cache_info().currsize == 0
     assert op((1, 2), None) is outs[0] and len(calls) == 4  # computed again
+
+
+def test_tabled_keeps_one_table_per_parameter_value():
+    calls, results = [], {}
+
+    def scaled(args, param):
+        calls.append(param)
+        return sum(args) * param
+
+    op = tabled(scaled, results)
+    half = op.at(F(1, 2))
+    assert op.at(F(2, 4)) is half  # found by value
+    assert half((1, 2)) is half((1, 2)) == F(3, 2) and calls == [F(1, 2)]
+    assert op.at(F(3, 4))((1, 1)) is half((1, 2))  # one object per result
+    assert op.cache_info().currsize == 0
+    op.cache_clear()
+    assert op.at(F(1, 2)) is not half
+
+
+def test_a_staged_parameter_reads_its_own_table():
+    oplus = OpSymbol("⊕", 2, param=True)
+    op = tabled(lambda args, p: min(args) if p < F(1, 2) else max(args), {})
+    A = FiniteAlgebra((0, 1), {"⊕": op})
+    for p, expected in ((F(1, 3), 0), (F(2, 3), 1)):
+        fn = A.stage(app(oplus, x, y, param=p))
+        assert fn({"x": 0, "y": 1}) == expected
+        assert op.at(p).cache_info().currsize == 1
+    assert op.cache_info().currsize == 0  # no call hashed a Fraction
 
 
 # ---------------------------------------------------------------------------

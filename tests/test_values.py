@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction as F
 from itertools import product
@@ -6,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effectlayers.monads import multiset
-from effectlayers.normal_forms import _mix_pair
+from effectlayers.monads import fin_distribution, multiset
+from effectlayers.normal_forms import _mix, _mix_pair
 from effectlayers.render import render_value
 from effectlayers.specfile import ValueParseError, parse_program, parse_value
-from effectlayers.terms import Const, OpSymbol, Signature, Var, app
+from effectlayers.terms import Const, OpSymbol, Signature, TermError, Var, app
 from effectlayers.values import Dist, MultiSet, SumAtom, ValueError_, canon_key, sort_values
 
 GRID5 = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
@@ -201,6 +202,80 @@ class TestTrustedConstruction:
             self.assert_same(
                 _mix_pair(a, other, lam), Dist([(a, lam), (other, 1 - lam)])
             )
+
+
+# distributions over a few atoms with weights of unlike denominators, so
+# that merging, mixing and mu meet numerators with a common factor
+small_dists = st.dictionaries(
+    atoms, st.integers(min_value=1, max_value=12), min_size=1, max_size=3
+).map(lambda ws: Dist({e: F(n, sum(ws.values())) for e, n in ws.items()}))
+lams = st.fractions(min_value=0, max_value=1, max_denominator=12)
+
+
+def ref_collect(pairs):
+    """The reference distribution of (element, Fraction) pairs, merged."""
+    out = {}
+    for e, w in pairs:
+        out[e] = out.get(e, 0) + w
+    return {e: w for e, w in out.items() if w}
+
+
+class TestIntegerNumerators:
+    """Every kernel keeps a distribution's numerators coprime positive ints
+    and agrees with the same operation computed on `Fraction` weights."""
+
+    @staticmethod
+    def assert_is(d, reference):
+        numerators = list(d._d.values())
+        assert all(type(n) is int and n > 0 for n in numerators)
+        assert math.gcd(*numerators) == 1
+        checked = Dist(reference)  # the same distribution by another route
+        assert d == checked and hash(d) == hash(checked)
+        weights = d.items()
+        assert all(type(w) is F for _, w in weights)
+        keys = [canon_key(e) for e, _ in weights]
+        assert keys == sorted(keys)
+        assert dict(weights) == reference
+        assert Dist(weights) == d
+
+    @given(small_dists, st.sampled_from([lambda e: e, lambda e: "z", lambda e: e < "b"]))
+    def test_map(self, d, f):
+        self.assert_is(d.map(f), ref_collect((f(e), w) for e, w in d.items()))
+
+    @given(st.lists(small_dists, min_size=1, max_size=3, unique=True), st.data())
+    def test_mult(self, inner, data):
+        outer = data.draw(st.lists(
+            st.integers(min_value=1, max_value=12), min_size=len(inner), max_size=len(inner)
+        ))
+        dd = Dist({d: F(n, sum(outer)) for d, n in zip(inner, outer)})
+        reference = ref_collect(
+            (x, w * v) for d, w in dd.items() for x, v in d.items()
+        )
+        self.assert_is(fin_distribution().mult(dd), reference)
+
+    @given(st.lists(small_dists, max_size=3), st.booleans())
+    def test_lift(self, ds, merge):
+        f = (lambda xs: len(set(xs))) if merge else tuple
+        reference = ref_collect(
+            (f(tuple(e for e, _ in pick)), math.prod(w for _, w in pick))
+            for pick in product(*[d.items() for d in ds])
+        )
+        self.assert_is(fin_distribution().lift(f, ds), reference)
+
+    @given(atoms, atoms, lams)
+    def test_mix_pair(self, a, b, lam):
+        self.assert_is(_mix_pair(a, b, lam), ref_collect([(a, lam), (b, 1 - lam)]))
+
+    @given(small_dists, st.integers(min_value=2, max_value=5))
+    def test_constructor_merges_repeated_elements(self, d, parts):
+        # each weight given as `parts` equal pairs
+        split = [(e, w / parts) for e, w in d.items() for _ in range(parts)]
+        self.assert_is(Dist(split), dict(d.items()))
+
+    def test_a_float_mixing_weight_is_refused(self):
+        with pytest.raises(TermError, match=r"parameter 0\.1 is a float"):
+            _mix(("a", "b"), 0.1)
+        assert _mix(("a", "b"), "1/10") == Dist({"a": F(1, 10), "b": F(9, 10)})
 
 
 class TestMultiSet:
