@@ -2,9 +2,11 @@
 
 Build equational layers (sequencing, nondeterminism, probability, ...),
 lift inner operations through outer commutative monads, decide which
-equations survive the lifting, construct and exhaustively verify the
-induced distributive laws and composite monads on bounded finite
-fragments, and emit the weakened "best approximate" combined theory.
+equations survive the lifting, construct the induced distributive laws
+and composite monads and verify them on bounded finite fragments
+(exhaustively at the first level; on stride samples where inputs nest
+and for the composite carrier of the generated axioms),
+and emit the weakened "best approximate" combined theory.
 """
 
 from .monads import (

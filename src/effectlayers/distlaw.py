@@ -1,4 +1,4 @@
-"""Construction and exhaustive verification of distributive laws.
+"""Construction and bounded verification of distributive laws.
 
 The pipeline: the law lambda: S T -> T S between the free-algebra monad S
 and the outer monad T, taken on canonical representatives, and the
@@ -9,9 +9,11 @@ homomorphism of S-algebras and psi is natural, T(q) o rho is the fold of the
 representative in the lifted algebra on T(S X), whose operations are
 T(op_S) o psi^(k) and whose leaves are T(eta_S): fold fusion.  `apply` runs
 that fold; T(q) o rho is kept as its independent check, run against it in
-the well-definedness check.  Every axiom (DL.1-4, naturality,
-well-definedness, monad laws) is checked by exhaustive enumeration on a
-bounded finite fragment.
+the well-definedness check.  Every axiom is checked on a bounded finite
+fragment by `terms.run_check`: well-definedness, DL.1-2 and the monad
+unit laws over every value within the bound (or the flatter fallback
+bound `_enum` drops to), DL.3-4, naturality, MM.2 and monad associativity
+over evenly spaced samples of their nested inputs.
 """
 
 from __future__ import annotations
@@ -33,23 +35,18 @@ from .monads import (
     lift_interp,
 )
 from .normal_forms import QuotientMonad
-from .terms import App, Const, FiniteAlgebra, Term, TermError, interpret
-
-
-PASS = "PASS"
-FAIL = "FAIL"
-
-
-@dataclass(frozen=True)
-class LawReport:
-    axiom: str  # DL1 | DL2 | DL3 | DL4 | NATURALITY | WELL_DEFINED | MONAD_LAWS...
-    status: str
-    counterexample: Optional[dict] = None
-    fragment: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status == PASS
+from .terms import (  # LawReport, PASS and FAIL are re-exported
+    FAIL,
+    PASS,
+    App,
+    Const,
+    FiniteAlgebra,
+    LawReport,
+    Term,
+    TermError,
+    interpret,
+    run_check,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -164,26 +161,24 @@ def _well_defined_report(law: QuotientLaw, X, b: Bound) -> LawReport:
     term_monad = free_term_monad(S.theory.signature)
     tvalues = T.enumerate(tuple(X), b)
     terms = term_monad.enumerate(tuple(tvalues), b)
-    groups: dict = {}
-    for t in terms:
+    groups: dict = {}  # S-value -> its first term and that term's T(q)∘ρ
+
+    def clash(t):
         sv = S.normalize(t)
         out = T.map(S.normalize, law.rho(t))
-        if sv in groups:
-            if groups[sv][1] != out:
-                return LawReport(
-                    "WELL_DEFINED",
-                    FAIL,
-                    {
-                        "value": sv,
-                        "rep1": groups[sv][0],
-                        "out1": groups[sv][1],
-                        "rep2": t,
-                        "out2": out,
-                    },
-                    f"terms over T-values, |X|={len(X)}",
-                )
-        else:
+        if sv not in groups:
             groups[sv] = (t, out)
+            return None
+        rep1, out1 = groups[sv]
+        if out1 != out:
+            return {"value": sv, "rep1": rep1, "out1": out1, "rep2": t, "out2": out}
+        return None
+
+    report = run_check(
+        "WELL_DEFINED", product(terms), clash, f"{len(terms)} bounded terms"
+    )
+    if not report.ok:
+        return report
     for sv, (t, out) in groups.items():
         fused = law.apply(sv)
         if fused != out:
@@ -193,23 +188,16 @@ def _well_defined_report(law: QuotientLaw, X, b: Bound) -> LawReport:
             raise LawRefusedError(
                 f"fused λ disagrees with T(q)∘ρ (witness: {encode_value(witness)})"
             )
-    return LawReport("WELL_DEFINED", PASS, None, f"{len(terms)} bounded terms")
+    return report
 
 
 # ---------------------------------------------------------------------------
 # DL axioms and naturality
 
 def _fallbacks(b: Bound):
-    """`b`, then flatter bounds, each built only once the one before is refused."""
+    """`b`, then its flatter bounds, built (once per bound) when it is refused."""
     yield b
-    yield _replace(b.shrink(), max_term_depth=1)
-    yield _replace(
-        b,
-        max_word_len=1,
-        max_set_size=1,
-        max_multiplicity=1,
-        max_term_depth=1,
-    )
+    yield from b.fallbacks
 
 
 def _enum(en, carrier, b: Bound, cap: Optional[int] = None):
@@ -233,16 +221,6 @@ def _sample(vs, cap: Optional[int]):
     stride = len(vs) // cap
     # vs[::stride][:cap], building only the values kept
     return vs[: stride * cap : stride]
-
-
-def _law(axiom: str, cases, witness, frag: str) -> LawReport:
-    """PASS, or FAIL with the witness of the first case that breaks the
-    axiom; `witness(*case)` is None when the case satisfies it."""
-    for case in cases:
-        w = witness(*case)
-        if w is not None:
-            return LawReport(axiom, FAIL, w, frag)
-    return LawReport(axiom, PASS, None, frag)
 
 
 def _sides(lhs, rhs):
@@ -296,11 +274,11 @@ def verify_distlaw(law: QuotientLaw, X, b: Bound, cap: int) -> list:
     stx_small = _enum(S.enumerate, T.enumerate(small, nb), nb, cap=40)
     fs = [f for Y in (small[:1], small) for f in _functions(small, Y)]
     return [
-        _law("DL1", product(sx), dl1, frag),
-        _law("DL2", product(tx), dl2, frag),
-        _law("DL3", product(sttx), dl3, frag + " (shrunk for TT nesting)"),
-        _law("DL4", product(sstx), dl4, frag + " (shrunk for SS nesting)"),
-        _law(
+        run_check("DL1", product(sx), dl1, frag),
+        run_check("DL2", product(tx), dl2, frag),
+        run_check("DL3", product(sttx), dl3, frag + " (shrunk for TT nesting)"),
+        run_check("DL4", product(sstx), dl4, frag + " (shrunk for SS nesting)"),
+        run_check(
             "NATURALITY",
             product(fs, stx_small),
             natural,
@@ -392,12 +370,12 @@ def verify_monoidal(T: MonadInstance, X, b: Bound) -> list:
     fs = list(_functions(small, small))
     ttsmall = _enum(T.enumerate, tsmall, nb, cap=8)
     return [
-        _law("MF1", product(fs, fs, tsmall, tsmall), mf1, frag),
-        _law("MF2", product(tsmall, repeat=3), mf2, frag),
-        _law("MF3", product(tx), mf3, frag),
-        _law("MM1", product(X, repeat=2), mm1, frag),
-        _law("MM2", product(ttsmall, repeat=2), mm2, frag + " (nested, sampled)"),
-        _law("SYM", product(tx, repeat=2), sym, frag),
+        run_check("MF1", product(fs, fs, tsmall, tsmall), mf1, frag),
+        run_check("MF2", product(tsmall, repeat=3), mf2, frag),
+        run_check("MF3", product(tx), mf3, frag),
+        run_check("MM1", product(X, repeat=2), mm1, frag),
+        run_check("MM2", product(ttsmall, repeat=2), mm2, frag + " (nested, sampled)"),
+        run_check("SYM", product(tx, repeat=2), sym, frag),
     ]
 
 
@@ -433,6 +411,6 @@ def verify_monad(M: MonadInstance, X, b: Bound) -> list:
     mmx = _enum(M.enumerate, _sample(mx, 8), flat, cap=120)
     mmmx = _enum(M.enumerate, _sample(mmx, 8), flat, cap=120)
     return [
-        _law("MONAD_UNIT", product(mx), unit_laws, frag),
-        _law("MONAD_ASSOC", product(mmmx), assoc, frag + " (shrunk nesting)"),
+        run_check("MONAD_UNIT", product(mx), unit_laws, frag),
+        run_check("MONAD_ASSOC", product(mmmx), assoc, frag + " (shrunk nesting)"),
     ]

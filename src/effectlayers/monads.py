@@ -52,6 +52,8 @@ class InnerOnlyMonadError(Exception):
 
 # the one probability grid: `Bound`'s default and `Bound.shrink`'s floor
 PROB_GRID = (Fraction(0), Fraction(1, 2), Fraction(1))
+# the fields of a `Bound` that bound a size, each at least 1
+_SIZES = ("max_word_len", "max_set_size", "max_multiplicity", "max_term_depth")
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class Bound:
     ceiling: int = 200_000
 
     def __post_init__(self):
-        for f in ("max_word_len", "max_set_size", "max_multiplicity", "max_term_depth"):
+        for f in _SIZES:
             if getattr(self, f) < 1:
                 raise ValueError(f"{f} must be >= 1")
         for g in self.prob_grid:
@@ -87,6 +89,16 @@ class Bound:
     def shrink(self) -> "Bound":
         """Smaller bounds for nested fragments (values of values)."""
         return self._shrunk
+
+    @cached_property
+    def fallbacks(self) -> tuple:
+        """The flatter bounds a law check retries, in order, when this one is
+        refused: the shrunk bound at term depth 1, then this one with every
+        size 1.  Built once per bound, as `shrink` is."""
+        return (
+            replace(self.shrink(), max_term_depth=1),
+            replace(self, **dict.fromkeys(_SIZES, 1)),
+        )
 
     @cached_property
     def _shrunk(self) -> "Bound":

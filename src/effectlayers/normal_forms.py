@@ -557,10 +557,15 @@ def generic_quotient_monad(
     def depth_bound(depth: int) -> Bound:  # building a Bound validates its grid
         return replace(default_bound, max_term_depth=depth)
 
+    @functools.cache
+    def term_closure(carrier: tuple, depth: int) -> CongruenceClosure:
+        # keyed on the depth, not the Bound, whose hash hashes its grid
+        return closure(carrier, depth_bound(depth))
+
     def norm_term(t: Term):
         carrier = tuple(sort_values(set(_consts(t))))
         depth = max(default_bound.max_term_depth, term_depth(t))
-        return closure(carrier, depth_bound(depth)).normal_form(t)
+        return term_closure(carrier, depth).normal_form(t)
 
     def unit(x):
         return Const(x)

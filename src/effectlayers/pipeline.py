@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .distlaw import (
-    LawReport,
     QuotientLaw,
     _enum,
     build_quotient_law,
@@ -24,8 +23,6 @@ from .distlaw import (
     unpreserved_refusal,
     verify_distlaw,
     verify_monad,
-    PASS,
-    FAIL,
 )
 from .monads import Bound, MonadInstance, lift_interp
 from .normal_forms import QuotientMonad, quotient_monad
@@ -41,6 +38,7 @@ from .terms import (
     equation,
     find_violation,
     interpret,
+    run_check,
     tabled,
 )
 from .theories import convex_theory, distributivity, monoid_theory, semilattice_theory
@@ -176,18 +174,11 @@ def verify_generated_axioms(
     carrier = tuple([canon.setdefault(v, v) for v in algebra.carrier])
     interp = {name: tabled(op, canon) for name, op in algebra.interp.items()}
     algebra = replace(algebra, carrier=carrier, interp=interp)
-    reports = []
-    for e in eqs:
-        witness = find_violation(algebra, e, param_grid)
-        reports.append(
-            LawReport(
-                f"axiom:{e.describe()}",
-                FAIL if witness else PASS,
-                witness,
-                f"carrier of {len(algebra.carrier)} composite values",
-            )
-        )
-    return reports
+    def violation(e):
+        return find_violation(algebra, e, param_grid)
+
+    frag = f"carrier of {len(algebra.carrier)} composite values"
+    return [run_check(f"axiom:{e.describe()}", [(e,)], violation, frag) for e in eqs]
 
 
 # ---------------------------------------------------------------------------

@@ -18,37 +18,24 @@ from .terms import (
     App,
     Equation,
     FiniteAlgebra,
+    LawReport,
     Signature,
     SyntacticClass,
     Theory,
     classify,
     find_violation,
     prepare_indices,
+    run_check,
 )
 from .theories import recognize_theory
 from .values import canon_key
 
 
-HOLDS_ON_FRAGMENT = "HOLDS_ON_FRAGMENT"
-FAILS = "FAILS"
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    status: str
-    counterexample: Optional[dict] = None
-    fragment: str = ""
-
-    @property
-    def holds(self) -> bool:
-        return self.status == HOLDS_ON_FRAGMENT
-
-
 @dataclass(frozen=True)
 class MonadProfile:
-    symmetric: ProbeResult
-    relevant: ProbeResult
-    affine: ProbeResult
+    symmetric: LawReport
+    relevant: LawReport
+    affine: LawReport
 
 
 class NonSymmetricMonadError(Exception):
@@ -58,22 +45,20 @@ class NonSymmetricMonadError(Exception):
 # ---------------------------------------------------------------------------
 # probes
 
-def probe_symmetric(T: MonadInstance, X, b: Bound) -> ProbeResult:
+def probe_symmetric(T: MonadInstance, X, b: Bound) -> LawReport:
     """T(swap) o psi = psi o swap on all enumerated pairs."""
     T.require_outer()
-    frag = f"{T.name} on {sorted(map(str, X))}"
+
+    def witness(u, v):
+        lhs = T.map(lambda p: (p[1], p[0]), T.fubini(u, v))
+        rhs = T.fubini(v, u)
+        if lhs != rhs:
+            return {"u": u, "v": v, "T(swap).psi": lhs, "psi.swap": rhs}
+        return None
+
     values = T.enumerate(tuple(X), b)
-    for u in values:
-        for v in values:
-            lhs = T.map(lambda p: (p[1], p[0]), T.fubini(u, v))
-            rhs = T.fubini(v, u)
-            if lhs != rhs:
-                return ProbeResult(
-                    FAILS,
-                    {"u": u, "v": v, "T(swap).psi": lhs, "psi.swap": rhs},
-                    frag,
-                )
-    return ProbeResult(HOLDS_ON_FRAGMENT, None, frag)
+    frag = f"{T.name} on {sorted(map(str, X))}"
+    return run_check("symmetric", itertools.product(values, repeat=2), witness, frag)
 
 
 def relevance_sides(T: MonadInstance, v):
@@ -81,43 +66,33 @@ def relevance_sides(T: MonadInstance, v):
     return T.fubini(v, v), T.map(lambda x: (x, x), v)
 
 
-def probe_relevant(T: MonadInstance, X, b: Bound) -> ProbeResult:
+def probe_relevant(T: MonadInstance, X, b: Bound) -> LawReport:
     """psi o diagonal = T(diagonal); failure witnesses variable duplication.
 
-    All failures are collected and the canonically smallest witness is
-    reported, so replays are stable across runs.
+    The values are visited in canonical order, so the witness reported is
+    the canonically smallest and replays are stable across runs.
     """
     T.require_outer()
+
+    def witness(v):
+        lhs, rhs = relevance_sides(T, v)
+        return {"value": v, "psi.diag": lhs, "T(diag)": rhs} if lhs != rhs else None
+
+    values = sorted(T.enumerate(tuple(X), b), key=canon_key)
     frag = f"{T.name} on {sorted(map(str, X))}"
-    failures = []
-    for v in T.enumerate(tuple(X), b):
-        lhs, rhs = relevance_sides(T, v)
-        if lhs != rhs:
-            failures.append(v)
-    if failures:
-        v = min(failures, key=canon_key)
-        lhs, rhs = relevance_sides(T, v)
-        return ProbeResult(
-            FAILS, {"value": v, "psi.diag": lhs, "T(diag)": rhs}, frag
-        )
-    return ProbeResult(HOLDS_ON_FRAGMENT, None, frag)
+    return run_check("relevant", itertools.product(values), witness, frag)
 
 
-def affine_sides(T: MonadInstance, v):
-    """Both legs of the absorption square at a single TX value."""
-    return T.map(lambda _: (), v), T.unit(())
-
-
-def probe_affine(T: MonadInstance, X, b: Bound) -> ProbeResult:
+def probe_affine(T: MonadInstance, X, b: Bound) -> LawReport:
     """T(!) = eta_1 o !; failure witnesses variable dropping."""
+
+    def witness(v):
+        lhs, rhs = T.map(lambda _: (), v), T.unit(())
+        return {"value": v, "T(!)": lhs, "eta_1": rhs} if lhs != rhs else None
+
+    values = T.enumerate(tuple(X), b)
     frag = f"{T.name} on {sorted(map(str, X))}"
-    for v in T.enumerate(tuple(X), b):
-        lhs, rhs = affine_sides(T, v)
-        if lhs != rhs:
-            return ProbeResult(
-                FAILS, {"value": v, "T(!)": lhs, "eta_1": rhs}, frag
-            )
-    return ProbeResult(HOLDS_ON_FRAGMENT, None, frag)
+    return run_check("affine", itertools.product(values), witness, frag)
 
 
 def profile_monad(T: MonadInstance, X, b: Bound) -> MonadProfile:
@@ -131,24 +106,23 @@ def profile_monad(T: MonadInstance, X, b: Bound) -> MonadProfile:
 # ---------------------------------------------------------------------------
 # residual diagrams
 
-def residual_commutes(T: MonadInstance, t, V, X, b: Bound) -> ProbeResult:
+def residual_commutes(T: MonadInstance, t, V, X, b: Bound) -> LawReport:
     """The square comparing 'rearrange then psi' with 'psi then rearrange'."""
     T.require_outer()
     idx = prepare_indices(t, V)
     k, n = len(idx), len(V)
-    frag = f"res({T.name}, {len(V)} vars) on {sorted(map(str, X))}"
-    values = T.enumerate(tuple(X), b)
-    for tup in itertools.product(values, repeat=n):
+
+    def witness(*tup):
         left = fubini_tuples(T, k, [tup[i] for i in idx])
         psi_all = fubini_tuples(T, n, list(tup))
         right = T.map(lambda xs: tuple(xs[i] for i in idx), psi_all)
         if left != right:
-            return ProbeResult(
-                FAILS,
-                {"inputs": tup, "psi_then_prepare": right, "prepare_then_psi": left},
-                frag,
-            )
-    return ProbeResult(HOLDS_ON_FRAGMENT, None, frag)
+            return {"inputs": tup, "psi_then_prepare": right, "prepare_then_psi": left}
+        return None
+
+    values = T.enumerate(tuple(X), b)
+    frag = f"res({T.name}, {len(V)} vars) on {sorted(map(str, X))}"
+    return run_check("residual", itertools.product(values, repeat=n), witness, frag)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +227,7 @@ def check_preservation(
     within `b`.  `theory` is the inner theory whose algebras brute force
     ranges over; it defaults to the equation alone.
     """
-    if not profile.symmetric.holds:
+    if not profile.symmetric.ok:
         raise NonSymmetricMonadError(
             f"monad {T.name!r} failed the symmetry probe; lifting is unjustified"
         )
@@ -263,11 +237,11 @@ def check_preservation(
     cls = classify(e)
     if cls is SyntacticClass.LINEAR:
         return Verdict(e, PRESERVED_SYNTACTIC, THM_LINEAR)
-    if cls is SyntacticClass.BALANCED and profile.relevant.holds:
+    if cls is SyntacticClass.BALANCED and profile.relevant.ok:
         return Verdict(e, PRESERVED_SYNTACTIC, THM_RELEVANT)
-    if cls is SyntacticClass.AFFINE_SAFE and profile.affine.holds:
+    if cls is SyntacticClass.AFFINE_SAFE and profile.affine.ok:
         return Verdict(e, PRESERVED_SYNTACTIC, THM_AFFINE)
-    if profile.relevant.holds and profile.affine.holds:
+    if profile.relevant.ok and profile.affine.ok:
         return Verdict(e, PRESERVED_SYNTACTIC, THM_CARTESIAN)
 
     # a side whose variables each occur once, in context order, rearranges
@@ -277,7 +251,7 @@ def check_preservation(
         side for side in (e.lhs, e.rhs)
         if prepare_indices(side, e.context) != identity
     ]
-    if all(residual_commutes(T, side, e.context, X, b).holds for side in sides):
+    if all(residual_commutes(T, side, e.context, X, b).ok for side in sides):
         return Verdict(
             e, PRESERVED_RESIDUAL, fragment=f"residual diagrams on |X|={len(X)}"
         )
@@ -286,60 +260,55 @@ def check_preservation(
     # carriers, then the theory's free algebra on the fragment carrier
     # (some failures, e.g. powerset-over-semilattice, only show up there).
     inner = theory or Theory(_signature_of(e), (e,))
-    if not any(o.param for o in inner.signature.ops):
-        for size in range(1, _MAX_BRUTE_CARRIER + 1):
-            for A in enumerate_algebras(inner, size):
-                LA = lifted_algebra(T, A, b)
-                w = find_violation(LA, e, b.prob_grid)
-                if w is not None:
-                    return Verdict(
-                        e,
-                        FALSIFIED,
-                        counterexample=_counterexample(
-                            _algebra_table(A, inner.signature), w
-                        ),
-                        evidence=(profile.relevant, profile.affine),
-                        fragment=f"lifted algebra on carrier size {size}",
-                    )
-    w, desc = _free_algebra_violation(T, inner, e, X, b)
-    if w is not None:
-        return Verdict(
-            e,
-            FALSIFIED,
-            counterexample=w,
-            evidence=(profile.relevant, profile.affine),
-            fragment=desc,
-        )
-    searched = f"algebras up to carrier {_MAX_BRUTE_CARRIER}, bounded fragments"
-    return Verdict(e, UNKNOWN, fragment=searched)
+
+    def falsified(base, LA, fragment):
+        w = find_violation(LA, e, b.prob_grid)
+        return None if w is None else (_counterexample(base, w), fragment)
+
+    found = run_check(e.name, _lifted_models(T, inner, X, b), falsified, "")
+    if found.ok:
+        searched = f"algebras up to carrier {_MAX_BRUTE_CARRIER}, bounded fragments"
+        return Verdict(e, UNKNOWN, fragment=searched)
+    counterexample, fragment = found.counterexample
+    return Verdict(
+        e,
+        FALSIFIED,
+        counterexample=counterexample,
+        evidence=(profile.relevant, profile.affine),
+        fragment=fragment,
+    )
 
 
 _FREE_CARRIER_CAP = 16
 
 
-def _free_algebra_violation(T: MonadInstance, inner: Theory, e: Equation, X, b: Bound):
-    """Search the lifted free algebra of the inner theory over atoms X."""
+def _lifted_models(T: MonadInstance, inner: Theory, X, b: Bound):
+    """The lifted algebras brute force searches, each with its base
+    algebra's description and its fragment: those of the inner theory's
+    algebras up to `_MAX_BRUTE_CARRIER` elements (for a parameter-free
+    theory), then that of its free algebra over atoms X."""
+    if not any(o.param for o in inner.signature.ops):
+        for size in range(1, _MAX_BRUTE_CARRIER + 1):
+            for A in enumerate_algebras(inner, size):
+                yield (
+                    _algebra_table(A, inner.signature),
+                    lifted_algebra(T, A, b),
+                    f"lifted algebra on carrier size {size}",
+                )
     kind, _ = recognize_theory(inner)
     if kind == "GENERIC":
-        return None, ""
+        return
     S = quotient_monad(inner, kind)
     try:
         carrier = tuple(S.monad.enumerate(tuple(X), b))
-    except BoundExplosionError:
-        return None, ""
-    if len(carrier) > _FREE_CARRIER_CAP:
-        return None, ""
-    A = S.algebra(carrier, name=f"free-{kind.lower()}({len(X)} atoms)")
-    try:
+        if len(carrier) > _FREE_CARRIER_CAP:
+            return
+        A = S.algebra(carrier, name=f"free-{kind.lower()}({len(X)} atoms)")
         LA = lifted_algebra(T, A, b)
     except BoundExplosionError:
-        return None, ""
-    w = find_violation(LA, e, b.prob_grid)
-    if w is None:
-        return None, ""
+        return
     base = f"free {kind.lower()} algebra on atoms {sorted(map(str, X))}"
-    desc = f"lifted free {kind.lower()} algebra on {len(X)} atoms"
-    return _counterexample(base, w), desc
+    yield base, LA, f"lifted free {kind.lower()} algebra on {len(X)} atoms"
 
 
 def _counterexample(base_algebra, w: dict) -> dict:

@@ -78,7 +78,8 @@ def describe_eq(e: Equation) -> str:
 # builders
 
 def _probe_dict(p):
-    out = {"status": p.status, "fragment": p.fragment}
+    """A probe's `LawReport`, PASS printed as HOLDS_ON_FRAGMENT and FAIL as FAILS."""
+    out = {"status": "HOLDS_ON_FRAGMENT" if p.ok else "FAILS", "fragment": p.fragment}
     if p.counterexample is not None:
         out["counterexample"] = encode_value(p.counterexample)
     return out

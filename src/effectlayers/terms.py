@@ -3,8 +3,11 @@
 Terms are either variables, ground constants, or operation applications.
 `interpret` is the one term evaluator: the fold out of the term algebra,
 given an operation lookup and a value for each leaf.  Normal forms, the
-syntactic law, program evaluation and equation checks all run it.  All
-equation checking is exhaustive over finite carriers.
+syntactic law, program evaluation and equation checks all run it.
+`run_check` is the one check loop: every law, probe, residual square and
+axiom check hands it its cases and a witness function and gets back a
+`LawReport`.  Equation checking is exhaustive over the finite carrier it
+is given.
 
 Equation checks stage each side: `FiniteAlgebra.stage` runs `interpret`
 once per term and parameter point with closures for operations and
@@ -20,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 
 class TermError(Exception):
@@ -503,7 +506,8 @@ def interpret_in_context(t: Term, A: FiniteAlgebra, context, valuation, param_en
 
 
 def find_violation(A: FiniteAlgebra, e: Equation, param_grid):
-    """First valuation (and parameter assignment) separating lhs from rhs.
+    """First valuation (and parameter assignment) separating lhs from rhs,
+    valuations in `itertools.product` order, parameters innermost.
 
     Returns None when the equation holds exhaustively; parameter instances
     whose side conditions divide by zero are skipped.
@@ -513,14 +517,51 @@ def find_violation(A: FiniteAlgebra, e: Equation, param_grid):
         dict(zip(pnames, combo))
         for combo in itertools.product(param_grid, repeat=len(pnames))
     ]
-    for values in itertools.product(A.carrier, repeat=len(e.context)):
-        valuation = dict(zip(e.context, values))
-        for env in envs:
-            try:
-                lv = interpret_in_context(e.lhs, A, e.context, valuation, env)
-                rv = interpret_in_context(e.rhs, A, e.context, valuation, env)
-            except ParamDivisionByZero:
-                continue
-            if lv != rv:
-                return {"valuation": valuation, "params": env, "lhs": lv, "rhs": rv}
-    return None
+
+    def instances():  # one valuation per value tuple, for all its parameters
+        for values in itertools.product(A.carrier, repeat=len(e.context)):
+            valuation = dict(zip(e.context, values))
+            for env in envs:
+                yield valuation, env
+
+    def separating(valuation, env):
+        try:
+            lv = interpret_in_context(e.lhs, A, e.context, valuation, env)
+            rv = interpret_in_context(e.rhs, A, e.context, valuation, env)
+        except ParamDivisionByZero:
+            return None
+        if lv != rv:
+            return {"valuation": valuation, "params": env, "lhs": lv, "rhs": rv}
+        return None
+
+    return run_check(e.name, instances(), separating, "").counterexample
+
+
+# ---------------------------------------------------------------------------
+# the check runner
+
+PASS = "PASS"
+FAIL = "FAIL"
+
+
+@dataclass(frozen=True)
+class LawReport:
+    axiom: str  # DL1 | NATURALITY | WELL_DEFINED | MONAD_UNIT | axiom:... | symmetric...
+    status: str
+    counterexample: Optional[dict] = None
+    fragment: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.status == PASS
+
+
+def run_check(axiom: str, cases, witness: Callable, fragment: str) -> LawReport:
+    """The one loop of every check: PASS, or FAIL with the first non-None
+    `witness(*case)` over `cases`, in their order.  A case whose witness is
+    None satisfies the check; no case after the first witness is visited."""
+    for case in cases:
+        w = witness(*case)
+        if w is not None:
+            return LawReport(axiom, FAIL, w, fragment)
+    return LawReport(axiom, PASS, None, fragment)

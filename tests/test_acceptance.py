@@ -161,7 +161,7 @@ def test_criterion_3_stage_two_reproduction(flagship):
     # absorption survives because D is affine: D1 has exactly one value
     D = fin_distribution()
     assert len(D.enumerate(("x",), Bound(prob_grid=GRID3))) == 1
-    assert s2.profile.affine.holds
+    assert s2.profile.affine.ok
     for name in ("absorb-left(;,abort)", "absorb-right(;,abort)"):
         assert verdicts[name].status == PRESERVED_SYNTACTIC
         assert verdicts[name].theorem == "affine-with-dropping"

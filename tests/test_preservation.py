@@ -14,7 +14,6 @@ from effectlayers.preservation import (
     THM_LINEAR,
     UNKNOWN,
     NonSymmetricMonadError,
-    ProbeResult,
     MonadProfile,
     _algebra_table,
     check_preservation,
@@ -26,7 +25,9 @@ from effectlayers.pipeline import compose_stack
 from effectlayers.render import render_term
 from effectlayers.specfile import parse_spec
 from effectlayers.terms import (
+    FAIL,
     FiniteAlgebra,
+    LawReport,
     OpSymbol,
     Signature,
     Theory,
@@ -76,19 +77,19 @@ def profiles():
 
 class TestProfiles:
     def test_all_symmetric(self, profiles):
-        assert all(p.symmetric.holds for p in profiles.values())
+        assert all(p.symmetric.ok for p in profiles.values())
 
     def test_none_relevant(self, profiles):
         # copying a two-point set/multiset/coin never factors through the
         # diagonal, and every probe must carry a witness
         for p in profiles.values():
-            assert not p.relevant.holds
+            assert not p.relevant.ok
             assert p.relevant.counterexample is not None
 
     def test_only_distribution_is_affine(self, profiles):
-        assert not profiles["P"].affine.holds
-        assert not profiles["M"].affine.holds
-        assert profiles["D"].affine.holds
+        assert not profiles["P"].affine.ok
+        assert not profiles["M"].affine.ok
+        assert profiles["D"].affine.ok
 
     def test_relevance_witness_for_distribution(self, profiles):
         from effectlayers.preservation import relevance_sides
@@ -158,7 +159,7 @@ class TestCascade:
 
     def test_non_symmetric_profile_refuses(self, profiles):
         broken = MonadProfile(
-            symmetric=ProbeResult("FAILS", {"lhs": 0, "rhs": 1}),
+            symmetric=LawReport("symmetric", FAIL, {"lhs": 0, "rhs": 1}),
             relevant=profiles["P"].relevant,
             affine=profiles["P"].affine,
         )
@@ -257,7 +258,7 @@ def test_identity_rearrangement_squares_commute(T):
             for side in (e.lhs, e.rhs):
                 if prepare_indices(side, e.context) != tuple(range(len(e.context))):
                     continue
-                assert residual_commutes(T, side, e.context, X, Bound()).holds
+                assert residual_commutes(T, side, e.context, X, Bound()).ok
                 checked += 1
     assert checked
 
