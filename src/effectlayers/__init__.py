@@ -18,7 +18,6 @@ from .monads import (
     fin_powerset,
     free_monoid,
     free_term_monad,
-    fubini_tuples,
     multiset,
 )
 from .normal_forms import CANONICAL_KINDS, QuotientMonad, quotient_monad
@@ -38,7 +37,6 @@ from .pipeline import (
 )
 from .preservation import (
     FALSIFIED,
-    PRESERVED_RESIDUAL,
     PRESERVED_SYNTACTIC,
     UNKNOWN,
     MonadProfile,

@@ -401,15 +401,8 @@ def verify_monad(M: MonadInstance, X, b: Bound) -> list:
     # triple nesting explodes combinatorially: the number of values and
     # the size of each value.  Keep level-1 exhaustive; build the deeper
     # levels with flat bounds so individual values stay small.
-    flat = _replace(
-        b.shrink(),
-        max_word_len=1,
-        max_set_size=2,
-        max_multiplicity=1,
-        max_term_depth=1,
-    )
-    mmx = _enum(M.enumerate, _sample(mx, 8), flat, cap=120)
-    mmmx = _enum(M.enumerate, _sample(mmx, 8), flat, cap=120)
+    mmx = _enum(M.enumerate, _sample(mx, 8), b.flat_nested, cap=120)
+    mmmx = _enum(M.enumerate, _sample(mmx, 8), b.flat_nested, cap=120)
     return [
         run_check("MONAD_UNIT", product(mx), unit_laws, frag),
         run_check("MONAD_ASSOC", product(mmmx), assoc, frag + " (shrunk nesting)"),

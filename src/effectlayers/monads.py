@@ -4,9 +4,9 @@ Each monad is a bundle of pure functions (unit, map, mult, lift) on
 canonical container values.  An outer (commutative) monad's `lift` is its
 one kernel for the lifting T(f)∘ψ^(k): it runs once over the product of its
 k arguments, which is the monad's n-ary monoidal structure (Kock, "Strong
-functors and monoidal monads", 1972).  ψ^(k) (`fubini_tuples`) and binary ψ
-(`MonadInstance.fubini`) are derived from it.  Their coherence (MF.1-3,
-MM.1-2, SYM) is checked by the Tier-1 tests, `distlaw.verify_monoidal` in
+functors and monoidal monads", 1972).  ψ^(k) is `lift(T, tuple, values)`,
+and binary ψ (`MonadInstance.fubini`) is derived from it.  Their coherence
+(MF.1-3, MM.1-2, SYM) is checked by the Tier-1 tests, `verify_monoidal` in
 `tests/test_monads.py` and acceptance criterion 1, not by the pipeline.
 Enumerators list *all* values over a finite carrier within a
 `Bound`, in deterministic order, and refuse to run when the count would
@@ -101,6 +101,12 @@ class Bound:
         )
 
     @cached_property
+    def flat_nested(self) -> "Bound":
+        """The shrunk bound with every size 1 but sets of 2, in which the monad
+        laws enumerate values of values.  Built once per bound, as `shrink` is."""
+        return replace(self.shrink(), **(dict.fromkeys(_SIZES, 1) | {"max_set_size": 2}))
+
+    @cached_property
     def _shrunk(self) -> "Bound":
         # built once per bound: building a Bound validates its grid
         return replace(
@@ -154,14 +160,6 @@ def lift(T: MonadInstance, f: Callable, values):
     if len(values) == 1:
         return T.map(lambda x: f((x,)), values[0])
     T.require_outer()  # raises: T has no psi
-
-
-def fubini_tuples(T: MonadInstance, k: int, values) -> object:
-    """psi^(k): the T-value of flat k-tuples drawn from the k T-values."""
-    values = tuple(values)
-    if len(values) != k:
-        raise TermError(f"expected {k} values, got {len(values)}")
-    return lift(T, tuple, values)  # `tuple` of a tuple is that tuple
 
 
 def lift_interp(T: MonadInstance, A: FiniteAlgebra):

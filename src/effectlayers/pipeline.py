@@ -220,7 +220,7 @@ def compose_stack(
         outer_q = quotient_monad(layer.theory, layer.normalizer, bound=b)
         T = outer_q.monad
         T.require_outer()
-        # the probes, residual squares and lifted algebras share one
+        # the probes and the lifted algebras of brute force share one
         # enumeration of each carrier of T
         T_frag = replace(T, enumerate=functools.cache(T.enumerate))
         profile = profile_monad(T_frag, X, b)

@@ -1,9 +1,15 @@
 """Deciding whether a monoidal monad's lifting preserves an equation.
 
 The decision cascade: syntactic-identity fast path, then the syntactic
-theorems keyed on the monad's relevance/affineness profile, then residual
-diagrams on bounded fragments, and finally brute-force falsification over
-all small algebras of the inner theory.
+theorems keyed on the monad's relevance/affineness profile, and finally
+brute-force falsification over all small algebras of the inner theory.
+
+No residual square is checked: for a symmetric T, the square of a side
+rearranging its variables by `idx` commutes iff (`idx` is injective or T is
+relevant) and (`idx` is onto or T is affine) (contraction and weakening:
+Jacobs, APAL 1994).  If every side's square commutes, a theorem has already
+applied: the equation is linear, balanced with T relevant, affine-safe with
+T affine, or T is both.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .monads import Bound, BoundExplosionError, MonadInstance, fubini_tuples, lift_interp
+from .monads import Bound, BoundExplosionError, MonadInstance, lift_interp
 from .normal_forms import quotient_monad
 from .terms import (
     App,
@@ -24,7 +30,6 @@ from .terms import (
     Theory,
     classify,
     find_violation,
-    prepare_indices,
     run_check,
 )
 from .theories import recognize_theory
@@ -104,28 +109,6 @@ def profile_monad(T: MonadInstance, X, b: Bound) -> MonadProfile:
 
 
 # ---------------------------------------------------------------------------
-# residual diagrams
-
-def residual_commutes(T: MonadInstance, t, V, X, b: Bound) -> LawReport:
-    """The square comparing 'rearrange then psi' with 'psi then rearrange'."""
-    T.require_outer()
-    idx = prepare_indices(t, V)
-    k, n = len(idx), len(V)
-
-    def witness(*tup):
-        left = fubini_tuples(T, k, [tup[i] for i in idx])
-        psi_all = fubini_tuples(T, n, list(tup))
-        right = T.map(lambda xs: tuple(xs[i] for i in idx), psi_all)
-        if left != right:
-            return {"inputs": tup, "psi_then_prepare": right, "prepare_then_psi": left}
-        return None
-
-    values = T.enumerate(tuple(X), b)
-    frag = f"res({T.name}, {len(V)} vars) on {sorted(map(str, X))}"
-    return run_check("residual", itertools.product(values, repeat=n), witness, frag)
-
-
-# ---------------------------------------------------------------------------
 # lifted algebras
 
 def lifted_algebra(T: MonadInstance, A: FiniteAlgebra, b: Bound) -> FiniteAlgebra:
@@ -184,7 +167,6 @@ def enumerate_algebras(theory: Theory, carrier_size: int):
 # the verdict cascade
 
 PRESERVED_SYNTACTIC = "PRESERVED_SYNTACTIC"
-PRESERVED_RESIDUAL = "PRESERVED_RESIDUAL"
 FALSIFIED = "FALSIFIED"
 UNKNOWN = "UNKNOWN"
 
@@ -206,7 +188,7 @@ class Verdict:
 
     @property
     def preserved(self) -> bool:
-        return self.status in (PRESERVED_SYNTACTIC, PRESERVED_RESIDUAL)
+        return self.status == PRESERVED_SYNTACTIC
 
 
 # brute force enumerates the inner theory's algebras up to this carrier size
@@ -223,9 +205,9 @@ def check_preservation(
 ) -> Verdict:
     """Decision cascade for 'does the lifting through T preserve e?'.
 
-    The residual checks and brute force run on the fragment of carrier `X`
-    within `b`.  `theory` is the inner theory whose algebras brute force
-    ranges over; it defaults to the equation alone.
+    Brute force runs on the fragment of carrier `X` within `b`, over the
+    algebras of the inner theory `theory`, which defaults to the equation
+    alone.
     """
     if not profile.symmetric.ok:
         raise NonSymmetricMonadError(
@@ -243,18 +225,6 @@ def check_preservation(
         return Verdict(e, PRESERVED_SYNTACTIC, THM_AFFINE)
     if profile.relevant.ok and profile.affine.ok:
         return Verdict(e, PRESERVED_SYNTACTIC, THM_CARTESIAN)
-
-    # a side whose variables each occur once, in context order, rearranges
-    # by the identity, and its square commutes because T(id) = id
-    identity = tuple(range(len(e.context)))
-    sides = [
-        side for side in (e.lhs, e.rhs)
-        if prepare_indices(side, e.context) != identity
-    ]
-    if all(residual_commutes(T, side, e.context, X, b).ok for side in sides):
-        return Verdict(
-            e, PRESERVED_RESIDUAL, fragment=f"residual diagrams on |X|={len(X)}"
-        )
 
     # brute force, cheap route first: abstract (Sigma, E)-algebras on tiny
     # carriers, then the theory's free algebra on the fragment carrier

@@ -4,8 +4,8 @@ Terms are either variables, ground constants, or operation applications.
 `interpret` is the one term evaluator: the fold out of the term algebra,
 given an operation lookup and a value for each leaf.  Normal forms, the
 syntactic law, program evaluation and equation checks all run it.
-`run_check` is the one check loop: every law, probe, residual square and
-axiom check hands it its cases and a witness function and gets back a
+`run_check` is the one check loop: every law, probe, brute-force search
+and axiom check hands it its cases and a witness function and gets back a
 `LawReport`.  Equation checking is exhaustive over the finite carrier it
 is given.
 

@@ -25,7 +25,6 @@ from effectlayers.monads import (
 from effectlayers.normal_forms import quotient_monad
 from effectlayers.pipeline import eval_term
 from effectlayers.preservation import (
-    PRESERVED_RESIDUAL,
     PRESERVED_SYNTACTIC,
     FALSIFIED,
     check_preservation,
@@ -229,7 +228,7 @@ def test_criterion_5_theorem_vs_oracle_soundness():
         for T in monads:
             checked += 1
             v = check_preservation(T, e, profiles[T.name], X, b, theory=theory)
-            if v.status not in (PRESERVED_SYNTACTIC, PRESERVED_RESIDUAL):
+            if v.status != PRESERVED_SYNTACTIC:
                 continue
             preserved += 1
             # oracle: the lifted equation must hold in the lifting of every

@@ -14,7 +14,6 @@ from effectlayers.monads import (
     fin_powerset,
     free_monoid,
     free_term_monad,
-    fubini_tuples,
     lift,
     multiset,
 )
@@ -107,7 +106,7 @@ class TestFubini:
     @pytest.mark.parametrize("T", outer_monads(), ids=lambda t: t.name)
     def test_iterated_fubini_produces_flat_tuples(self, T):
         vals = [T.unit("a"), T.unit("b"), T.unit("c")]
-        assert fubini_tuples(T, 3, vals) == T.unit(("a", "b", "c"))
+        assert lift(T, tuple, vals) == T.unit(("a", "b", "c"))
 
 
 TERMS = free_term_monad(monoid_theory().signature)
@@ -156,7 +155,7 @@ class TestLiftKernels:
 
         for vs in product(TX, repeat=k):
             psi = left_nested_psi(T, vs)
-            assert fubini_tuples(T, k, vs) == psi == lift(T, tuple, vs)
+            assert lift(T, tuple, vs) == psi
             assert lift(T, merge, vs) == T.map(merge, psi)
         if k == 2:
             for u, v in product(TX, repeat=2):
@@ -196,7 +195,7 @@ class TestLiftKernels:
         with pytest.raises(InnerOnlyMonadError):
             lift(T, tuple, (v, v))
         with pytest.raises(InnerOnlyMonadError):
-            fubini_tuples(T, 3, (v, v, v))
+            lift(T, tuple, (v, v, v))
 
 
 class TestEnumerators:
