@@ -34,12 +34,10 @@ from typing import NamedTuple, Optional
 
 from .pipeline import INNER_SEED, OUTER, LayerSpec
 from .terms import (
+    ARITH,
     App,
     Const,
     OpSymbol,
-    PBin,
-    PConst,
-    PVar,
     Signature,
     Term,
     Theory,
@@ -196,14 +194,14 @@ def _parse_param_expr(ts: _Stream, prec: int = 0):
     left = _parse_param_atom(ts)
     while True:
         t = ts.peek()
-        if t.kind != "punct" or t.text not in "+-*/":
+        if t.kind != "punct" or t.text not in ARITH:
             return left
         op_prec = 1 if t.text in "+-" else 2
         if op_prec <= prec:
             return left
         ts.next()
         right = _parse_param_expr(ts, op_prec)
-        left = PBin(t.text, left, right)
+        left = App(ARITH[t.text], (left, right))
     return left
 
 
@@ -220,20 +218,16 @@ def _parse_param_atom(ts: _Stream):
             den = ts.expect("number")
             if int(den.text) == 0:
                 raise SpecParseError("zero denominator", den.line, den.col)
-            return PConst(Fraction(num, int(den.text)))
+            return Const(Fraction(num, int(den.text)))
         if num not in (0, 1):
             raise SpecParseError(
                 "rationals need an explicit denominator (write p/q)", t.line, t.col
             )
-        return PConst(Fraction(num))
+        return Const(Fraction(num))
     if t.kind == "ident":
         ts.next()
-        return PVar(t.text)
+        return Var(t.text)
     raise SpecParseError(f"expected a parameter expression, found {t.text!r}", t.line, t.col)
-
-
-def _simplify_param(p):
-    return p.value if isinstance(p, PConst) else p
 
 
 def _parse_op_param(ts: _Stream, op: OpSymbol):
@@ -241,9 +235,9 @@ def _parse_op_param(ts: _Stream, op: OpSymbol):
     if not op.param:
         return None
     ts.expect("punct", "[")
-    param = _simplify_param(_parse_param_expr(ts))
+    param = _parse_param_expr(ts)
     ts.expect("punct", "]")
-    return param
+    return param.value if isinstance(param, Const) else param  # a literal: its rational
 
 
 def _parse_term(ts: _Stream, sig: Signature, leaf, prec: int = 0) -> Term:

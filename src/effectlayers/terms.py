@@ -1,9 +1,14 @@
 """Finitary signatures, terms, equations, and the variable-analysis machinery.
 
 Terms are either variables, ground constants, or operation applications.
+A parameter expression, the weight of an operation such as ⊕, is a term
+over the four symbols of `ARITH`: parameter names are its variables and
+rationals its constants.
 `interpret` is the one term evaluator: the fold out of the term algebra,
 given an operation lookup and a value for each leaf.  Normal forms, the
-syntactic law, program evaluation and equation checks all run it.
+syntactic law, program evaluation and equation checks all run it, and so
+do weights: `eval_param` folds one into the rationals, and `render_param`
+into the strings "(a op b)".
 `run_check` is the one check loop: every law, probe, brute-force search
 and axiom check hands it its cases and a witness function and gets back a
 `LawReport`.  Equation checking is exhaustive over the finite carrier it
@@ -32,81 +37,6 @@ class TermError(Exception):
 
 class ParamDivisionByZero(Exception):
     """A parameter expression divided by zero; the instance is skipped."""
-
-
-# ---------------------------------------------------------------------------
-# parameter expressions (for families like the convex choice operators)
-
-class ParamExpr:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class PVar(ParamExpr):
-    name: str
-
-
-@dataclass(frozen=True)
-class PConst(ParamExpr):
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class PBin(ParamExpr):
-    op: str  # one of + - * /
-    left: ParamExpr
-    right: ParamExpr
-
-
-def eval_param(expr, env: Mapping[str, Fraction]) -> Fraction:
-    if isinstance(expr, (int, Fraction)):
-        return Fraction(expr)
-    if isinstance(expr, PConst):
-        return expr.value
-    if isinstance(expr, PVar):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise TermError(f"unbound parameter variable {expr.name!r}")
-    if isinstance(expr, PBin):
-        a = eval_param(expr.left, env)
-        b = eval_param(expr.right, env)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if expr.op == "/":
-            if b == 0:
-                raise ParamDivisionByZero(
-                    f"parameter {render_param(expr)} divides by zero"
-                )
-            return a / b
-        raise TermError(f"unknown parameter operator {expr.op!r}")
-    raise TermError(f"not a parameter expression: {expr!r}")
-
-
-def render_param(p) -> str:
-    """A parameter, or any rational, as the spec syntax writes it: "1/2", "(1 - l)"."""
-    if isinstance(p, PConst):
-        return render_param(p.value)
-    if isinstance(p, PVar):
-        return p.name
-    if isinstance(p, PBin):
-        return f"({render_param(p.left)} {p.op} {render_param(p.right)})"
-    f = Fraction(p)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def param_vars(expr):
-    if isinstance(expr, PVar):
-        return {expr.name}
-    if isinstance(expr, PBin):
-        return param_vars(expr.left) | param_vars(expr.right)
-    return set()
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +118,7 @@ class Const(Term):
 class App(Term):
     op: OpSymbol
     args: tuple = ()
-    param: object = None  # Fraction | ParamExpr | None
+    param: object = None  # Fraction | Term over ARITH | None
 
     def __post_init__(self):
         if len(self.args) != self.op.arity:
@@ -213,7 +143,7 @@ def app(op: OpSymbol, *args, param=None) -> App:
             f"parameter {param!r} of {op.name!r} is a float; give a Fraction, "
             "an int or a string"
         )
-    if param is not None and not isinstance(param, ParamExpr):
+    if param is not None and not isinstance(param, Term):
         param = Fraction(param)
     return App(op, tuple(args), param)
 
@@ -249,7 +179,7 @@ def term_depth(t: Term) -> int:
 def term_params(t: Term):
     """Parameter variable names appearing anywhere in `t`."""
     if isinstance(t, App):
-        own = param_vars(t.param) if isinstance(t.param, ParamExpr) else set()
+        own = set(term_vars(t.param)) if isinstance(t.param, Term) else set()
         for a in t.args:
             own |= term_params(a)
         return own
@@ -277,7 +207,7 @@ def instantiate_params(t: Term, env: Mapping[str, Fraction]) -> Term:
     ParamDivisionByZero, in which case the instance is skipped)."""
     if isinstance(t, App):
         p = t.param
-        if isinstance(p, ParamExpr):
+        if isinstance(p, Term):
             p = eval_param(p, env)
         return App(t.op, tuple(instantiate_params(a, env) for a in t.args), p)
     return t
@@ -294,6 +224,58 @@ def prepare_indices(t: Term, context: Sequence[str]):
         return tuple(pos[x] for x in term_args(t))
     except KeyError as exc:
         raise TermError(f"variable {exc.args[0]!r} not in context {list(context)}")
+
+
+# ---------------------------------------------------------------------------
+# parameter expressions (for families like the convex choice operators)
+
+# A parameter expression is a term over these four symbols, its variables
+# the parameter names and its constants rationals.  No walk over a term's
+# arguments enters its parameter (term_args, _check_wellformed,
+# theories._shape, normal_forms._consts, the closure universe), so they
+# meet no signature, named law or closure.
+ARITH = {name: OpSymbol(name, 2) for name in "+-*/"}
+_RATIONAL = {
+    "+": lambda ab, _: ab[0] + ab[1],
+    "-": lambda ab, _: ab[0] - ab[1],
+    "*": lambda ab, _: ab[0] * ab[1],
+    "/": lambda ab, _: ab[0] / ab[1],
+}
+
+
+def _infix(name: str):
+    return lambda ab, _: f"({ab[0]} {name} {ab[1]})"
+
+
+def _param_leaf(u) -> str:
+    return u.name if isinstance(u, Var) else render_param(u.value)
+
+
+def eval_param(p, env: Mapping[str, Fraction]) -> Fraction:
+    """The parameter term `p` in the rationals, each variable read from `env`."""
+
+    def leaf(u):
+        if isinstance(u, Const):
+            return u.value
+        try:
+            return env[u.name]
+        except KeyError:
+            raise TermError(f"unbound parameter variable {u.name!r}") from None
+
+    try:
+        return interpret(p, _RATIONAL.__getitem__, leaf)
+    except ZeroDivisionError:
+        raise ParamDivisionByZero(f"parameter {render_param(p)} divides by zero") from None
+
+
+def render_param(p) -> str:
+    """A parameter, or any rational, as the spec syntax writes it: "1/2", "(1 - l)"."""
+    if isinstance(p, Term):
+        return interpret(p, _infix, _param_leaf)
+    f = Fraction(p)
+    if f.denominator == 1:
+        return str(f.numerator)
+    return f"{f.numerator}/{f.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +473,7 @@ def interpret(t: Term, ops: Callable, leaf: Callable, param_env=None):
     f = ops(t.op.name)
     args = tuple([interpret(a, ops, leaf, param_env) for a in t.args])
     p = t.param
-    if isinstance(p, ParamExpr):
+    if isinstance(p, Term):
         p = eval_param(p, param_env or {})
     return f(args, p)
 

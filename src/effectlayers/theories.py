@@ -23,12 +23,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .terms import (
+    ARITH,
     App,
+    Const,
     Equation,
     OpSymbol,
-    PBin,
-    PConst,
-    PVar,
     Signature,
     Term,
     Theory,
@@ -41,9 +40,9 @@ from .terms import (
 # named laws
 
 _x, _y, _z = Var("x"), Var("y"), Var("z")
-_l, _t = PVar("l"), PVar("t")
-_inv = PBin("-", PConst(Fraction(1)), _l)  # 1 - l
-_outer = PBin("+", _l, PBin("*", _inv, _t))  # l + (1 - l) * t
+_l, _t = Var("l"), Var("t")
+_inv = App(ARITH["-"], (Const(Fraction(1)), _l))  # 1 - l
+_outer = App(ARITH["+"], (_l, App(ARITH["*"], (_inv, _t))))  # l + (1 - l) * t
 _PLAIN, _PARAM, _EITHER = (False,), (True,), (False, True)
 
 
@@ -52,7 +51,7 @@ def distributivity(f: OpSymbol, g: OpSymbol, j: int):
     f(.., g(y1..yn), ..) = g(f(.., y1, ..), .., f(.., yn, ..)), the other
     arguments x1..xm.  A constant g is absorbing: f(.., g, ..) = g.  A
     parameterized f or g carries the weight fp or gp."""
-    fp = PVar("fp") if f.param else None
+    fp = Var("fp") if f.param else None
     xs = [Var(f"x{i + 1}") for i in range(f.arity)]
 
     def f_at_j(arg: Term) -> Term:
@@ -62,7 +61,7 @@ def distributivity(f: OpSymbol, g: OpSymbol, j: int):
 
     if g.arity == 0:
         return f_at_j(App(g, ())), App(g, ())
-    gp = PVar("gp") if g.param else None
+    gp = Var("gp") if g.param else None
     ys = [Var(f"y{i + 1}") for i in range(g.arity)]
     return f_at_j(App(g, tuple(ys), gp)), App(g, tuple(map(f_at_j, ys)), gp)
 
@@ -97,7 +96,7 @@ _LAWS = {
         None,
         lambda f, o: (
             app(f, _x, app(f, _y, _z, param=_t), param=_l),
-            app(f, app(f, _x, _y, param=PBin("/", _l, _outer)), _z, param=_outer),
+            app(f, app(f, _x, _y, param=App(ARITH["/"], (_l, _outer))), _z, param=_outer),
         ),
     ),
 }

@@ -90,6 +90,11 @@ class TestEval:
         assert code == 3
         assert err.strip() == "error: parameter (1/2 / (1 - 1)) divides by zero"
 
+    def test_a_nested_division_by_zero_names_the_whole_parameter(self, capsys):
+        code, _, err = run(capsys, "eval", SPEC, "-e", "a (+)[1 - 1/2 / (1 - 1)] b")
+        assert code == 3
+        assert err.strip() == "error: parameter (1 - (1/2 / (1 - 1))) divides by zero"
+
     def test_zero_denominator_in_a_program_exits_3(self, capsys):
         code, _, err = run(capsys, "eval", SPEC, "-e", "a (+)[1/0] b")
         assert code == 3

@@ -26,7 +26,6 @@ from effectlayers.terms import (
     Const,
     OpSymbol,
     ParamDivisionByZero,
-    PVar,
     Signature,
     TermError,
     Theory,
@@ -238,7 +237,7 @@ class TestAxiomVisits:
     def test_witness_is_the_first_in_visit_order(self, monkeypatch, flagship_axiom_check):
         A, axioms, grid = flagship_axiom_check
         oplus = next(e.lhs.op for e in axioms if e.name == "skew-comm(⊕)")
-        x, y, l = Var("x"), Var("y"), PVar("l")
+        x, y, l = Var("x"), Var("y"), Var("l")
         e = equation(app(oplus, x, y, param=l), app(oplus, y, x, param=l))
         reference, visited = self.reference_violation(A, e, grid)
         assert reference is not None and visited > 1
@@ -282,7 +281,7 @@ class TestAxiomTables:
         A, _, grid = flagship_axiom_check
         sig = flagship.stages[1].combined.signature
         seq, plus, oplus = sig[";"], sig["+"], sig["⊕"]
-        x, y, l = Var("x"), Var("y"), PVar("l")
+        x, y, l = Var("x"), Var("y"), Var("l")
         planted = [
             equation(app(seq, x, y), app(seq, y, x)),
             equation(app(plus, x, y), x),

@@ -7,14 +7,19 @@ the fault: the axioms of the reports that fail, in report order, the
 exception raised, or the exit code of a composition.  A change that
 replaces a check (a theorem for a sampled check, say) keeps every row
 caught, perhaps by a different check, and edits the row to say which.
+A row no check catches is an expected miss: its id ends in "-missed", and
+it pins that nothing fails while the fault shows.
 """
 
 from dataclasses import replace
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from effectlayers import pipeline
 from effectlayers.distlaw import (
+    LawRefusedError,
     QuotientLaw,
     build_quotient_law,
     compose,
@@ -36,8 +41,8 @@ from effectlayers.preservation import (
     check_preservation,
     profile_monad,
 )
-from effectlayers.terms import Equation, OpSymbol, app
-from effectlayers.theories import monoid_theory, semilattice_theory
+from effectlayers.terms import Const, Equation, OpSymbol, app
+from effectlayers.theories import OPLUS, monoid_theory, semilattice_theory
 from effectlayers.values import Dist
 
 B = Bound(max_word_len=2, max_set_size=2, max_term_depth=2)
@@ -95,6 +100,25 @@ def psi_not_symmetric(monkeypatch):
     return ()
 
 
+def psi_not_natural(monkeypatch):
+    P = fin_powerset()
+
+    def off_diagonal(f, values):
+        # once every argument has two elements, only the tuples of distinct
+        # elements: symmetric and unital, but renaming an element moves
+        # tuples on or off the diagonal
+        if any(len(u) < 2 for u in values):
+            return P.lift(f, values)
+        return frozenset(f(xs) for xs in product(*values) if len(set(xs)) == len(xs))
+
+    T = replace(P, lift=off_diagonal)
+    own = failing(verify_monoidal(T, X, B))
+    try:
+        return own + failing(*law_checks(monoid_law(T)))
+    except LawRefusedError as exc:
+        return own + (type(exc).__name__,)
+
+
 def mult_moves_weight(monkeypatch):
     D = fin_distribution()
 
@@ -113,7 +137,18 @@ def mult_moves_weight(monkeypatch):
     return own + failing(*law_checks(monoid_law(T)))
 
 
-def oplus_uses_one_minus_p(monkeypatch):
+def compose_with_oplus_weight(monkeypatch, weight):
+    """The flagship composed with a stage-2 ⊕ that mixes at `weight(p)`:
+    the failing checks and the exit code, and whether `a (+)[1/4] b` then
+    evaluates to something other than the sound stack's value."""
+    quarter = app(OPLUS, Const("a"), Const("b"), param=Fraction(1, 4))
+
+    def flagship():
+        return compose_stack(
+            probnetkat_stack(), atoms=X, bound=FLAGSHIP_BOUND, law_cap=60, algebra_cap=5
+        )
+
+    sound = pipeline.eval_term(flagship(), quarter, 2, X)
     original = pipeline.composite_algebra
 
     def with_faulty_oplus(S, outer_q, carrier):
@@ -121,14 +156,47 @@ def oplus_uses_one_minus_p(monkeypatch):
         if "⊕" not in A.interp:
             return A
         mix = A.interp["⊕"]
-        return replace(A, interp=A.interp | {"⊕": lambda args, p: mix(args, 1 - p)})
+        return replace(A, interp=A.interp | {"⊕": lambda args, p: mix(args, weight(p))})
 
     monkeypatch.setattr(pipeline, "composite_algebra", with_faulty_oplus)
-    report = compose_stack(
-        probnetkat_stack(), atoms=X, bound=FLAGSHIP_BOUND, law_cap=60, algebra_cap=5
-    )
+    report = flagship()
     caught = failing(*(s.law_reports + s.monad_reports + s.axiom_reports for s in report.stages))
-    return caught + (f"exit {report.exit_code}",)
+    wrong = pipeline.eval_term(report, quarter, 2, X) != sound
+    return caught + (f"exit {report.exit_code}",), wrong
+
+
+def shows_at_a_quarter(flagged):
+    caught, wrong = flagged
+    return caught + (("a (+)[1/4] b wrong",) if wrong else ())
+
+
+def oplus_uses_one_minus_p(monkeypatch):
+    return compose_with_oplus_weight(monkeypatch, lambda p: 1 - p)[0]
+
+
+def oplus_off_between_grid_points(monkeypatch):
+    # p + p(p - 1/2)(p - 1): p on the grid {0, 1/2, 1}, 19/64 at 1/4.  The
+    # grid is not all the checks reach: skew-assoc(⊕) at l = t = 1/2 mixes
+    # at the derived weights 3/4 and 2/3, and there the weight is off.
+    half = Fraction(1, 2)
+    return shows_at_a_quarter(
+        compose_with_oplus_weight(monkeypatch, lambda p: p + p * (p - half) * (p - 1))
+    )
+
+
+def oplus_off_between_reached_weights(monkeypatch):
+    # p plus the product of (p - w) over every weight the checks reach from
+    # the grid {0, 1/2, 1}: the grid, and skew-assoc(⊕)'s derived weights
+    # 2/3 and 3/4.  133/512 at 1/4, and no check fails.
+    reached = (0, Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), 1)
+
+    def weight(p):
+        off = 1
+        for w in reached:
+            off *= p - w
+        return p + off
+
+    return shows_at_a_quarter(compose_with_oplus_weight(monkeypatch, weight))
 
 
 def s_operation_wrong_on_one_input(monkeypatch):
@@ -174,6 +242,7 @@ ROWS = [
         lambda_drops_the_empty_word, ("DL1", "DL4", "MONAD_UNIT"), id="lambda-drops-empty-word"
     ),
     pytest.param(psi_not_symmetric, ("NonSymmetricMonadError",), id="psi-not-symmetric"),
+    pytest.param(psi_not_natural, ("MF1", "MF2", "MM2", "DL3"), id="psi-not-natural"),
     pytest.param(
         mult_moves_weight, ("MONAD_ASSOC", "MM2", "DL3", "MONAD_ASSOC"), id="mult-moves-weight"
     ),
@@ -181,6 +250,17 @@ ROWS = [
         oplus_uses_one_minus_p,
         ("axiom:skew-assoc(⊕)", "exit 2"),
         id="oplus-uses-one-minus-p",
+    ),
+    pytest.param(
+        oplus_off_between_grid_points,
+        ("axiom:skew-assoc(⊕)", "exit 2", "a (+)[1/4] b wrong"),
+        id="oplus-off-between-grid-points",
+    ),
+    # item 5: symbolic parameters must turn this miss into a catch
+    pytest.param(
+        oplus_off_between_reached_weights,
+        ("exit 1", "a (+)[1/4] b wrong"),
+        id="oplus-off-between-reached-weights-missed",
     ),
     pytest.param(
         s_operation_wrong_on_one_input,

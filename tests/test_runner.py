@@ -10,14 +10,14 @@ import pytest
 from effectlayers.monads import Bound, fin_distribution, fin_powerset, multiset
 from effectlayers.preservation import probe_relevant, relevance_sides
 from effectlayers.terms import (
+    ARITH,
     FAIL,
     PASS,
+    App,
+    Const,
     FiniteAlgebra,
     LawReport,
     OpSymbol,
-    PBin,
-    PConst,
-    PVar,
     ParamDivisionByZero,
     Var,
     app,
@@ -73,7 +73,7 @@ class TestFindViolation:
         (0, 1, 2), {"f": lambda args, p: args[0] if p == 0 else args[1]}
     )
     # l / (1 - l) divides by zero at l = 1
-    RATIO = PBin("/", PVar("l"), PBin("-", PConst(F(1)), PVar("l")))
+    RATIO = App(ARITH["/"], (Var("l"), App(ARITH["-"], (Const(F(1)), Var("l")))))
 
     def reference(self, e, grid):
         """The first separating instance, looked for by a plain loop."""

@@ -16,11 +16,10 @@ from effectlayers.specfile import (
     parse_spec,
 )
 from effectlayers.terms import (
+    ARITH,
     App,
     Const,
     OpSymbol,
-    PBin,
-    PVar,
     Signature,
     Theory,
     Var,
@@ -99,14 +98,8 @@ class TestShippedSpec:
     def test_skew_commutativity_parameter(self, shipped):
         eqs = shipped.layers[2].theory.equations
         skew_comm = eqs[1]
-        assert skew_comm.lhs.param == PVar("l")
-        assert skew_comm.rhs.param == PBin("-", PConst_one(), PVar("l"))
-
-
-def PConst_one():
-    from effectlayers.terms import PConst
-
-    return PConst(F(1))
+        assert skew_comm.lhs.param == Var("l")
+        assert skew_comm.rhs.param == App(ARITH["-"], (Const(F(1)), Var("l")))
 
 
 @pytest.fixture(scope="module")
@@ -242,10 +235,10 @@ class TestMiniRoundTrip:
 def hand_built_convex_theory(oplus=theories.OPLUS):
     """The convex-algebra laws written out by hand: the law table's reference."""
     x, y, z = Var("x"), Var("y"), Var("z")
-    lam, tau = PVar("l"), PVar("t")
-    inv = PBin("-", PConst_one(), lam)
-    outer = PBin("+", lam, PBin("*", inv, tau))  # l + (1-l)*t
-    ratio = PBin("/", lam, outer)
+    lam, tau = Var("l"), Var("t")
+    inv = App(ARITH["-"], (Const(F(1)), lam))
+    outer = App(ARITH["+"], (lam, App(ARITH["*"], (inv, tau))))  # l + (1-l)*t
+    ratio = App(ARITH["/"], (lam, outer))
     return Theory(
         Signature((oplus,)),
         (

@@ -3,27 +3,29 @@ from fractions import Fraction as F
 from itertools import islice, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from effectlayers import terms
 from effectlayers.render import render_term
+from effectlayers.specfile import _parse_param_expr, _Stream, _tokenize
 from effectlayers.terms import (
+    ARITH,
     App,
     Const,
     FiniteAlgebra,
     OpSymbol,
-    PBin,
-    PConst,
-    PVar,
     ParamDivisionByZero,
-    ParamExpr,
     Signature,
     SyntacticClass,
     TermError,
+    Term,
     Var,
     app,
     classify,
     equation,
     eval_param,
+    render_param,
     find_violation,
     interpret,
     interpret_in_context,
@@ -81,11 +83,11 @@ class TestTermBasics:
 
 class TestParams:
     def test_eval_param(self):
-        e = PBin("/", PVar("l"), PBin("+", PVar("l"), PConst(F(1))))
+        e = App(ARITH["/"], (Var("l"), App(ARITH["+"], (Var("l"), Const(F(1))))))
         assert eval_param(e, {"l": F(1, 2)}) == F(1, 3)
 
     def test_division_by_zero_is_reported(self):
-        e = PBin("/", PConst(F(1)), PVar("l"))
+        e = App(ARITH["/"], (Const(F(1)), Var("l")))
         with pytest.raises(ParamDivisionByZero):
             eval_param(e, {"l": F(0)})
 
@@ -94,6 +96,92 @@ class TestParams:
         with pytest.raises(TermError, match=r"parameter 0\.1 of '⊕' is a float"):
             app(oplus, x, y, param=0.1)
         assert app(oplus, x, y, param="1/10").param == F(1, 10)
+
+
+# parameter terms in l and t; 0 and 1 are the literals the grammar reads bare
+LITERALS = [Const(v) for v in (F(0), F(1), F(1, 2), F(1, 3), F(2, 3), F(3, 4))]
+param_terms = st.recursive(
+    st.sampled_from([Var("l"), Var("t"), *LITERALS]),
+    lambda sub: st.builds(
+        lambda op, a, b: App(ARITH[op], (a, b)), st.sampled_from("+-*/"), sub, sub
+    ),
+    max_leaves=8,
+)
+param_envs = st.fixed_dictionaries(
+    {"l": st.sampled_from([F(0), F(1, 2), F(1)]), "t": st.sampled_from([F(0), F(1, 4), F(1)])}
+)
+
+
+def reference_eval(p, env):
+    """Weights evaluated by direct recursion, one branch per operator."""
+    if isinstance(p, Const):
+        return p.value
+    if isinstance(p, Var):
+        return env[p.name]
+    a, b = (reference_eval(q, env) for q in p.args)
+    op = p.op.name
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if b == 0:
+        raise ParamDivisionByZero(op)
+    return a / b
+
+
+def bare(p):
+    return isinstance(p, Const) and p.value.denominator == 1
+
+
+def read_param(text):
+    ts = _Stream(_tokenize(text))
+    p = _parse_param_expr(ts)
+    assert ts.peek().kind == "end"
+    return p
+
+
+def read_back(p):
+    """`p` as the grammar reads its rendering: a "/" between two bare
+    literals is one literal."""
+    if not isinstance(p, App):
+        return p
+    a, b = p.args
+    if p.op.name == "/" and bare(a) and bare(b):
+        return Const(a.value / b.value)
+    return App(p.op, (read_back(a), read_back(b)))
+
+
+def readable(p):
+    """No "/" after a bare literal but before a nonzero bare literal: the
+    grammar reads "1/" as the start of a literal p/q."""
+    if not isinstance(p, App):
+        return True
+    a, b = p.args
+    if p.op.name == "/" and bare(a) and not (bare(b) and b.value):
+        return False
+    return readable(a) and readable(b)
+
+
+class TestParameterTerms:
+    @settings(max_examples=300, deadline=None)
+    @given(param_terms, param_envs)
+    def test_eval_param_agrees_with_the_reference(self, p, env):
+        try:
+            want = reference_eval(p, env)
+        except ParamDivisionByZero:
+            with pytest.raises(ParamDivisionByZero) as exc:
+                eval_param(p, env)
+            assert str(exc.value) == f"parameter {render_param(p)} divides by zero"
+        else:
+            assert eval_param(p, env) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(param_terms)
+    def test_rendered_parameters_read_back(self, p):
+        assume(readable(p))
+        assert read_param(render_param(p)) == read_back(p)
 
 
 class TestClassification:
@@ -161,7 +249,7 @@ class TestAlgebra:
         assert looked_up == [";"]
 
     def test_parameter_expressions_are_evaluated(self):
-        t = App(CHOOSE, (x, y), PBin("*", PVar("l"), PConst(F(2))))
+        t = App(CHOOSE, (x, y), App(ARITH["*"], (Var("l"), Const(F(2)))))
         A = choice_algebra()
         leaf = {"x": 0, "y": 1}
         assert interpret(t, A.op, lambda u: leaf[u.name], {"l": F(1, 2)}) == 0
@@ -215,7 +303,7 @@ def _consume(t, A, args, env):
         v, args = _consume(a, A, args, env)
         vals.append(v)
     p = t.param
-    if isinstance(p, ParamExpr):
+    if isinstance(p, Term):
         p = eval_param(p, env)
     return A.op(t.op.name)(tuple(vals), p), args
 
@@ -230,7 +318,7 @@ def reference_interpret(t, A, context, valuation, env):
 
 def _terms_to_depth_2():
     leaves = [x, y, z, Const(0), App(CONST, ())]
-    weight = PBin("-", PConst(F(1)), PVar("l"))  # 1 - l
+    weight = App(ARITH["-"], (Const(F(1)), Var("l")))  # 1 - l
     apps = [app(SEQ, l, r) for l, r in product(leaves, repeat=2)]
     apps += [App(CHOOSE, (l, r), weight) for l, r in product(leaves, repeat=2)]
     return leaves + apps
@@ -340,7 +428,7 @@ class TestStaging:
 
     def test_staging_is_cached_per_term_and_env(self):
         A = choice_algebra()
-        t = App(CHOOSE, (x, app(SEQ, y, x)), PVar("l"))
+        t = App(CHOOSE, (x, app(SEQ, y, x)), Var("l"))
         env = {"l": F(1, 2)}
         f = A.stage(t, env)
         assert A.stage(t, env) is f
@@ -360,8 +448,8 @@ class TestStaging:
 
     @pytest.mark.parametrize("divides", ["lhs", "rhs"])
     def test_a_parameter_dividing_by_zero_skips_the_instance(self, monkeypatch, divides):
-        l = PVar("l")
-        ratio = PBin("/", l, PBin("-", PConst(F(1)), l))  # l/(1 - l)
+        l = Var("l")
+        ratio = App(ARITH["/"], (l, App(ARITH["-"], (Const(F(1)), l))))  # l/(1 - l)
         plain, ratioed = App(CHOOSE, (x, y), l), App(CHOOSE, (x, y), ratio)
         e = equation(*((ratioed, plain) if divides == "lhs" else (plain, ratioed)))
         grid = (F(0), F(1, 2), F(1))
