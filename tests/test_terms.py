@@ -18,18 +18,18 @@ from effectlayers.terms import (
     ParamDivisionByZero,
     Signature,
     SyntacticClass,
-    TermError,
     Term,
+    TermError,
     Var,
     app,
     classify,
     equation,
     eval_param,
-    render_param,
     find_violation,
     interpret,
     interpret_in_context,
     prepare_indices,
+    render_param,
     tabled,
     term_args,
     term_depth,
