@@ -188,49 +188,42 @@ def _words_in(C: MonadInstance, name: str) -> MonadInstance:
 # without the constructor's checks: multiplicities are products and sums of
 # positive ints.
 
-def tm_abort() -> MultiSet:
-    return MultiSet._trusted({})
-
-
-def tm_skip() -> MultiSet:
-    return MultiSet._trusted({(): 1})
-
-
 def tm_unit(x) -> MultiSet:
     return MultiSet._trusted({(x,): 1})
 
 
-def _tm_atomize(v: MultiSet):
-    if len(v._d) == 1:
-        ((word, n),) = v._d.items()
-        if n == 1:
-            return list(word)
-    return [SumAtom(v)]
-
-
-def tm_seq(a: MultiSet, b: MultiSet) -> MultiSet:
-    if not a or not b:
-        return tm_abort()
-    atoms = _tm_atomize(a) + _tm_atomize(b)
-    if len(atoms) == 1 and isinstance(atoms[0], SumAtom):
-        # a one-factor product of a sum is that sum (unit law of ;)
-        return atoms[0].summands
-    return MultiSet._trusted({tuple(atoms): 1})
-
-
 def _tm_eval(v: MultiSet, leaf: Callable) -> MultiSet:
-    """Rebuild `v` with carrier atoms sent through `leaf`, renormalizing."""
+    """Rebuild `v` with carrier atoms sent through `leaf`, renormalizing.
+
+    Each word is one pass over its letters, kept as a list of atoms: a
+    letter worth abort drops the word, one worth a single word once is
+    spliced in, and any other becomes a nested sum.  A word that ends as a
+    lone nested sum is that sum (unit law of ;).
+    """
     counts: dict = {}
     for word, n in v._d.items():
-        wv = tm_skip()
+        atoms: list = []
         for atom in word:
             if isinstance(atom, SumAtom):
                 av = _tm_eval(atom.summands, leaf)
             else:
                 av = leaf(atom)
-            wv = tm_seq(wv, av)
-        for w, k in wv._d.items():
-            counts[w] = counts.get(w, 0) + n * k
+            d = av._d
+            if len(d) == 1:
+                ((w, k),) = d.items()
+                if k == 1:
+                    atoms.extend(w)
+                    continue
+            elif not d:
+                break
+            atoms.append(SumAtom(av))
+        else:
+            if len(atoms) == 1 and isinstance(atoms[0], SumAtom):
+                summands = atoms[0].summands._d.items()
+            else:
+                summands = ((tuple(atoms), 1),)
+            for w, k in summands:
+                counts[w] = counts.get(w, 0) + n * k
     return MultiSet._trusted(counts)
 
 

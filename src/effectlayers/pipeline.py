@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import string
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .distlaw import (
     QuotientLaw,
@@ -77,8 +77,8 @@ class StageResult:
     status: str                      # VERIFIED | UNVERIFIED
     law: Optional[QuotientLaw]
     composite: Optional[MonadInstance]
-    inner_monad: Optional[QuotientMonad]
-    outer_monad: Optional[QuotientMonad]
+    inner_monad: QuotientMonad
+    outer_monad: QuotientMonad
     law_reports: tuple = ()
     monad_reports: tuple = ()
     axiom_reports: tuple = ()
@@ -89,12 +89,23 @@ class StageResult:
         return bool(self.weakened.dropped)
 
 
+class StageAlgebra(NamedTuple):
+    """What `eval_term` evaluates a stage's programs with, built once per
+    report: the unit of the stage's monad, its operations by name, and the
+    monad whose operation tables they fill."""
+
+    unit: Callable
+    interp: Mapping
+    tables: QuotientMonad
+
+
 @dataclass(frozen=True)
 class CompositionReport:
     layers: tuple
     stages: tuple
     final_theory: Theory
     seed_monad: QuotientMonad  # the seed's own normal forms (stage 0)
+    algebras: tuple  # one StageAlgebra per stage, the seed's first
 
     @property
     def dropped_any(self) -> bool:
@@ -145,7 +156,7 @@ def composite_algebra(
 ) -> FiniteAlgebra:
     """Interpret inner ops by lifting through T = `outer_q.monad` and outer
     ops by T's own canonical algebra, on an explicit (possibly sampled)
-    carrier of T(SX).
+    carrier of T(SX); program evaluation needs none.
 
     The lifted ops read S's operation table; T's ops are computed afresh.
     """
@@ -207,6 +218,9 @@ def compose_stack(
 
     current = layers[0].theory
     seed_monad = quotient_monad(current, layers[0].normalizer, bound=b)  # must normalize
+    algebras = [
+        StageAlgebra(seed_monad.monad.unit, seed_monad.algebra().interp, seed_monad)
+    ]
     stages = []
     for index, layer in enumerate(layers[1:], start=1):
         clash = [
@@ -256,6 +270,8 @@ def compose_stack(
         law = composite = None
         law_reports = monad_reports = axiom_reports = ()
         S = quotient_monad(weak_inner, bound=b)
+        algebra = composite_algebra(S, outer_q, ())
+        algebras.append(StageAlgebra(_composite_unit(T, S.monad), algebra.interp, S))
         if build_laws:
             law, wd = build_quotient_law(S, T, X, b)
             composite = compose(T, S, law).monad
@@ -266,10 +282,11 @@ def compose_stack(
             law.fold.cache_clear()
             S.clear_memos()
             carrier = _enum(composite.enumerate, X, b, cap=algebra_cap)
-            algebra = composite_algebra(S, outer_q, carrier)
             axiom_reports = tuple(
                 verify_generated_axioms(
-                    algebra, generated + layer.theory.equations, b.prob_grid
+                    replace(algebra, carrier=carrier),
+                    generated + layer.theory.equations,
+                    b.prob_grid,
                 )
             )
             S.clear_memos()  # the report's monads start with empty tables
@@ -297,7 +314,12 @@ def compose_stack(
             )
         )
         current = combined
-    return CompositionReport(layers, tuple(stages), current, seed_monad)
+    return CompositionReport(layers, tuple(stages), current, seed_monad, tuple(algebras))
+
+
+def _composite_unit(T: MonadInstance, S: MonadInstance) -> Callable:
+    """The unit of T∘S, bound to this stage's T and S."""
+    return lambda x: T.unit(S.unit(x))
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +330,14 @@ def eval_term(report: CompositionReport, t: Term, stage: int, atoms) -> object:
 
     Stage 0 is the seed's own normal forms; stage k >= 1 evaluates in the
     k-th composite via lifted inner operations and the outer layer's
-    canonical algebra. The inner operation table this fills is emptied on
-    return, so the report holds no table between calls.
+    canonical algebra. Both are the report's stage algebras, built with the
+    report; the inner operation table this fills is emptied on return, so
+    the report holds no table between calls.
     """
-    atom_set = set(atoms)
     if stage < 0 or stage > len(report.stages):
         raise TermError(f"stage {stage} out of range (stack has {len(report.stages)} outer layers)")
-    if stage == 0:
-        S = report.seed_monad
-        unit, interp = S.monad.unit, S.algebra().interp
-    else:
-        s = report.stages[stage - 1]
-        if s.inner_monad is None:
-            raise TermError(f"stage {stage} has no normal-form monad")
-        T, S = s.outer_monad.monad, s.inner_monad
-        unit = lambda x: T.unit(S.monad.unit(x))
-        interp = composite_algebra(S, s.outer_monad, ()).interp
+    unit, interp, tables = report.algebras[stage]
+    atom_set = set(atoms)
 
     def ops(name: str):
         try:
@@ -341,7 +355,7 @@ def eval_term(report: CompositionReport, t: Term, stage: int, atoms) -> object:
     try:
         return interpret(t, ops, leaf)
     finally:
-        S.clear_memos()
+        tables.clear_memos()
 
 
 # ---------------------------------------------------------------------------

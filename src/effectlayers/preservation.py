@@ -149,18 +149,32 @@ def enumerate_algebras(theory: Theory, carrier_size: int):
              for outs in itertools.product(carrier, repeat=len(inputs))]
         )
 
-    def search(interp: dict, depth: int):
-        A = FiniteAlgebra(carrier, interp, name=f"carrier{carrier_size}")
+    # one algebra for the whole search, each operation reading the table
+    # it has now, so each equation is staged once; a model is yielded as a
+    # snapshot of its tables
+    chosen = [None] * len(ops)
+    name = f"carrier{carrier_size}"
+    A = FiniteAlgebra(
+        carrier, {o.name: _reader(chosen, i) for i, o in enumerate(ops)}, name=name
+    )
+
+    def search(depth: int):
         if any(find_violation(A, e, ()) is not None for e in due[depth]):
             return
         if depth == len(ops):
-            yield A
+            interp = {o.name: _reader(chosen[:], i) for i, o in enumerate(ops)}
+            yield FiniteAlgebra(carrier, interp, name=name)
             return
         for t in tables[depth]:
-            fn = (lambda table: (lambda args, param=None: table[args]))(t)
-            yield from search(interp | {ops[depth].name: fn}, depth + 1)
+            chosen[depth] = t
+            yield from search(depth + 1)
 
-    yield from search({}, 0)
+    yield from search(0)
+
+
+def _reader(tables: list, i: int):
+    """The operation that looks its arguments up in `tables[i]`."""
+    return lambda args, param=None: tables[i][args]
 
 
 # ---------------------------------------------------------------------------

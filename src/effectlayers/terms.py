@@ -409,8 +409,10 @@ class FiniteAlgebra:
         It is `interpret` folding `t` into closures: operations are looked
         up, in `interpret`'s pre-order, and parameter expressions evaluated
         in `param_env` once, when `t` is staged.  The result is cached per
-        term and env object, so an env must not be mutated once staged.
+        term and env object, an empty env keyed as no env, so an env must
+        not be mutated once staged.
         """
+        param_env = param_env or None  # an empty env stages as none
         key = (id(t), id(param_env))
         hit = self.staged.get(key)
         if hit is None:

@@ -139,12 +139,14 @@ def test_a_one_atom_spec_drops_what_the_shipped_spec_drops(capsys, tmp_path):
 
 
 # the programs of golden/eval_cli.txt, one output line each: a stage-1
-# program, a stage-2 program with ⊕ and one with non-dyadic weights, as the
-# CI console-script step runs them
+# program, a stage-2 program with ⊕, one with non-dyadic weights and one
+# with a leading nested sum and ε inside a nested sum, as the CI
+# console-script step runs them
 EVAL_GOLDEN = (
     ("(a + b);(c + skip)", "1"),
     ("((a (+)[1/2] b) + c);(skip (+)[1/4] (a + b))", "2"),
     ("(a (+)[1/3] b) (+)[2/7] (c (+)[1/3] (a + b))", "2"),
+    ("((a + b);c) (+)[1/3] (a;(b + skip))", "2"),
 )
 
 

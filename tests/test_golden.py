@@ -18,8 +18,9 @@ are also checked in fresh interpreters under PYTHONHASHSEED 0 and 1.
 `effectlayers compose` and `effectlayers verify-laws` on the shipped spec;
 `tests/test_cli.py` checks them, once, since each takes seconds.
 `golden/eval_cli.txt` is the output of `effectlayers eval` on one stage-1
-and two stage-2 programs of the shipped spec, the second with non-dyadic
-weights, checked by `tests/test_cli.py` and by CI.
+and three stage-2 programs of the shipped spec, the second with non-dyadic
+weights, the third with a leading nested sum and ε inside a nested sum,
+checked by `tests/test_cli.py` and by CI.
 A change that alters one on purpose regenerates it from the repository
 root, and the diff is reviewed with the change:
 
@@ -34,7 +35,9 @@ root, and the diff is reviewed with the change:
      PYTHONPATH=src python -m effectlayers eval specs/probnetkat.layers \\
         -e '((a (+)[1/2] b) + c);(skip (+)[1/4] (a + b))' --stage 2
      PYTHONPATH=src python -m effectlayers eval specs/probnetkat.layers \\
-        -e '(a (+)[1/3] b) (+)[2/7] (c (+)[1/3] (a + b))' --stage 2) \\
+        -e '(a (+)[1/3] b) (+)[2/7] (c (+)[1/3] (a + b))' --stage 2
+     PYTHONPATH=src python -m effectlayers eval specs/probnetkat.layers \\
+        -e '((a + b);c) (+)[1/3] (a;(b + skip))' --stage 2) \\
         > tests/golden/eval_cli.txt
     PYTHONPATH=src python tests/test_golden.py               # flagship_laws.json
     PYTHONPATH=src python tests/test_golden.py eval          # eval.txt

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effectlayers import theories
 from effectlayers.distlaw import _enum, verify_monad
@@ -12,6 +14,8 @@ from effectlayers.normal_forms import (
     CongruenceClosure,
     InconclusiveNormalization,
     _mix_pair,
+    _tm_enumerate,
+    _tm_eval,
     generic_quotient_monad,
     quotient_monad,
 )
@@ -425,6 +429,124 @@ def test_a_copy_of_a_generic_monad_starts_with_empty_tables():
     assert len(terms) > len({q.normalize(t) for t in terms}) > 2
     assert [copy.normalize(t) for t in terms] == [q.normalize(t) for t in terms]
     assert [copy.apply_op(*op) for op in ops] == [q.apply_op(*op) for op in ops]
+
+
+# ---------------------------------------------------------------------------
+# one-pass two-monoid mu_S against the fold it replaced: each word folded
+# through the binary product, which re-atomizes the whole prefix per letter
+
+
+def _fold_atomize(v: MultiSet):
+    if len(v._d) == 1:
+        ((word, n),) = v._d.items()
+        if n == 1:
+            return list(word)
+    return [SumAtom(v)]
+
+
+def _fold_seq(a: MultiSet, b: MultiSet) -> MultiSet:
+    if not a or not b:
+        return MultiSet._trusted({})
+    atoms = _fold_atomize(a) + _fold_atomize(b)
+    if len(atoms) == 1 and isinstance(atoms[0], SumAtom):
+        return atoms[0].summands
+    return MultiSet._trusted({tuple(atoms): 1})
+
+
+def _fold_eval(v: MultiSet, leaf) -> MultiSet:
+    counts: dict = {}
+    for word, n in v._d.items():
+        wv = MultiSet._trusted({(): 1})
+        for atom in word:
+            if isinstance(atom, SumAtom):
+                av = _fold_eval(atom.summands, leaf)
+            else:
+                av = leaf(atom)
+            wv = _fold_seq(wv, av)
+        for w, k in wv._d.items():
+            counts[w] = counts.get(w, 0) + n * k
+    return MultiSet._trusted(counts)
+
+
+def _same_mu(v, leaf):
+    got, want = _tm_eval(v, leaf), _fold_eval(v, leaf)
+    assert got == want and canon_key(got) == canon_key(want), v
+
+
+def _tm_map_leaf(f):
+    return lambda x: MultiSet._trusted({(f(x),): 1})
+
+
+_TM = quotient_monad(two_monoids_absorption_theory())
+# bounds with nested sums and without
+_NESTED = Bound(max_word_len=2, max_set_size=2, max_term_depth=2)
+_FLAT = Bound(max_word_len=2, max_set_size=2, max_term_depth=1)
+
+
+def test_one_pass_map_matches_the_fold_on_enumerated_values():
+    values = [*_tm_enumerate(("a",), _NESTED), *_tm_enumerate(("a", "b", "c"), _FLAT)]
+    assert any(
+        isinstance(letter, SumAtom) for v in values for w, _ in v.items() for letter in w
+    )
+    nested = SumAtom(MultiSet([("b",), ("c",)]))
+    collapsing = (lambda x: "a", lambda x: "a" if x == "b" else x, lambda x: nested)
+    for v in values:
+        for f in collapsing:
+            _same_mu(v, _tm_map_leaf(f))
+            assert _TM.monad.map(f, v) == _fold_eval(v, _tm_map_leaf(f))
+
+
+def test_one_pass_mult_matches_the_fold_on_enumerated_values():
+    seq, plus, skip = _TM.roles.seq, _TM.roles.plus, _TM.roles.skip
+    ab = _TM.normalize(app(plus, Const("a"), Const("b")))
+    a_ab = _TM.normalize(app(seq, Const("a"), app(plus, app(skip), Const("b"))))
+    # abort, skip, a letter, a sum and a word with a nested sum, as letters
+    # of S(S X) without nesting; each one alone, with nesting
+    carrier = (MultiSet(), MultiSet([()]), _TM.monad.unit("a"), ab, a_ab)
+    assert any(isinstance(letter, SumAtom) for w, _ in a_ab.items() for letter in w)
+    inputs = list(_tm_enumerate(carrier, _FLAT))
+    for value in carrier:
+        inputs += _tm_enumerate((value,), _NESTED)
+    assert len(inputs) > 5000
+    for vv in inputs:
+        _same_mu(vv, lambda inner: inner)
+        assert _TM.monad.mult(vv) == _fold_eval(vv, lambda inner: inner)
+
+
+def _tm_words(letters):
+    return st.lists(letters, max_size=3).map(tuple)
+
+
+def _tm_values(letters):
+    """Multisets of at most three words of at most three letters."""
+    return st.lists(_tm_words(letters), max_size=3).map(MultiSet)
+
+
+def _with_sums(letters):
+    """Letters and nested sums of words of them, to any depth."""
+    return st.recursive(
+        letters,
+        lambda inner: st.lists(_tm_words(inner), min_size=2, max_size=3).map(
+            lambda words: SumAtom(MultiSet(words))
+        ),
+        max_leaves=6,
+    )
+
+
+_SX = _tm_values(_with_sums(st.sampled_from("ab")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tm_values(_with_sums(_SX)))
+def test_one_pass_mult_matches_the_fold_on_generated_values(vv):
+    _same_mu(vv, lambda inner: inner)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SX, _SX, _SX)
+def test_one_pass_eval_matches_the_fold_on_generated_leaves(v, a, b):
+    # a leaf may be abort, skip, one word or a sum
+    _same_mu(v, {"a": a, "b": b}.__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -497,6 +497,38 @@ class TestEvalTerm:
             eval_term(flagship, app(seq, prog, Const("z")), stage, ("a", "b"))
         assert all(_table_sizes(q) == (0, 0, 0) for q in monads)
 
+    @pytest.mark.parametrize("build_laws", [False, True])
+    def test_each_stage_algebra_is_built_once_per_report(
+        self, monkeypatch, small_bound, build_laws
+    ):
+        """`composite_algebra` runs once per outer stage while the report is
+        composed, for the axiom check too, and never again however many
+        programs are evaluated."""
+        built = []
+        original = pipeline.composite_algebra
+
+        def counted(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "composite_algebra", counted)
+        report = compose_stack(
+            probnetkat_stack(),
+            atoms=("a", "b"),
+            bound=small_bound,
+            build_laws=build_laws,
+        )
+        assert len(built) == len(report.stages) == 2
+        sigs = [report.layers[0].theory.signature] + [
+            s.combined.signature for s in report.stages
+        ]
+        for n in range(50):
+            stage = n % 3
+            seq = sigs[stage][";"]
+            prog = app(seq, Const("ab"[n % 2]), Const("ab"[n // 2 % 2]))
+            assert eval_term(report, prog, stage, ("a", "b"))
+        assert len(built) == 2
+
     @pytest.mark.parametrize("stage", [0, 1, 2])
     def test_open_program_is_an_error(self, flagship, stage):
         seq = flagship.layers[0].theory.signature[";"]

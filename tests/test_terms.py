@@ -435,6 +435,17 @@ class TestStaging:
         assert A.stage(t, {"l": F(1, 2)}) is not f  # another env object
         assert A.staged[(id(t), id(env))] == (t, env, f)
 
+    def test_an_empty_env_stages_as_none(self):
+        """A parameter-free check builds a fresh empty env per call; those
+        calls share one staged function, so the cache does not grow."""
+        A = bool_or_algebra()
+        e = equation(app(SEQ, x, y), app(SEQ, y, x))
+        f = A.stage(e.lhs)
+        assert A.stage(e.lhs, {}) is f
+        for _ in range(3):
+            find_violation(A, e, ())
+        assert set(A.staged) == {(id(e.lhs), id(None)), (id(e.rhs), id(None))}
+
     def test_a_replaced_copy_stages_through_its_own_operations(self):
         A = choice_algebra()
         t, env, valuation = app(SEQ, x, y), {}, {"x": 1, "y": 0}
