@@ -132,8 +132,17 @@ class QuotientMonad:
 # one-layer steps: each role's operation on S Y arguments, as a value of
 # S(S Y) that mu_S flattens
 
+def _counted(elems=()) -> MultiSet:
+    """The multiset of `elems`, counted without the constructor's checks:
+    the multiset steps' bag."""
+    counts: dict = {}
+    for e in elems:
+        counts[e] = counts[e] + 1 if e in counts else 1
+    return MultiSet._trusted(counts)
+
+
 def _sum(bag) -> dict:
-    """+ and abort as a sum of the arguments in `bag`, frozenset or MultiSet."""
+    """+ and abort as a sum of the arguments in `bag`, frozenset or `_counted`."""
     return {"plus": lambda args, p: bag(args), "abort": lambda args, p: bag()}
 
 
@@ -346,7 +355,7 @@ _KINDS = {
         _word_term,
     ),
     "SEMILATTICE": (fin_powerset, _sum(frozenset), _rep_sum),
-    "COMM_MONOID": (multiset, _sum(MultiSet), _rep_sum),
+    "COMM_MONOID": (multiset, _sum(_counted), _rep_sum),
     "CONVEX": (fin_distribution, {"oplus": _mix}, _rep_convex),
     "IDEM_SEMIRING": (
         lambda: _words_in(fin_powerset(), "set-of-words"),
@@ -355,11 +364,11 @@ _KINDS = {
     ),
     "SEMIRING": (
         lambda: _words_in(multiset(), "multiset-of-words"),
-        _sum_of_words(MultiSet),
+        _sum_of_words(_counted),
         _rep_words,
     ),
     # same one-layer steps as the semiring, different mult
-    "TWO_MONOIDS_ABSORB": (_tm_monad, _sum_of_words(MultiSet), _rep_words),
+    "TWO_MONOIDS_ABSORB": (_tm_monad, _sum_of_words(_counted), _rep_words),
 }
 
 CANONICAL_KINDS = tuple(_KINDS)
@@ -464,7 +473,7 @@ class CongruenceClosure:
 
         grid = self.bound.prob_grid
         for e in self.theory.equations:
-            pnames = e.param_names()
+            pnames = e.param_names
             for combo in itertools.product(grid, repeat=len(pnames)):
                 penv = dict(zip(pnames, combo))
                 try:

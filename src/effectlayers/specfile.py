@@ -16,7 +16,8 @@ tighter than "+", which binds tighter than "⊕[λ]" — plus prefix call
 syntax f(t1, ..., tn) for anything else, f[λ](t1, ..., tn) when f takes a
 parameter.  "(+)[λ]" is an ASCII alias for "⊕[λ]".  Parameters are
 rational literals with an explicit denominator ("1/2"; bare "0" and "1"
-allowed) or parameter expressions over variables.
+allowed) or parameter expressions over variables ("1 / l" divides: "/"
+after a bare literal starts a literal only before a number).
 Numbers are ASCII digits.  Parse errors carry line and column, counted in
 characters.
 
@@ -103,41 +104,54 @@ class _Tok(NamedTuple):
         return self.pos - self.src.rfind("\n", 0, self.pos)
 
 
-# One alternation, tried at each offset in turn ("Writing a Tokenizer" in
-# the `re` docs).  `bad` matches any character, so the matches tile the
-# text.  `[^\W\d]` also admits non-letters such as "²"; `_tokenize`
-# refuses those, so an identifier starts with a letter or "_".
+# Each match is the blanks before a token, then the token: `findall`
+# gives one (blanks, token) pair of strings per token, with no match
+# objects, and the kinds are looked up.  `.` matches any character, so the
+# matches tile the text; the empty token at `\Z` ends it.  `[^\W\d]` also
+# admits non-letters such as "²"; `_tokenize` refuses those, so an
+# identifier starts with a letter or "_".
 _TOKEN = re.compile(
-    r"""(?P<blank>[ \t\r\n]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<punct>\(\+\)|⟨⟨|⟩⟩|[;:{}()\[\]=+\-*/,⊕·])
-      | (?P<string>"[^"]*")
-      | (?P<number>[0-9]+)
-      | (?P<ident>[^\W\d][\w']*)
-      | (?P<bad>.)""",
+    r"""([ \t\r\n]*)
+      ( \(\+\) | ⟨⟨ | ⟩⟩ | [;:{}()\[\]=+\-*/,⊕·]
+      | "[^"]*" | [0-9]+ | [^\W\d][\w']* | \#[^\n]* | . | \Z )""",
     re.VERBOSE | re.DOTALL,
 )
+
+# punctuation by its text, "(+)" read as "⊕"
+_PUNCT = {p: p for p in ";:{}()[]=+-*/,⊕·"} | {"⟨⟨": "⟨⟨", "⟩⟩": "⟩⟩", "(+)": "⊕"}
+# every other token's kind by its first character
+_LEAD = {**dict.fromkeys("0123456789", "number"), '"': "string", "#": "comment", "": "end"}
 
 
 def _tokenize(text: str):
     toks = []
-    end = 0  # an error at the end of the input points before a trailing comment
-    for m in _TOKEN.finditer(text):
-        kind, s, pos = m.lastgroup, m.group(), m.start()
-        if kind != "comment":
-            end = m.end()
-        if kind == "blank" or kind == "comment":
+    append = toks.append
+    pos = 0
+    end = len(text)  # an error at the end of the input points before a trailing comment
+    for blank, s in _TOKEN.findall(text):
+        at = pos + len(blank)
+        pos = at + len(s)
+        p = _PUNCT.get(s)
+        if p is not None:
+            # tuple.__new__ skips the Python-level __new__ NamedTuple generates
+            append(tuple.__new__(_Tok, ("punct", p, at, text)))
             continue
-        if kind == "string":
+        kind = _LEAD.get(s[:1], "ident")
+        if kind == "ident":
+            if not (s[0].isalpha() or s[0] == "_"):
+                raise _RefusedCharacter(f"unexpected character {s[0]!r}", _Tok(kind, s, at, text))
+        elif kind == "string":
+            if len(s) == 1:
+                raise _RefusedCharacter("unterminated string", _Tok(kind, s, at, text))
             s = s[1:-1]
-        elif kind == "punct" and s == "(+)":
-            s = "⊕"
-        elif kind == "bad" or (kind == "ident" and not (s[0].isalpha() or s[0] == "_")):
-            message = "unterminated string" if s == '"' else f"unexpected character {s[0]!r}"
-            raise _RefusedCharacter(message, _Tok(kind, s[0], pos, text))
-        # tuple.__new__ skips the Python-level __new__ NamedTuple generates
-        toks.append(tuple.__new__(_Tok, (kind, s, pos, text)))
-    toks.append(_Tok("end", "", end, text))
+        elif kind == "comment":
+            if pos == end:
+                end = at
+            continue
+        elif kind == "end":
+            break
+        append(tuple.__new__(_Tok, (kind, s, at, text)))
+    append(_Tok("end", "", end, text))
     return toks
 
 
@@ -174,11 +188,12 @@ class _Stream:
         return t
 
     def expect(self, kind: str, text: Optional[str] = None) -> _Tok:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
+        t = self.toks[self.i]
+        if t[0] != kind or (text is not None and t[1] != text):
             want = text if text is not None else kind
             raise SpecParseError(f"expected {want!r}, found {t.text or t.kind!r}", t.line, t.col)
-        return self.next()
+        self.i += 1
+        return t
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +229,9 @@ def _parse_param_atom(ts: _Stream):
     if t.kind == "number":
         ts.next()
         num = int(t.text)
-        if ts.accept("/"):
+        # after a bare 0 or 1, "/" starts a literal only before a number:
+        # "1 / l" divides
+        if (num > 1 or ts.peek(1).kind == "number") and ts.accept("/"):
             den = ts.expect("number")
             if int(den.text) == 0:
                 raise SpecParseError("zero denominator", den.line, den.col)
@@ -241,58 +258,59 @@ def _parse_op_param(ts: _Stream, op: OpSymbol):
 
 
 def _parse_term(ts: _Stream, sig: Signature, leaf, prec: int = 0) -> Term:
+    # reads `ts.toks` by index: one step per token on the path of every program
     left = _parse_term_atom(ts, sig, leaf)
+    toks = ts.toks
     while True:
-        t = ts.peek()
-        if t.kind != "punct" or t.text not in INFIX_PREC:
-            return left
-        op_prec = INFIX_PREC[t.text]
-        if op_prec <= prec:
+        t = toks[ts.i]
+        op_prec = INFIX_PREC.get(t[1])
+        if op_prec is None or op_prec <= prec or t[0] != "punct":
             return left
         # ';' also terminates statements: only an operator before a term
-        if t.text == ";" and not _can_start_term(ts.peek(1)):
+        if t[1] == ";" and not _can_start_term(toks[ts.i + 1]):
             return left
-        if t.text not in sig:
-            raise SpecParseError(f"operation {t.text!r} not declared", t.line, t.col)
-        op = sig[t.text]
+        op = sig._by_name.get(t[1])
+        if op is None:
+            raise SpecParseError(f"operation {t[1]!r} not declared", t.line, t.col)
         if op.arity != 2:
             raise SpecParseError(
                 f"{op.name!r} expects {op.arity} arguments, got 2", t.line, t.col
             )
-        ts.next()
-        param = _parse_op_param(ts, op)
+        ts.i += 1
+        param = _parse_op_param(ts, op) if op.param else None
         right = _parse_term(ts, sig, leaf, op_prec)
         left = App(op, (left, right), param)
-    return left
 
 
 def _parse_term_atom(ts: _Stream, sig: Signature, leaf) -> Term:
-    t = ts.peek()
-    if ts.accept("("):
+    t = ts.toks[ts.i]
+    kind, text = t[0], t[1]
+    if kind == "ident" and text not in KEYWORDS:
+        ts.i += 1
+        op = sig._by_name.get(text)
+        if op is None:
+            return leaf(t)
+        param = _parse_op_param(ts, op) if op.param else None
+        if op.arity == 0:
+            return App(op, (), param)
+        ts.expect("punct", "(")
+        args = [_parse_term(ts, sig, leaf)]
+        while ts.accept(","):
+            args.append(_parse_term(ts, sig, leaf))
+        ts.expect("punct", ")")
+        if len(args) != op.arity:
+            raise SpecParseError(
+                f"{op.name!r} expects {op.arity} arguments, got {len(args)}",
+                t.line,
+                t.col,
+            )
+        return App(op, tuple(args), param)
+    if kind == "punct" and text == "(":
+        ts.i += 1
         inner = _parse_term(ts, sig, leaf)
         ts.expect("punct", ")")
         return inner
-    if t.kind == "ident" and t.text not in KEYWORDS:
-        ts.next()
-        if t.text in sig:
-            op = sig[t.text]
-            param = _parse_op_param(ts, op)
-            if op.arity == 0:
-                return App(op, (), param)
-            ts.expect("punct", "(")
-            args = [_parse_term(ts, sig, leaf)]
-            while ts.accept(","):
-                args.append(_parse_term(ts, sig, leaf))
-            ts.expect("punct", ")")
-            if len(args) != op.arity:
-                raise SpecParseError(
-                    f"{op.name!r} expects {op.arity} arguments, got {len(args)}",
-                    t.line,
-                    t.col,
-                )
-            return App(op, tuple(args), param)
-        return leaf(t)
-    raise SpecParseError(f"expected a term, found {t.text or t.kind!r}", t.line, t.col)
+    raise SpecParseError(f"expected a term, found {text or kind!r}", t.line, t.col)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +421,9 @@ def parse_program(text: str, sig: Signature, atoms) -> Term:
     atom_set = set(atoms)
 
     def leaf(tok: _Tok) -> Term:
-        if tok.text not in atom_set:
+        if tok[1] not in atom_set:
             raise SpecParseError(f"unbound atom {tok.text!r}", tok.line, tok.col)
-        return Const(tok.text)
+        return Const(tok[1])
 
     ts = _Stream(_tokenize(text))
     t = _parse_term(ts, sig, leaf)

@@ -272,7 +272,7 @@ def render_param(p) -> str:
     """A parameter, or any rational, as the spec syntax writes it: "1/2", "(1 - l)"."""
     if isinstance(p, Term):
         return interpret(p, _infix, _param_leaf)
-    f = Fraction(p)
+    f = p if type(p) is Fraction else Fraction(p)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
@@ -302,8 +302,11 @@ class Equation:
                 f"equation {self.name or '<anon>'} uses variables outside its context"
             )
 
-    def param_names(self):
-        return sorted(term_params(self.lhs) | term_params(self.rhs))
+    @functools.cached_property
+    def param_names(self) -> tuple:
+        """The parameter variables of both sides, sorted; walked once, as
+        every check of the equation reads them."""
+        return tuple(sorted(term_params(self.lhs) | term_params(self.rhs)))
 
     def describe(self) -> str:
         # render imports this module
@@ -496,7 +499,7 @@ def find_violation(A: FiniteAlgebra, e: Equation, param_grid):
     Returns None when the equation holds exhaustively; parameter instances
     whose side conditions divide by zero are skipped.
     """
-    pnames = e.param_names()
+    pnames = e.param_names
     envs = [
         dict(zip(pnames, combo))
         for combo in itertools.product(param_grid, repeat=len(pnames))

@@ -225,7 +225,7 @@ def _naive_normal_forms(theory, carrier, bound):
 
     sides = []
     for e in theory.equations:
-        pnames = e.param_names()
+        pnames = e.param_names
         for combo in product(bound.prob_grid, repeat=len(pnames)):
             penv = dict(zip(pnames, combo))
             try:

@@ -209,7 +209,7 @@ class TestAxiomVisits:
             calls = self.count_lhs_calls(monkeypatch, e)
             (report,) = verify_generated_axioms(A, [e], grid)
             assert report.ok, report.axiom
-            n = len(A.carrier) ** len(e.context) * len(grid) ** len(e.param_names())
+            n = len(A.carrier) ** len(e.context) * len(grid) ** len(e.param_names)
             assert len(calls) == n, e.describe()
             total += n
         assert total == 4 * 10**3 * 3 + 10 * 3 + 10**2 * 3 + 10**3 * 9
@@ -222,8 +222,8 @@ class TestAxiomVisits:
         for values in product(A.carrier, repeat=len(e.context)):
             valuation = dict(zip(e.context, values))
             leaf = lambda u: u.value if isinstance(u, Const) else valuation[u.name]
-            for combo in product(grid, repeat=len(e.param_names())):
-                env = dict(zip(e.param_names(), combo))
+            for combo in product(grid, repeat=len(e.param_names)):
+                env = dict(zip(e.param_names, combo))
                 visited += 1
                 try:
                     lv, rv = (interpret(s, A.op, leaf, env) for s in (e.lhs, e.rhs))

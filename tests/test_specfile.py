@@ -10,7 +10,12 @@ from effectlayers.cli import _load_bounds
 from effectlayers.pipeline import INNER_SEED, OUTER, compose_stack
 from effectlayers.render import render_term
 from effectlayers.specfile import (
+    INFIX_PREC,
+    KEYWORDS,
     SpecParseError,
+    _can_start_term,
+    _parse_op_param,
+    _Stream,
     _tokenize,
     parse_program,
     parse_spec,
@@ -470,3 +475,130 @@ class TestTokenizer:
     def test_shipped_spec_and_acceptance_programs(self):
         for text in [SPEC_PATH.read_text(), *STAGE1_PROGRAMS, *STAGE2_PROGRAMS]:
             assert token_tuples(text) == reference_tokenize(text)
+
+
+# ---------------------------------------------------------------------------
+# differential test: `_parse_term` against the token-stream parser it
+# replaced, kept here as a reference (it reads through `peek`, `accept` and
+# `next`, one call per token)
+
+def reference_parse_term(ts, sig, leaf, prec=0):
+    left = reference_parse_term_atom(ts, sig, leaf)
+    while True:
+        t = ts.peek()
+        if t.kind != "punct" or t.text not in INFIX_PREC:
+            return left
+        op_prec = INFIX_PREC[t.text]
+        if op_prec <= prec:
+            return left
+        # ';' also terminates statements: only an operator before a term
+        if t.text == ";" and not _can_start_term(ts.peek(1)):
+            return left
+        if t.text not in sig:
+            raise SpecParseError(f"operation {t.text!r} not declared", t.line, t.col)
+        op = sig[t.text]
+        if op.arity != 2:
+            raise SpecParseError(
+                f"{op.name!r} expects {op.arity} arguments, got 2", t.line, t.col
+            )
+        ts.next()
+        param = _parse_op_param(ts, op)
+        right = reference_parse_term(ts, sig, leaf, op_prec)
+        left = App(op, (left, right), param)
+
+
+def reference_parse_term_atom(ts, sig, leaf):
+    t = ts.peek()
+    if ts.accept("("):
+        inner = reference_parse_term(ts, sig, leaf)
+        ts.expect("punct", ")")
+        return inner
+    if t.kind == "ident" and t.text not in KEYWORDS:
+        ts.next()
+        if t.text in sig:
+            op = sig[t.text]
+            param = _parse_op_param(ts, op)
+            if op.arity == 0:
+                return App(op, (), param)
+            ts.expect("punct", "(")
+            args = [reference_parse_term(ts, sig, leaf)]
+            while ts.accept(","):
+                args.append(reference_parse_term(ts, sig, leaf))
+            ts.expect("punct", ")")
+            if len(args) != op.arity:
+                raise SpecParseError(
+                    f"{op.name!r} expects {op.arity} arguments, got {len(args)}",
+                    t.line,
+                    t.col,
+                )
+            return App(op, tuple(args), param)
+        return leaf(t)
+    raise SpecParseError(f"expected a term, found {t.text or t.kind!r}", t.line, t.col)
+
+
+def reference_parse_program(text, sig, atoms):
+    def leaf(tok):
+        if tok.text not in atoms:
+            raise SpecParseError(f"unbound atom {tok.text!r}", tok.line, tok.col)
+        return Const(tok.text)
+
+    ts = _Stream(_tokenize(text))
+    t = reference_parse_term(ts, sig, leaf)
+    end = ts.peek()
+    if end.kind != "end":
+        raise SpecParseError(f"trailing input {end.text!r}", end.line, end.col)
+    return t
+
+
+# prefix calls of three arities, plain and parameterized, beside the shipped
+# operations, and the same names with other arities
+PREFIX_OPS = Signature(
+    (OpSymbol("n", 1), OpSymbol("m", 2), OpSymbol("k", 3), OpSymbol("ch", 2, True))
+)
+SHIFTED_OPS = Signature(
+    (OpSymbol("n", 2), OpSymbol("m", 3), OpSymbol("k", 1), OpSymbol("ch", 1, True))
+)
+
+
+def mutated(tokens, data):
+    """`tokens` with up to three tokens dropped, doubled or swapped."""
+    tokens = list(tokens)
+    for _ in range(data.draw(st.integers(0, 3))):
+        if not tokens:
+            break
+        how = data.draw(st.sampled_from(["drop", "double", "swap"]))
+        i = data.draw(st.integers(0, len(tokens) - 1))
+        if how == "drop":
+            del tokens[i]
+        elif how == "double":
+            tokens.insert(i, tokens[i])
+        else:
+            j = data.draw(st.integers(0, len(tokens) - 1))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+    return tokens
+
+
+def signatures(shipped):
+    """The shipped spec's signature at stages 0, 1 and 2, then with each set
+    of prefix calls."""
+    sigs = [shipped.signature_at(stage) for stage in (0, 1, 2)]
+    return sigs + [sigs[-1].merge(PREFIX_OPS), sigs[-1].merge(SHIFTED_OPS)]
+
+
+class TestTermParser:
+    """A program is rendered from a term over one signature and read with
+    another, so that undeclared operations, unbound atoms and calls with
+    the wrong number of arguments show too."""
+
+    @pytest.mark.parametrize("stage", [0, 1, 2, 3, 4])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_the_reference(self, shipped, stage, data):
+        sigs = signatures(shipped)
+        sig = sigs[stage]
+        t = data.draw(closed_terms(data.draw(st.sampled_from(sigs)), shipped.atoms, GRID5))
+        tokens = [tok.text for tok in _tokenize(render_term(t))[:-1]]
+        text = " ".join(mutated(tokens, data))
+        assert outcome(lambda s: parse_program(s, sig, shipped.atoms), text) == outcome(
+            lambda s: reference_parse_program(s, sig, shipped.atoms), text
+        )

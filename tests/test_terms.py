@@ -154,12 +154,13 @@ def read_back(p):
 
 
 def readable(p):
-    """No "/" after a bare literal but before a nonzero bare literal: the
-    grammar reads "1/" as the start of a literal p/q."""
+    """No "/" between a bare literal and a literal that is 0 or not an
+    integer: the grammar reads "1 / 1/2" as the literal 1/1 and then "/ 2",
+    and "1 / 0" as a literal with a zero denominator."""
     if not isinstance(p, App):
         return True
     a, b = p.args
-    if p.op.name == "/" and bare(a) and not (bare(b) and b.value):
+    if p.op.name == "/" and bare(a) and isinstance(b, Const) and not (bare(b) and b.value):
         return False
     return readable(a) and readable(b)
 
@@ -400,7 +401,7 @@ def plain_fold(t, A, valuation, env):
 
 
 def grid_envs(e, grid):
-    pnames = e.param_names()
+    pnames = e.param_names
     return [dict(zip(pnames, c)) for c in product(grid, repeat=len(pnames))] or [{}]
 
 
@@ -482,6 +483,25 @@ class TestStaging:
                 if not (lam == 1 and divides == "lhs"):
                     expected.append(("rhs", valuation, {"l": lam}))
         assert visited == expected
+
+    def test_parameter_names_are_walked_once_per_equation(self, monkeypatch):
+        walked = []
+        original = terms.term_params
+
+        def counted(t):
+            walked.append(t)
+            return original(t)
+
+        monkeypatch.setattr(terms, "term_params", counted)
+        l = Var("l")
+        e = equation(App(CHOOSE, (x, y), l), App(CHOOSE, (y, x), App(ARITH["-"], (Const(F(1)), l))))
+        A, grid = choice_algebra(), (F(0), F(1, 2), F(1))
+        find_violation(A, e, grid)
+        first = len(walked)
+        for _ in range(99):
+            find_violation(A, e, grid)
+        assert e.param_names == ("l",)
+        assert len(walked) == first
 
     def test_missing_variable_message_is_unchanged(self):
         A = bool_or_algebra()
