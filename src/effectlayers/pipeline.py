@@ -26,7 +26,7 @@ from .distlaw import (
 )
 from .monads import Bound, MonadInstance, lift_interp
 from .normal_forms import QuotientMonad, quotient_monad
-from .preservation import MonadProfile, check_preservation, profile_monad
+from .preservation import MonadProfile, check_preservation, profile_monad, shared_search
 from .terms import (
     Const,
     Equation,
@@ -238,8 +238,10 @@ def compose_stack(
         # enumeration of each carrier of T
         T_frag = replace(T, enumerate=functools.cache(T.enumerate))
         profile = profile_monad(T_frag, X, b)
+        # and the equations that reach brute force share its model search
+        search = shared_search()
         verdicts = tuple(
-            check_preservation(T_frag, e, profile, X, b, theory=current)
+            check_preservation(T_frag, e, profile, X, b, theory=current, search=search)
             for e in current.equations
         )
         kept, dropped = [], []

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .monads import Bound, BoundExplosionError, MonadInstance, lift_interp
 from .normal_forms import quotient_monad
@@ -177,6 +177,28 @@ def _reader(tables: list, i: int):
     return lambda args, param=None: tables[i][args]
 
 
+def shared_search():
+    """`enumerate_algebras` with its searches shared among its readers: each
+    (theory, carrier size) search runs once, only as far as its furthest
+    reader has read, and every reader gets its models in their order."""
+    runs: dict = {}
+
+    def models(theory: Theory, carrier_size: int):
+        key = (theory, carrier_size)
+        if key not in runs:
+            runs[key] = ([], enumerate_algebras(theory, carrier_size))
+        found, search = runs[key]
+        for i in itertools.count():
+            if i == len(found):
+                A = next(search, None)
+                if A is None:
+                    return
+                found.append(A)
+            yield found[i]
+
+    return models
+
+
 # ---------------------------------------------------------------------------
 # the verdict cascade
 
@@ -216,12 +238,15 @@ def check_preservation(
     X,
     b: Bound,
     theory: Optional[Theory] = None,
+    search: Optional[Callable] = None,
 ) -> Verdict:
     """Decision cascade for 'does the lifting through T preserve e?'.
 
     Brute force runs on the fragment of carrier `X` within `b`, over the
     algebras of the inner theory `theory`, which defaults to the equation
-    alone.
+    alone.  `search(theory, size)` gives those algebras, a fresh
+    `enumerate_algebras` by default; checks given one `shared_search()`
+    share its searches.
     """
     if not profile.symmetric.ok:
         raise NonSymmetricMonadError(
@@ -249,7 +274,8 @@ def check_preservation(
         w = find_violation(LA, e, b.prob_grid)
         return None if w is None else (_counterexample(base, w), fragment)
 
-    found = run_check(e.name, _lifted_models(T, inner, X, b), falsified, "")
+    models = _lifted_models(T, inner, X, b, search or enumerate_algebras)
+    found = run_check(e.name, models, falsified, "")
     if found.ok:
         searched = f"algebras up to carrier {_MAX_BRUTE_CARRIER}, bounded fragments"
         return Verdict(e, UNKNOWN, fragment=searched)
@@ -266,14 +292,14 @@ def check_preservation(
 _FREE_CARRIER_CAP = 16
 
 
-def _lifted_models(T: MonadInstance, inner: Theory, X, b: Bound):
+def _lifted_models(T: MonadInstance, inner: Theory, X, b: Bound, search: Callable):
     """The lifted algebras brute force searches, each with its base
     algebra's description and its fragment: those of the inner theory's
-    algebras up to `_MAX_BRUTE_CARRIER` elements (for a parameter-free
-    theory), then that of its free algebra over atoms X."""
+    algebras up to `_MAX_BRUTE_CARRIER` elements, found by `search` (for a
+    parameter-free theory), then that of its free algebra over atoms X."""
     if not any(o.param for o in inner.signature.ops):
         for size in range(1, _MAX_BRUTE_CARRIER + 1):
-            for A in enumerate_algebras(inner, size):
+            for A in search(inner, size):
                 yield (
                     _algebra_table(A, inner.signature),
                     lifted_algebra(T, A, b),

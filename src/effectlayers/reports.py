@@ -25,10 +25,6 @@ class ReportDocument:
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.data, indent=indent, ensure_ascii=False, sort_keys=False)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ReportDocument":
-        return cls(json.loads(text))
-
     def to_text(self) -> str:
         return "\n".join(_text_lines(self.data, 0))
 

@@ -28,6 +28,7 @@ character offset into the literal.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -206,44 +207,59 @@ def _can_start_term(t: _Tok) -> bool:
 
 
 def _parse_param_expr(ts: _Stream, prec: int = 0):
+    """A weight, a term over `ARITH`; reads `ts.toks` by index, as
+    `_parse_term` does."""
     left = _parse_param_atom(ts)
+    toks = ts.toks
     while True:
-        t = ts.peek()
-        if t.kind != "punct" or t.text not in ARITH:
+        t = toks[ts.i]
+        op = ARITH.get(t[1]) if t[0] == "punct" else None
+        if op is None:
             return left
-        op_prec = 1 if t.text in "+-" else 2
+        op_prec = 1 if t[1] in "+-" else 2
         if op_prec <= prec:
             return left
-        ts.next()
+        ts.i += 1
         right = _parse_param_expr(ts, op_prec)
-        left = App(ARITH[t.text], (left, right))
-    return left
+        left = App(op, (left, right))
+
+
+@functools.lru_cache(maxsize=256)
+def _rational(num: int, den: int) -> Fraction:
+    """The literal num/den: weights come from a grid of a few literals."""
+    return Fraction(num, den)
 
 
 def _parse_param_atom(ts: _Stream):
-    t = ts.peek()
-    if ts.accept("("):
-        inner = _parse_param_expr(ts)
-        ts.expect("punct", ")")
-        return inner
-    if t.kind == "number":
-        ts.next()
-        num = int(t.text)
+    toks, i = ts.toks, ts.i
+    t = toks[i]
+    kind = t[0]
+    if kind == "number":
+        num = int(t[1])
         # after a bare 0 or 1, "/" starts a literal only before a number:
         # "1 / l" divides
-        if (num > 1 or ts.peek(1).kind == "number") and ts.accept("/"):
+        slash = toks[i + 1]
+        if slash[0] == "punct" and slash[1] == "/" and (num > 1 or toks[i + 2][0] == "number"):
+            ts.i = i + 2
             den = ts.expect("number")
-            if int(den.text) == 0:
+            d = int(den[1])
+            if d == 0:
                 raise SpecParseError("zero denominator", den.line, den.col)
-            return Const(Fraction(num, int(den.text)))
+            return Const(_rational(num, d))
         if num not in (0, 1):
             raise SpecParseError(
                 "rationals need an explicit denominator (write p/q)", t.line, t.col
             )
-        return Const(Fraction(num))
-    if t.kind == "ident":
-        ts.next()
-        return Var(t.text)
+        ts.i = i + 1
+        return Const(_rational(num, 1))
+    if kind == "ident":
+        ts.i = i + 1
+        return Var(t[1])
+    if kind == "punct" and t[1] == "(":
+        ts.i = i + 1
+        inner = _parse_param_expr(ts)
+        ts.expect("punct", ")")
+        return inner
     raise SpecParseError(f"expected a parameter expression, found {t.text!r}", t.line, t.col)
 
 

@@ -97,15 +97,41 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+# The three term classes have the equality, hash and repr a frozen
+# dataclass would generate: equal when of one class with equal fields,
+# hashed as the tuple of their fields.  They are plain `__slots__` classes,
+# as the parser builds one per token; a term is never mutated once built.
+
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other):
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
+
+    def __repr__(self):
+        return f"Var(name={self.name!r})"
 
 
-@dataclass(frozen=True)
 class Const(Term):
     """A ground leaf: an element of the carrier embedded in a term."""
-    value: object
+
+    __slots__ = ("value", "_hash")
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        if other.__class__ is not Const:
+            return NotImplemented
+        return (self.value,) == (other.value,)
 
     def __hash__(self):
         try:
@@ -113,28 +139,39 @@ class Const(Term):
         except AttributeError:
             return _kept_hash(self, (self.value,))
 
+    def __repr__(self):
+        return f"Const(value={self.value!r})"
 
-@dataclass(frozen=True)
+
 class App(Term):
-    op: OpSymbol
-    args: tuple = ()
-    param: object = None  # Fraction | Term over ARITH | None
+    __slots__ = ("op", "args", "param", "_hash")
 
-    def __post_init__(self):
-        if len(self.args) != self.op.arity:
-            raise TermError(
-                f"{self.op.name!r} expects {self.op.arity} args, got {len(self.args)}"
-            )
-        if self.op.param and self.param is None:
-            raise TermError(f"{self.op.name!r} requires a parameter")
-        if not self.op.param and self.param is not None:
-            raise TermError(f"{self.op.name!r} takes no parameter")
+    def __init__(self, op: OpSymbol, args: tuple = (), param=None):
+        # `param`: Fraction | Term over ARITH | None
+        if len(args) != op.arity:
+            raise TermError(f"{op.name!r} expects {op.arity} args, got {len(args)}")
+        if op.param:
+            if param is None:
+                raise TermError(f"{op.name!r} requires a parameter")
+        elif param is not None:
+            raise TermError(f"{op.name!r} takes no parameter")
+        self.op = op
+        self.args = args
+        self.param = param
+
+    def __eq__(self, other):
+        if other.__class__ is not App:
+            return NotImplemented
+        return (self.op, self.args, self.param) == (other.op, other.args, other.param)
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
             return _kept_hash(self, (self.op, self.args, self.param))
+
+    def __repr__(self):
+        return f"App(op={self.op!r}, args={self.args!r}, param={self.param!r})"
 
 
 def app(op: OpSymbol, *args, param=None) -> App:

@@ -24,6 +24,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 
+from .terms import App, Const, Term
+
 
 class ValueError_(Exception):
     """Malformed effect value (bad weight sum, non-positive multiplicity, ...)."""
@@ -36,7 +38,9 @@ def canon_key(v):
     by the tag, so heterogeneous carriers still sort deterministically.
     `MultiSet` and `Dist` keep their key once computed.  The common shapes
     are tested first: `Fraction`'s metaclass is `ABCMeta`, whose
-    `isinstance` test is slow.
+    `isinstance` test is slow.  A term keeps the key it had as a frozen
+    dataclass, its class name tagged "dc:" over its fields' keys, as the
+    GENERIC representatives are chosen by this order.
     """
     if isinstance(v, str):
         return ("str", (), v)
@@ -50,6 +54,12 @@ def canon_key(v):
         return ("set", tuple(sorted(canon_key(x) for x in v)), ())
     if isinstance(v, SumAtom):
         return ("sumatom", (canon_key(v.summands),), ())
+    if isinstance(v, Term):
+        if isinstance(v, App):
+            return ("dc:App", (canon_key(v.op), canon_key(v.args), canon_key(v.param)), ())
+        if isinstance(v, Const):
+            return ("dc:Const", (canon_key(v.value),), ())
+        return ("dc:Var", (canon_key(v.name),), ())
     if v is None:
         return ("none", (), ())
     if isinstance(v, bool):
@@ -58,7 +68,7 @@ def canon_key(v):
         return ("int", (), v)
     if isinstance(v, Fraction):
         return ("frac", (), (v.numerator, v.denominator))
-    # Terms and other frozen dataclasses: fall back to their fields.
+    # other frozen dataclasses, `OpSymbol` among them: their fields
     if hasattr(v, "__dataclass_fields__"):
         return (
             "dc:" + type(v).__name__,

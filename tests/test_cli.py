@@ -119,7 +119,7 @@ class TestCheck:
         out_path = tmp_path / "check.json"
         run(capsys, "check", SPEC, "--json", str(out_path))
         text = out_path.read_text()
-        doc = ReportDocument.from_json(text)
+        doc = ReportDocument(json.loads(text))
         assert doc.to_json() + "\n" == text
 
 

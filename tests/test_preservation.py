@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from effectlayers import preservation
+from effectlayers import pipeline, preservation
 from effectlayers.monads import (
     Bound,
     MonadInstance,
@@ -334,6 +334,61 @@ def test_model_search_stages_each_equation_side_once(monkeypatch):
     (A,) = searched.values()
     sides = {id(t) for e in theory.equations for t in (e.lhs, e.rhs)}
     assert len(A.staged) == len(sides)
+
+
+def _recorded_searches(monkeypatch):
+    """Each `enumerate_algebras` search from now on, as its (theory name,
+    carrier size) and the number of models it has built so far."""
+    runs = []
+    search = preservation.enumerate_algebras
+
+    def recorded(theory, size):
+        run = [(theory.name, size), 0]
+        runs.append(run)
+        for A in search(theory, size):
+            run[1] += 1
+            yield A
+
+    monkeypatch.setattr(preservation, "enumerate_algebras", recorded)
+    return runs
+
+
+def test_a_shared_search_runs_once_as_far_as_it_is_read(monkeypatch):
+    """Readers of one (theory, size) get one search's models in its order,
+    and no model is built before some reader asks for it."""
+    fresh = {
+        (make, size): [_algebra_table(A, make().signature) for A in enumerate_algebras(make(), size)]
+        for make in (semilattice_theory, monoid_theory)
+        for size in (1, 2)
+    }
+    runs = _recorded_searches(monkeypatch)
+    shared = preservation.shared_search()
+    for (make, size), want in fresh.items():
+        theory = make()
+        first = shared(theory, size)
+        head = next(first)
+        assert runs[-1] == [(theory.name, size), 1]  # nothing is built ahead
+        whole = list(shared(theory, size))
+        assert whole[0] is head and list(first) == whole[1:]
+        assert [_algebra_table(A, theory.signature) for A in whole] == want
+    assert runs == [[(make().name, size), len(want)] for (make, size), want in fresh.items()]
+
+
+def test_a_stage_shares_its_model_searches(monkeypatch):
+    """`check` of the shipped spec searches each (theory, carrier size)
+    once, builds as many models as the furthest of its unshared searches
+    did, and gives the same verdicts."""
+    runs = _recorded_searches(monkeypatch)
+    shared = _check_shipped_spec(2)
+    shared_runs = list(runs)
+    monkeypatch.setattr(pipeline, "shared_search", lambda: preservation.enumerate_algebras)
+    runs.clear()
+    unshared = _check_shipped_spec(2)
+    assert [s.verdicts for s in shared.stages] == [s.verdicts for s in unshared.stages]
+    built = {}
+    for key, n in runs:
+        built[key] = max(built.get(key, 0), n)
+    assert len(runs) == 6 and sorted(shared_runs) == sorted([k, n] for k, n in built.items())
 
 
 # ---------------------------------------------------------------------------

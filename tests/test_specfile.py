@@ -15,6 +15,7 @@ from effectlayers.specfile import (
     SpecParseError,
     _can_start_term,
     _parse_op_param,
+    _parse_param_expr,
     _Stream,
     _tokenize,
     parse_program,
@@ -29,9 +30,11 @@ from effectlayers.terms import (
     Theory,
     Var,
     equation,
+    render_param,
 )
 from effectlayers.theories import recognize_theory
 from test_acceptance import STAGE1_PROGRAMS, STAGE2_PROGRAMS
+from test_terms import param_terms
 
 GRID5 = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
 SPEC_PATH = Path(__file__).resolve().parent.parent / "specs" / "probnetkat.layers"
@@ -601,4 +604,117 @@ class TestTermParser:
         text = " ".join(mutated(tokens, data))
         assert outcome(lambda s: parse_program(s, sig, shipped.atoms), text) == outcome(
             lambda s: reference_parse_program(s, sig, shipped.atoms), text
+        )
+
+
+# ---------------------------------------------------------------------------
+# differential test: the weight reader against the token-stream reader it
+# replaced, kept here as a reference (it reads through `peek`, `accept` and
+# `next`, and builds a new `Fraction` for every literal)
+
+def reference_parse_param_expr(ts, prec=0):
+    left = reference_parse_param_atom(ts)
+    while True:
+        t = ts.peek()
+        if t.kind != "punct" or t.text not in ARITH:
+            return left
+        op_prec = 1 if t.text in "+-" else 2
+        if op_prec <= prec:
+            return left
+        ts.next()
+        right = reference_parse_param_expr(ts, op_prec)
+        left = App(ARITH[t.text], (left, right))
+
+
+def reference_parse_param_atom(ts):
+    t = ts.peek()
+    if ts.accept("("):
+        inner = reference_parse_param_expr(ts)
+        ts.expect("punct", ")")
+        return inner
+    if t.kind == "number":
+        ts.next()
+        num = int(t.text)
+        if (num > 1 or ts.peek(1).kind == "number") and ts.accept("/"):
+            den = ts.expect("number")
+            if int(den.text) == 0:
+                raise SpecParseError("zero denominator", den.line, den.col)
+            return Const(F(num, int(den.text)))
+        if num not in (0, 1):
+            raise SpecParseError(
+                "rationals need an explicit denominator (write p/q)", t.line, t.col
+            )
+        return Const(F(num))
+    if t.kind == "ident":
+        ts.next()
+        return Var(t.text)
+    raise SpecParseError(f"expected a parameter expression, found {t.text!r}", t.line, t.col)
+
+
+def weight_outcome(parse, text):
+    """The weight read from the start of `text` and the index of the token
+    after it, or the parse error's message with its line:col."""
+    ts = _Stream(_tokenize(text))
+    try:
+        return parse(ts), ts.i
+    except SpecParseError as exc:
+        return str(exc)
+
+
+WEIGHTS = [
+    "1 / l",
+    "1/l",
+    "(1/3)",
+    "((1/3))",
+    "1 / (1 + 1)",
+    "1/2 / (1 - 1/2)",
+    "l / (t / (1 - t)) * 2/3",
+    "1/2 + 1/3 + 2/3 + 2/4 + 1/2",
+    "007/14 - 0/5",
+    "1 / 1/2",
+    "1/0",
+    "0/0",
+    "2 / 0",
+    "1/\n  0",
+    "(1/3",
+    "1/",
+    "1/]",
+    "2",
+    "\n  3/ l",
+    "",
+    "]",
+    "1 - 1/2 / (1 - 1)",
+    "l t",
+    "(l))",
+]
+_WEIGHT_PIECES = ["0", "1", "2", "3", "12", "007", "/", "+", "-", "*", "(", ")", "l", "t", "]", ","]
+
+
+def weight_text(data):
+    """Token soup, or a rendered weight with tokens dropped, doubled or
+    swapped, on one line or several and after blank lines."""
+    if data.draw(st.booleans()):
+        tokens = data.draw(st.lists(st.sampled_from(_WEIGHT_PIECES), max_size=10))
+    else:
+        rendered = render_param(data.draw(param_terms))
+        tokens = mutated([t.text for t in _tokenize(rendered)[:-1]], data)
+    n = len(tokens)
+    seps = data.draw(st.lists(st.sampled_from([" ", "", "\n", "\n  "]), min_size=n, max_size=n))
+    prefix = data.draw(st.sampled_from(["", "\n", " \n\t "]))
+    return prefix + "".join(s + t for s, t in zip(seps, tokens))
+
+
+class TestWeightReader:
+    @pytest.mark.parametrize("text", WEIGHTS)
+    def test_reads_the_weights_as_the_reference(self, text):
+        got = weight_outcome(_parse_param_expr, text)
+        assert got == weight_outcome(reference_parse_param_expr, text)
+        assert got == weight_outcome(_parse_param_expr, text)  # again, from the literal cache
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_the_reference(self, data):
+        text = weight_text(data)
+        assert weight_outcome(_parse_param_expr, text) == weight_outcome(
+            reference_parse_param_expr, text
         )

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import dataclass, is_dataclass, replace
 from fractions import Fraction as F
 from itertools import islice, product
 
@@ -36,6 +36,7 @@ from effectlayers.terms import (
     term_vars,
 )
 from effectlayers.theories import PLUS, SEQ, SKIP, monoid_theory, semilattice_theory
+from effectlayers.values import Dist, MultiSet, canon_key, sort_values
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -538,3 +539,150 @@ class TestRendering:
         oplus = OpSymbol("⊕", 2, param=True)
         t = App(oplus, (Var("x"), Var("y")), F(1, 2))
         assert "⊕[1/2]" in render_term(t)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the term classes against the frozen dataclasses they
+# replaced, kept here as a reference.  The copies subclass no `Term`, so
+# `canon_key` reaches them through its dataclass fallback, as it reached
+# the old classes.
+
+
+class dataclass_terms:
+    class Term:
+        __slots__ = ()
+
+    def _kept_hash(obj, fields: tuple) -> int:
+        h = hash(fields)
+        object.__setattr__(obj, "_hash", h)
+        return h
+
+    @dataclass(frozen=True)
+    class Var(Term):
+        name: str
+
+    @dataclass(frozen=True)
+    class Const(Term):
+        value: object
+
+        def __hash__(self):
+            try:
+                return self._hash
+            except AttributeError:
+                return dataclass_terms._kept_hash(self, (self.value,))
+
+    @dataclass(frozen=True)
+    class App(Term):
+        op: OpSymbol
+        args: tuple = ()
+        param: object = None
+
+        def __post_init__(self):
+            if len(self.args) != self.op.arity:
+                raise TermError(
+                    f"{self.op.name!r} expects {self.op.arity} args, got {len(self.args)}"
+                )
+            if self.op.param and self.param is None:
+                raise TermError(f"{self.op.name!r} requires a parameter")
+            if not self.op.param and self.param is not None:
+                raise TermError(f"{self.op.name!r} takes no parameter")
+
+        def __hash__(self):
+            try:
+                return self._hash
+            except AttributeError:
+                return dataclass_terms._kept_hash(self, (self.op, self.args, self.param))
+
+
+# `repr` prints the bare class name, as it did for the module-level classes
+for _cls in (dataclass_terms.Var, dataclass_terms.Const, dataclass_terms.App):
+    _cls.__qualname__ = _cls.__name__
+
+OPLUS = OpSymbol("⊕", 2, param=True)
+TERM_CONSTANTS = [
+    "a",
+    "b",
+    (),
+    ("a", "b"),
+    F(1, 2),
+    frozenset(),
+    frozenset({("a",), ("a", "b")}),
+    MultiSet(["a", "a", "b"]),
+    MultiSet([("a",), ()]),
+    Dist({"a": F(1, 3), "b": F(2, 3)}),
+    Dist({("b",): 1}),
+]
+# shapes, built by `build` from either set of classes
+param_shapes = st.recursive(
+    st.sampled_from([("var", "l"), ("var", "t"), ("const", F(0)), ("const", F(1, 2))]),
+    lambda sub: st.tuples(
+        st.just("app"), st.sampled_from([ARITH[o] for o in "+-*/"]), st.tuples(sub, sub), st.none()
+    ),
+    max_leaves=4,
+)
+term_shapes = st.recursive(
+    st.one_of(
+        st.tuples(st.just("var"), st.sampled_from(["a", "x"])),
+        st.tuples(st.just("const"), st.sampled_from(TERM_CONSTANTS)),
+        st.just(("app", SKIP, (), None)),
+    ),
+    lambda sub: st.one_of(
+        st.tuples(st.just("app"), st.sampled_from([SEQ, PLUS]), st.tuples(sub, sub), st.none()),
+        st.tuples(
+            st.just("app"),
+            st.just(OPLUS),
+            st.tuples(sub, sub),
+            st.one_of(st.sampled_from([F(1, 2), F(1, 3), F(1)]), param_shapes),
+        ),
+    ),
+    max_leaves=6,
+)
+
+
+def build(shape, classes):
+    kind = shape[0]
+    if kind == "var":
+        return classes.Var(shape[1])
+    if kind == "const":
+        return classes.Const(shape[1])
+    _, op, args, param = shape
+    if isinstance(param, tuple):
+        param = build(param, classes)
+    return classes.App(op, tuple(build(a, classes) for a in args), param)
+
+
+class TestTermClasses:
+    def test_no_term_type_is_a_dataclass(self):
+        assert not any(is_dataclass(cls) for cls in (Term, Var, Const, App))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(term_shapes, min_size=1, max_size=6))
+    def test_agree_with_the_frozen_dataclasses(self, shapes):
+        new = [build(s, terms) for s in shapes]
+        old = [build(s, dataclass_terms) for s in shapes]
+        for n, o in zip(new, old):
+            assert repr(n) == repr(o)
+            assert hash(n) == hash(o)
+            assert canon_key(n) == canon_key(o)
+        for i, j in product(range(len(new)), repeat=2):
+            assert (new[i] == new[j]) == (old[i] == old[j])
+            assert (new[i] != new[j]) == (old[i] != old[j])
+        index = {id(t): i for i, t in enumerate(new + old)}
+        got = [index[id(t)] for t in sort_values(new)]
+        want = [index[id(t)] - len(new) for t in sort_values(old)]
+        assert got == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([SEQ, SKIP, OPLUS]),
+        st.integers(0, 3),
+        st.sampled_from([None, F(1, 2), Var("l")]),
+    )
+    def test_applications_are_checked_as_before(self, op, n, param):
+        def made(classes):
+            try:
+                return repr(classes.App(op, (classes.Var("x"),) * n, param))
+            except TermError as exc:
+                return str(exc)
+
+        assert made(terms) == made(dataclass_terms)
