@@ -23,7 +23,6 @@ from .monads import (
 from .normal_forms import CANONICAL_KINDS, QuotientMonad, quotient_monad
 from .pipeline import (
     CompositionReport,
-    LayerSpec,
     StageResult,
     WeakenedTheory,
     compose_stack,
@@ -73,6 +72,7 @@ from .terms import (
     equation,
 )
 from .theories import (
+    LayerSpec,
     comm_monoid_theory,
     convex_theory,
     idem_semiring_theory,

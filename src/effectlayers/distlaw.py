@@ -35,6 +35,7 @@ from .monads import (
     lift_interp,
 )
 from .normal_forms import QuotientMonad
+from .reports import encode_value
 from .terms import (  # LawReport, PASS and FAIL are re-exported
     FAIL,
     PASS,
@@ -139,10 +140,7 @@ def build_quotient_law(
     law = QuotientLaw(S, T)
     report = _well_defined_report(law, X, b)
     if not report.ok:
-        # should be impossible when the preconditions hold; internal alarm.
-        # reports imports pipeline, which imports this module
-        from .reports import encode_value
-
+        # should be impossible when the preconditions hold; internal alarm
         raise LawRefusedError(
             "well-definedness check failed despite preserved equations "
             f"(witness: {encode_value(report.counterexample)})"
@@ -182,8 +180,6 @@ def _well_defined_report(law: QuotientLaw, X, b: Bound) -> LawReport:
     for sv, (t, out) in groups.items():
         fused = law.apply(sv)
         if fused != out:
-            from .reports import encode_value  # as in build_quotient_law
-
             witness = {"value": sv, "rep": t, "fused": fused, "T(q)∘ρ": out}
             raise LawRefusedError(
                 f"fused λ disagrees with T(q)∘ρ (witness: {encode_value(witness)})"
@@ -194,16 +190,10 @@ def _well_defined_report(law: QuotientLaw, X, b: Bound) -> LawReport:
 # ---------------------------------------------------------------------------
 # DL axioms and naturality
 
-def _fallbacks(b: Bound):
-    """`b`, then its flatter bounds, built (once per bound) when it is refused."""
-    yield b
-    yield from b.fallbacks
-
-
 def _enum(en, carrier, b: Bound, cap: Optional[int] = None):
     """Enumerate with graceful degradation: flatter bounds when the space
     explodes, then an evenly spaced sample when a cap is requested."""
-    for cb in _fallbacks(b):
+    for cb in (b, *b.fallbacks):
         try:
             vs = en(tuple(carrier), cb)
         except BoundExplosionError as exc:

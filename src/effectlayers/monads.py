@@ -71,6 +71,8 @@ class Bound:
         for f in _SIZES:
             if getattr(self, f) < 1:
                 raise ValueError(f"{f} must be >= 1")
+        if self.ceiling < 1:  # not a size: `fallbacks` leaves it as it is
+            raise ValueError("ceiling must be >= 1")
         for g in self.prob_grid:
             if isinstance(g, float):
                 raise ValueError(
@@ -149,17 +151,11 @@ def _guard(what, count, bound: Bound):
 # the lifting T(f) o psi^(k)
 
 def lift(T: MonadInstance, f: Callable, values):
-    """T(f) o psi^(k): apply `f` to each k-tuple drawn from the k T-values.
-
-    An outer monad runs its kernel.  With no kernel, k <= 1 needs no psi
-    (psi^(0) = eta_1 and psi^(1) = T(x -> (x,))), and k >= 2 is refused."""
-    if T.lift is not None:
-        return T.lift(f, values)
-    if len(values) == 0:
-        return T.unit(f(()))
-    if len(values) == 1:
-        return T.map(lambda x: f((x,)), values[0])
-    T.require_outer()  # raises: T has no psi
+    """T(f) o psi^(k): apply `f` to each k-tuple drawn from the k T-values,
+    by T's kernel.  An inner-only monad has no kernel and is refused."""
+    if T.lift is None:
+        T.require_outer()
+    return T.lift(f, values)
 
 
 def lift_interp(T: MonadInstance, A: FiniteAlgebra):

@@ -119,13 +119,13 @@ class QuotientMonad:
         """Canonical term mapping to `value` under q (deterministic)."""
         return _KINDS[self.kind][2](self.roles, value)
 
-    def algebra(self, carrier=(), name: str = "") -> FiniteAlgebra:
+    def algebra(self, carrier=()) -> FiniteAlgebra:
         """The canonical algebra structure on an explicit carrier of SY."""
         interp = {
             o.name: functools.partial(self.apply_op, o.name)
             for o in self.theory.signature.ops
         }
-        return FiniteAlgebra(tuple(carrier), interp, name=name)
+        return FiniteAlgebra(tuple(carrier), interp)
 
 
 # ---------------------------------------------------------------------------

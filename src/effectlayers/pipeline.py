@@ -41,21 +41,18 @@ from .terms import (
     run_check,
     tabled,
 )
-from .theories import convex_theory, distributivity, monoid_theory, semilattice_theory
-
-INNER_SEED = "INNER_SEED"
-OUTER = "OUTER"
+from .theories import (
+    INNER_SEED,
+    OUTER,
+    LayerSpec,
+    convex_theory,
+    distributivity,
+    monoid_theory,
+    semilattice_theory,
+)
 
 VERIFIED = "VERIFIED"
 UNVERIFIED = "UNVERIFIED"
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    name: str
-    theory: Theory
-    normalizer: Optional[str] = None  # canonical kind; recognized when omitted
-    role: str = OUTER
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,6 @@ class WeakenedTheory:
     kept: tuple          # equations that survived the lifting
     dropped: tuple       # (Equation, Verdict) pairs
     generated: tuple     # distributivity axioms of the combined language
-    signature: Signature  # union of inner and outer signatures
 
 
 @dataclass(frozen=True)
@@ -151,12 +147,11 @@ def generate_distributivity(inner_sig: Signature, outer_sig: Signature):
 # ---------------------------------------------------------------------------
 # canonical algebra on a composite carrier
 
-def composite_algebra(
-    S: QuotientMonad, outer_q: QuotientMonad, carrier: Sequence
-) -> FiniteAlgebra:
+def composite_algebra(S: QuotientMonad, outer_q: QuotientMonad) -> FiniteAlgebra:
     """Interpret inner ops by lifting through T = `outer_q.monad` and outer
-    ops by T's own canonical algebra, on an explicit (possibly sampled)
-    carrier of T(SX); program evaluation needs none.
+    ops by T's own canonical algebra, on no carrier: program evaluation
+    needs none, and the axiom check gives it a (possibly sampled) carrier
+    of T(SX).
 
     The lifted ops read S's operation table; T's ops are computed afresh.
     """
@@ -165,7 +160,7 @@ def composite_algebra(
         for o in outer_q.theory.signature.ops
     }
     interp = lift_interp(outer_q.monad, S.algebra()) | outer
-    return FiniteAlgebra(tuple(carrier), interp, name="composite")
+    return FiniteAlgebra((), interp)
 
 
 def verify_generated_axioms(
@@ -262,9 +257,8 @@ def compose_stack(
         generated = tuple(
             generate_distributivity(current.signature, layer.theory.signature)
         )
-        combined_sig = current.signature.merge(layer.theory.signature)
         combined = Theory(
-            combined_sig,
+            current.signature.merge(layer.theory.signature),
             tuple(kept) + layer.theory.equations + generated,
             name=f"{weak_name} + {layer.name}",
         )
@@ -272,7 +266,7 @@ def compose_stack(
         law = composite = None
         law_reports = monad_reports = axiom_reports = ()
         S = quotient_monad(weak_inner, bound=b)
-        algebra = composite_algebra(S, outer_q, ())
+        algebra = composite_algebra(S, outer_q)
         algebras.append(StageAlgebra(_composite_unit(T, S.monad), algebra.interp, S))
         if build_laws:
             law, wd = build_quotient_law(S, T, X, b)
@@ -300,9 +294,7 @@ def compose_stack(
                 outer_name=layer.name,
                 profile=profile,
                 verdicts=verdicts,
-                weakened=WeakenedTheory(
-                    tuple(kept), tuple(dropped), generated, combined_sig
-                ),
+                weakened=WeakenedTheory(tuple(kept), tuple(dropped), generated),
                 combined=combined,
                 status=VERIFIED if all(r.ok for r in reports) else UNVERIFIED,
                 law=law,

@@ -113,7 +113,7 @@ def profile_monad(T: MonadInstance, X, b: Bound) -> MonadProfile:
 
 def lifted_algebra(T: MonadInstance, A: FiniteAlgebra, b: Bound) -> FiniteAlgebra:
     carrier = tuple(T.enumerate(A.carrier, b))
-    return FiniteAlgebra(carrier, lift_interp(T, A), name=f"{T.name}-hat({A.name})")
+    return FiniteAlgebra(carrier, lift_interp(T, A))
 
 
 # ---------------------------------------------------------------------------
@@ -153,17 +153,14 @@ def enumerate_algebras(theory: Theory, carrier_size: int):
     # it has now, so each equation is staged once; a model is yielded as a
     # snapshot of its tables
     chosen = [None] * len(ops)
-    name = f"carrier{carrier_size}"
-    A = FiniteAlgebra(
-        carrier, {o.name: _reader(chosen, i) for i, o in enumerate(ops)}, name=name
-    )
+    A = FiniteAlgebra(carrier, {o.name: _reader(chosen, i) for i, o in enumerate(ops)})
 
     def search(depth: int):
         if any(find_violation(A, e, ()) is not None for e in due[depth]):
             return
         if depth == len(ops):
             interp = {o.name: _reader(chosen[:], i) for i, o in enumerate(ops)}
-            yield FiniteAlgebra(carrier, interp, name=name)
+            yield FiniteAlgebra(carrier, interp)
             return
         for t in tables[depth]:
             chosen[depth] = t
@@ -313,7 +310,7 @@ def _lifted_models(T: MonadInstance, inner: Theory, X, b: Bound, search: Callabl
         carrier = tuple(S.monad.enumerate(tuple(X), b))
         if len(carrier) > _FREE_CARRIER_CAP:
             return
-        A = S.algebra(carrier, name=f"free-{kind.lower()}({len(X)} atoms)")
+        A = S.algebra(carrier)
         LA = lifted_algebra(T, A, b)
     except BoundExplosionError:
         return

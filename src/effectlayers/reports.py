@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .pipeline import CompositionReport, StageResult
 from .render import render_term, render_value
 from .terms import Equation, Term
 from .values import Dist, MultiSet, SumAtom
@@ -104,7 +103,15 @@ def _law_dict(r):
     return out
 
 
-def _stage_dict(s: StageResult) -> dict:
+# a stage's three lists of law reports, in the order the reports print them
+_LAW_LISTS = ("law_reports", "monad_reports", "axiom_reports")
+
+
+def _law_lists(s) -> dict:
+    return {k: [_law_dict(r) for r in getattr(s, k)] for k in _LAW_LISTS}
+
+
+def _stage_dict(s) -> dict:
     return {
         "stage": s.index,
         "outer_layer": s.outer_name,
@@ -118,9 +125,7 @@ def _stage_dict(s: StageResult) -> dict:
         "dropped": [describe_eq(e) for e, _ in s.weakened.dropped],
         "unweakened_refusal": s.unweakened_refusal,
         "generated_axioms": [describe_eq(e) for e in s.weakened.generated],
-        "law_reports": [_law_dict(r) for r in s.law_reports],
-        "monad_reports": [_law_dict(r) for r in s.monad_reports],
-        "axiom_reports": [_law_dict(r) for r in s.axiom_reports],
+        **_law_lists(s),
         "combined_theory": {
             "name": s.combined.name,
             "operations": [
@@ -132,7 +137,7 @@ def _stage_dict(s: StageResult) -> dict:
     }
 
 
-def composition_document(report: CompositionReport) -> ReportDocument:
+def composition_document(report) -> ReportDocument:
     return ReportDocument(
         {
             "kind": "composition",
@@ -147,11 +152,11 @@ def composition_document(report: CompositionReport) -> ReportDocument:
     )
 
 
-def check_document(report: CompositionReport) -> ReportDocument:
+def check_document(report) -> ReportDocument:
     stages = []
     for s in report.stages:
         d = _stage_dict(s)
-        for k in ("law_reports", "monad_reports", "axiom_reports"):
+        for k in _LAW_LISTS:
             d.pop(k)
         stages.append(d)
     code = 1 if report.dropped_any else 0
@@ -165,21 +170,13 @@ def check_document(report: CompositionReport) -> ReportDocument:
     )
 
 
-def laws_document(report: CompositionReport) -> ReportDocument:
+def laws_document(report) -> ReportDocument:
     stages = []
     ok = True
     for s in report.stages:
         reports = s.law_reports + s.monad_reports + s.axiom_reports
         ok = ok and bool(reports) and all(r.ok for r in reports)
-        stages.append(
-            {
-                "stage": s.index,
-                "outer_layer": s.outer_name,
-                "law_reports": [_law_dict(r) for r in s.law_reports],
-                "monad_reports": [_law_dict(r) for r in s.monad_reports],
-                "axiom_reports": [_law_dict(r) for r in s.axiom_reports],
-            }
-        )
+        stages.append({"stage": s.index, "outer_layer": s.outer_name, **_law_lists(s)})
     return ReportDocument(
         {
             "kind": "verify-laws",

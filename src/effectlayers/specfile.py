@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .pipeline import INNER_SEED, OUTER, LayerSpec
 from .terms import (
     ARITH,
     App,
@@ -46,7 +45,7 @@ from .terms import (
     Var,
     equation,
 )
-from .theories import describe_equation
+from .theories import INNER_SEED, OUTER, LayerSpec, describe_equation
 from .values import Dist, MultiSet, SumAtom, ValueError_
 
 NORMALIZER_NAMES = {

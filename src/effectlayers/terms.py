@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 
 class TermError(Exception):
@@ -231,14 +231,6 @@ def map_consts(t: Term, f) -> Term:
     return App(t.op, tuple(map_consts(a, f) for a in t.args), t.param)
 
 
-def subst_vars(t: Term, env: Mapping[str, Term]) -> Term:
-    if isinstance(t, Var):
-        return env[t.name]
-    if isinstance(t, Const):
-        return t
-    return App(t.op, tuple(subst_vars(a, env) for a in t.args), t.param)
-
-
 def instantiate_params(t: Term, env: Mapping[str, Fraction]) -> Term:
     """Replace parameter expressions by concrete rationals (may raise
     ParamDivisionByZero, in which case the instance is skipped)."""
@@ -248,19 +240,6 @@ def instantiate_params(t: Term, env: Mapping[str, Fraction]) -> Term:
             p = eval_param(p, env)
         return App(t.op, tuple(instantiate_params(a, env) for a in t.args), p)
     return t
-
-
-def prepare_indices(t: Term, context: Sequence[str]):
-    """0-based projection indices realizing the variable rearrangement of `t`.
-
-    Applying the result to a |context|-tuple lists the values of the variable
-    occurrences of `t`, left to right.
-    """
-    pos = {x: i for i, x in enumerate(context)}
-    try:
-        return tuple(pos[x] for x in term_args(t))
-    except KeyError as exc:
-        raise TermError(f"variable {exc.args[0]!r} not in context {list(context)}")
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +410,6 @@ class FiniteAlgebra:
     carrier: tuple
     # op name -> callable(args_tuple, param: Fraction|None) -> element
     interp: Mapping[str, Callable]
-    name: str = ""
     # (id(t), id(param_env)) -> (t, param_env, term function); holding t and
     # the env keeps both ids from being reused while the entry exists
     staged: dict = field(default_factory=dict, init=False, repr=False, compare=False)

@@ -11,7 +11,8 @@ by its shape, the equation up to renaming, looked up in one index of the
 signature's law instances in both orientations.  A theory of plain
 operations is a kind exactly when its operations, one to each role, make
 its named laws the kind's laws; one parameterized binary operation alone
-is CONVEX.  Anything else is GENERIC.
+is CONVEX.  Anything else is GENERIC.  A `LayerSpec` is one layer of a
+stack: a theory, the normal-form kind that realizes it and its role.
 """
 
 from __future__ import annotations
@@ -35,6 +36,18 @@ from .terms import (
     app,
     equation,
 )
+
+INNER_SEED = "INNER_SEED"
+OUTER = "OUTER"
+
+
+@dataclass(frozen=True)
+class LayerSpec:
+    name: str
+    theory: Theory
+    normalizer: Optional[str] = None  # canonical kind; recognized when omitted
+    role: str = OUTER
+
 
 # ---------------------------------------------------------------------------
 # named laws

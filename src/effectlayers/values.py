@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 
-from .terms import App, Const, Term
+from .terms import App, Const, OpSymbol, Term
 
 
 class ValueError_(Exception):
@@ -38,9 +38,9 @@ def canon_key(v):
     by the tag, so heterogeneous carriers still sort deterministically.
     `MultiSet` and `Dist` keep their key once computed.  The common shapes
     are tested first: `Fraction`'s metaclass is `ABCMeta`, whose
-    `isinstance` test is slow.  A term keeps the key it had as a frozen
-    dataclass, its class name tagged "dc:" over its fields' keys, as the
-    GENERIC representatives are chosen by this order.
+    `isinstance` test is slow.  A term, and an `OpSymbol`, keeps the key it
+    had as a frozen dataclass, its class name tagged "dc:" over its fields'
+    keys, as the GENERIC representatives are chosen by this order.
     """
     if isinstance(v, str):
         return ("str", (), v)
@@ -66,15 +66,11 @@ def canon_key(v):
         return ("bool", (), v)
     if isinstance(v, int):
         return ("int", (), v)
+    if isinstance(v, OpSymbol):
+        fields = (("str", (), v.name), ("int", (), v.arity), ("bool", (), v.param))
+        return ("dc:OpSymbol", fields, ())
     if isinstance(v, Fraction):
         return ("frac", (), (v.numerator, v.denominator))
-    # other frozen dataclasses, `OpSymbol` among them: their fields
-    if hasattr(v, "__dataclass_fields__"):
-        return (
-            "dc:" + type(v).__name__,
-            tuple(canon_key(getattr(v, f)) for f in v.__dataclass_fields__),
-            (),
-        )
     raise TypeError(f"no canonical key for {type(v).__name__}")
 
 

@@ -49,7 +49,8 @@ def flagship_axiom_check(flagship, small_bound):
     s2 = flagship.stages[1]
     carrier = _enum(s2.composite.enumerate, ("a", "b"), small_bound, cap=12)
     outer_q = s2.outer_monad
-    algebra = composite_algebra(replace(s2.inner_monad), outer_q, carrier)
+    algebra = composite_algebra(replace(s2.inner_monad), outer_q)
+    algebra = replace(algebra, carrier=carrier)
     axioms = s2.weakened.generated + flagship.layers[2].theory.equations
     return algebra, axioms, small_bound.prob_grid
 
@@ -57,9 +58,8 @@ def flagship_axiom_check(flagship, small_bound):
 @pytest.fixture(scope="session")
 def choice_over_choice(small_bound):
     """Nondeterminism lifted over nondeterminism (with renamed outer ops)."""
-    from effectlayers.pipeline import INNER_SEED, OUTER, LayerSpec
     from effectlayers.terms import OpSymbol
-    from effectlayers.theories import semilattice_theory
+    from effectlayers.theories import INNER_SEED, OUTER, LayerSpec, semilattice_theory
 
     seed = LayerSpec("inner choice", semilattice_theory(), "SEMILATTICE", INNER_SEED)
     outer = LayerSpec(

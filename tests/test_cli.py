@@ -281,6 +281,15 @@ class TestInputErrors:
         assert (code, out) == (3, "")
         assert err.strip() == "error: prob_grid must not be empty"
 
+    @pytest.mark.parametrize("ceiling", [0, -5])
+    def test_a_ceiling_below_one_exits_3(self, capsys, tmp_path, ceiling):
+        # it would refuse every enumeration, as though the bounds were too wide
+        bounds = tmp_path / "bounds.json"
+        bounds.write_text('{"ceiling": %d}' % ceiling)
+        code, out, err = run(capsys, "check", SPEC, "--bounds", str(bounds))
+        assert (code, out) == (3, "")
+        assert err.strip() == "error: ceiling must be >= 1"
+
     def test_decimal_grid_is_read_exactly(self, capsys, tmp_path):
         outputs = []
         for grid in ('[0, 0.1, 0.9, 1]', '["0", "1/10", "9/10", "1"]'):

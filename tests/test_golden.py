@@ -1,17 +1,18 @@
 """Byte-for-byte guards on the reports and on theory recognition.
 
-`golden/check.json` is the `--json` report of `effectlayers check` on the
-shipped spec; `golden/flagship_laws.json` is the laws report of the
-conftest flagship; `golden/eval.txt` holds one line per evaluator-corpus
-program and stage 0, 1, 2 of the shipped spec: the rendered value, or the
-`TermError` message. `golden/recognition.txt` holds one line per builder
-theory and per copy of it with one or two equations removed: the
-recognized kind, the roles' operations and every equation's pattern name.
+`golden/check.txt` and `golden/check.json` are the text and `--json`
+reports of `effectlayers check` on the shipped spec;
+`golden/flagship_laws.json` is the laws report of the conftest flagship;
+`golden/eval.txt` holds one line per evaluator-corpus program and stage 0,
+1, 2 of the shipped spec: the rendered value, or the `TermError` message.
+`golden/recognition.txt` holds one line per builder theory and per copy of
+it with one or two equations removed: the recognized kind, the roles'
+operations and every equation's pattern name.
 `golden/fragments.txt` holds one line per `distlaw._enum` call of the
 conftest flagship and of the shipped spec at `Bound()`: the stage, the
 call's index within it, the number of values and a sha256 prefix of their
 canonical keys, so a change to how fragments are built cannot move them
-unseen. All five, and the text of an alarm term whose constants are sets,
+unseen. All six, and the text of an alarm term whose constants are sets,
 are also checked in fresh interpreters under PYTHONHASHSEED 0 and 1.
 `golden/compose.txt`, `golden/compose.json`, `golden/verify_laws.txt` and
 `golden/verify_laws.json` are the text and `--json` reports of
@@ -25,7 +26,7 @@ A change that alters one on purpose regenerates it from the repository
 root, and the diff is reviewed with the change:
 
     PYTHONPATH=src python -m effectlayers.cli check specs/probnetkat.layers \\
-        --json tests/golden/check.json
+        --json tests/golden/check.json > tests/golden/check.txt
     PYTHONPATH=src python -m effectlayers compose specs/probnetkat.layers \\
         --json tests/golden/compose.json > tests/golden/compose.txt
     PYTHONPATH=src python -m effectlayers verify-laws specs/probnetkat.layers \\
@@ -91,7 +92,7 @@ FLAGSHIP_BOUND = Bound(
 def test_check_report_is_unchanged(tmp_path, capsys):
     out = tmp_path / "check.json"
     assert main(["check", SPEC, "--json", str(out)]) == 1
-    capsys.readouterr()
+    assert capsys.readouterr().out.encode() == (GOLDEN / "check.txt").read_bytes()
     assert out.read_bytes() == (GOLDEN / "check.json").read_bytes()
 
 

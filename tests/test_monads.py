@@ -52,6 +52,12 @@ class TestBound:
     def test_shrink_is_idempotent(self):
         assert B.shrink().shrink() == B.shrink()
 
+    @pytest.mark.parametrize("ceiling", [0, -5])
+    def test_ceiling_must_be_positive(self, ceiling):
+        # below 1, every enumeration would be refused as too large
+        with pytest.raises(ValueError, match="ceiling must be >= 1"):
+            Bound(ceiling=ceiling)
+
     def test_ceiling_guard(self):
         tight = Bound(max_set_size=4, prob_grid=GRID5, ceiling=5)
         with pytest.raises(BoundExplosionError):
@@ -189,13 +195,11 @@ class TestLiftKernels:
     @pytest.mark.parametrize(
         "T, v", [(free_monoid(), ("a", "b")), (TERMS, TERMS.unit("a"))], ids=["word", "terms"]
     )
-    def test_inner_only_monads_lift_only_up_to_one_argument(self, T, v):
-        assert lift(T, len, ()) == T.unit(0)
-        assert lift(T, lambda xs: xs, (v,)) == T.map(lambda x: (x,), v)
-        with pytest.raises(InnerOnlyMonadError):
-            lift(T, tuple, (v, v))
-        with pytest.raises(InnerOnlyMonadError):
-            lift(T, tuple, (v, v, v))
+    def test_inner_only_monads_refuse_to_lift(self, T, v):
+        # with no kernel there is no psi, at any number of arguments
+        for k in range(4):
+            with pytest.raises(InnerOnlyMonadError):
+                lift(T, tuple, (v,) * k)
 
 
 class TestEnumerators:

@@ -32,7 +32,6 @@ from effectlayers.terms import (
     equation,
     eval_param,
     instantiate_params,
-    subst_vars,
     term_depth,
     term_vars,
 )
@@ -67,6 +66,15 @@ PENVS = [
     {"l": F(1), "t": F(1, 2)},
     {"l": F(1, 2), "t": F(1)},
 ]
+
+
+def subst_vars(t, env):
+    """`t` with each variable replaced by its term in `env`."""
+    if isinstance(t, Var):
+        return env[t.name]
+    if isinstance(t, Const):
+        return t
+    return App(t.op, tuple(subst_vars(a, env) for a in t.args), t.param)
 
 
 def q_interp(q, t, env, penv):

@@ -151,8 +151,8 @@ def compose_with_oplus_weight(monkeypatch, weight):
     sound = pipeline.eval_term(flagship(), quarter, 2, X)
     original = pipeline.composite_algebra
 
-    def with_faulty_oplus(S, outer_q, carrier):
-        A = original(S, outer_q, carrier)
+    def with_faulty_oplus(S, outer_q):
+        A = original(S, outer_q)
         if "⊕" not in A.interp:
             return A
         mix = A.interp["⊕"]

@@ -42,7 +42,6 @@ from effectlayers.terms import (
     app,
     equation,
     find_violation,
-    prepare_indices,
 )
 from effectlayers.theories import (
     PLUS,
@@ -55,6 +54,7 @@ from effectlayers.theories import (
     two_monoids_absorption_theory,
 )
 from effectlayers.values import sort_values
+from test_terms import prepare_indices
 
 BUILDER_THEORIES = (
     monoid_theory,
@@ -211,7 +211,7 @@ def _product_then_filter(theory: Theory, carrier_size: int):
             o.name: (lambda table: (lambda args, param=None: table[args]))(t)
             for o, t in zip(ops, combo)
         }
-        A = FiniteAlgebra(carrier, interp, name=f"carrier{carrier_size}")
+        A = FiniteAlgebra(carrier, interp)
         if all(find_violation(A, e, ()) is None for e in theory.equations):
             yield A
 
@@ -275,7 +275,7 @@ def _restaging_search(theory: Theory, carrier_size: int):
         )
 
     def search(interp: dict, depth: int):
-        A = FiniteAlgebra(carrier, interp, name=f"carrier{carrier_size}")
+        A = FiniteAlgebra(carrier, interp)
         if any(find_violation(A, e, ()) is not None for e in due[depth]):
             return
         if depth == len(ops):

@@ -28,7 +28,6 @@ from effectlayers.terms import (
     find_violation,
     interpret,
     interpret_in_context,
-    prepare_indices,
     render_param,
     tabled,
     term_args,
@@ -39,6 +38,19 @@ from effectlayers.theories import PLUS, SEQ, SKIP, monoid_theory, semilattice_th
 from effectlayers.values import Dist, MultiSet, canon_key, sort_values
 
 x, y, z = Var("x"), Var("y"), Var("z")
+
+
+def prepare_indices(t: Term, context):
+    """0-based projection indices realizing the variable rearrangement of `t`.
+
+    Applying the result to a |context|-tuple lists the values of the variable
+    occurrences of `t`, left to right.
+    """
+    pos = {x: i for i, x in enumerate(context)}
+    try:
+        return tuple(pos[x] for x in term_args(t))
+    except KeyError as exc:
+        raise TermError(f"variable {exc.args[0]!r} not in context {list(context)}")
 
 
 class TestTermBasics:
@@ -217,7 +229,6 @@ def bool_or_algebra():
             "skip": lambda a, p=None: 1,
             "abort": lambda a, p=None: 0,
         },
-        name="bool",
     )
 
 
@@ -290,7 +301,6 @@ def choice_algebra():
             "ch": lambda a, p: a[0] if p >= F(1, 2) else a[1],
             "c": lambda a, p=None: 1,
         },
-        name="choice",
     )
 
 
@@ -544,8 +554,8 @@ class TestRendering:
 # ---------------------------------------------------------------------------
 # differential test: the term classes against the frozen dataclasses they
 # replaced, kept here as a reference.  The copies subclass no `Term`, so
-# `canon_key` reaches them through its dataclass fallback, as it reached
-# the old classes.
+# their keys are `reference_key`'s, the generic dataclass fallback that
+# `canon_key` had for the old classes and for `OpSymbol`.
 
 
 class dataclass_terms:
@@ -639,6 +649,17 @@ term_shapes = st.recursive(
 )
 
 
+def reference_key(v):
+    """`canon_key` with its old fallback for any frozen dataclass: the class
+    name tagged "dc:" over its fields' keys."""
+    if isinstance(v, tuple):
+        return ("tuple", tuple(reference_key(x) for x in v), ())
+    if is_dataclass(v):
+        fields = tuple(reference_key(getattr(v, f)) for f in v.__dataclass_fields__)
+        return ("dc:" + type(v).__name__, fields, ())
+    return canon_key(v)
+
+
 def build(shape, classes):
     kind = shape[0]
     if kind == "var":
@@ -655,6 +676,14 @@ class TestTermClasses:
     def test_no_term_type_is_a_dataclass(self):
         assert not any(is_dataclass(cls) for cls in (Term, Var, Const, App))
 
+    def test_operations_keep_their_dataclass_keys(self):
+        ops = [SEQ, SKIP, PLUS, OPLUS, OpSymbol("f", 3), *ARITH.values()]
+        for op in ops:
+            assert canon_key(op) == reference_key(op)
+        assert canon_key(OPLUS) == (
+            "dc:OpSymbol", (("str", (), "⊕"), ("int", (), 2), ("bool", (), True)), ()
+        )
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(term_shapes, min_size=1, max_size=6))
     def test_agree_with_the_frozen_dataclasses(self, shapes):
@@ -663,13 +692,13 @@ class TestTermClasses:
         for n, o in zip(new, old):
             assert repr(n) == repr(o)
             assert hash(n) == hash(o)
-            assert canon_key(n) == canon_key(o)
+            assert canon_key(n) == reference_key(o)
         for i, j in product(range(len(new)), repeat=2):
             assert (new[i] == new[j]) == (old[i] == old[j])
             assert (new[i] != new[j]) == (old[i] != old[j])
         index = {id(t): i for i, t in enumerate(new + old)}
         got = [index[id(t)] for t in sort_values(new)]
-        want = [index[id(t)] - len(new) for t in sort_values(old)]
+        want = [index[id(t)] - len(new) for t in sorted(old, key=reference_key)]
         assert got == want
 
     @settings(max_examples=100, deadline=None)
