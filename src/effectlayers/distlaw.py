@@ -33,6 +33,7 @@ from .monads import (
     composite,
     free_term_monad,
     lift_interp,
+    symmetry_witness,
 )
 from .normal_forms import QuotientMonad
 from .reports import encode_value
@@ -346,11 +347,6 @@ def verify_monoidal(T: MonadInstance, X, b: Bound) -> list:
         rhs = T.mult(T.map(lambda p: T.fubini(p[0], p[1]), T.fubini(uu, vv)))
         return {"uu": uu, "vv": vv, "lhs": lhs, "rhs": rhs} if lhs != rhs else None
 
-    def sym(u, v):
-        if T.map(lambda p: (p[1], p[0]), T.fubini(u, v)) != T.fubini(v, u):
-            return {"u": u, "v": v}
-        return None
-
     X = tuple(X)
     nb = b.shrink()
     frag = f"|X|={len(X)}"
@@ -365,7 +361,7 @@ def verify_monoidal(T: MonadInstance, X, b: Bound) -> list:
         run_check("MF3", product(tx), mf3, frag),
         run_check("MM1", product(X, repeat=2), mm1, frag),
         run_check("MM2", product(ttsmall, repeat=2), mm2, frag + " (nested, sampled)"),
-        run_check("SYM", product(tx, repeat=2), sym, frag),
+        run_check("SYM", product(tx, repeat=2), symmetry_witness(T), frag),
     ]
 
 

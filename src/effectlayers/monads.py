@@ -7,7 +7,9 @@ k arguments, which is the monad's n-ary monoidal structure (Kock, "Strong
 functors and monoidal monads", 1972).  ψ^(k) is `lift(T, tuple, values)`,
 and binary ψ (`MonadInstance.fubini`) is derived from it.  Their coherence
 (MF.1-3, MM.1-2, SYM) is checked by the Tier-1 tests, `verify_monoidal` in
-`tests/test_monads.py` and acceptance criterion 1, not by the pipeline.
+`tests/test_monads.py` and acceptance criterion 1, not by the pipeline;
+the pipeline checks SYM alone, through the same `symmetry_witness`, as part
+of each outer monad's profile.
 Enumerators list *all* values over a finite carrier within a
 `Bound`, in deterministic order, and refuse to run when the count would
 exceed the configured ceiling.
@@ -156,6 +158,20 @@ def lift(T: MonadInstance, f: Callable, values):
     if T.lift is None:
         T.require_outer()
     return T.lift(f, values)
+
+
+def symmetry_witness(T: MonadInstance) -> Callable:
+    """The symmetry law T(swap) o psi = psi o swap at a pair (u, v): None
+    where it holds, else the pair and both sides."""
+
+    def witness(u, v):
+        lhs = T.map(lambda p: (p[1], p[0]), T.fubini(u, v))
+        rhs = T.fubini(v, u)
+        if lhs != rhs:
+            return {"u": u, "v": v, "T(swap).psi": lhs, "psi.swap": rhs}
+        return None
+
+    return witness
 
 
 def lift_interp(T: MonadInstance, A: FiniteAlgebra):

@@ -18,7 +18,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .monads import Bound, BoundExplosionError, MonadInstance, lift_interp
+from .monads import (
+    Bound,
+    BoundExplosionError,
+    InnerOnlyMonadError,
+    MonadInstance,
+    lift_interp,
+    symmetry_witness,
+)
 from .normal_forms import quotient_monad
 from .terms import (
     App,
@@ -43,68 +50,53 @@ class MonadProfile:
     affine: LawReport
 
 
-class NonSymmetricMonadError(Exception):
-    """Lifting through a non-symmetric monad is unjustified."""
+class NonSymmetricMonadError(InnerOnlyMonadError):
+    """Lifting through a non-symmetric monad is unjustified: such a monad can
+    only be an inner layer."""
 
 
 # ---------------------------------------------------------------------------
-# probes
-
-def probe_symmetric(T: MonadInstance, X, b: Bound) -> LawReport:
-    """T(swap) o psi = psi o swap on all enumerated pairs."""
-    T.require_outer()
-
-    def witness(u, v):
-        lhs = T.map(lambda p: (p[1], p[0]), T.fubini(u, v))
-        rhs = T.fubini(v, u)
-        if lhs != rhs:
-            return {"u": u, "v": v, "T(swap).psi": lhs, "psi.swap": rhs}
-        return None
-
-    values = T.enumerate(tuple(X), b)
-    frag = f"{T.name} on {sorted(map(str, X))}"
-    return run_check("symmetric", itertools.product(values, repeat=2), witness, frag)
-
+# the profile
 
 def relevance_sides(T: MonadInstance, v):
     """Both legs of the relevance square at a single TX value (replayable)."""
     return T.fubini(v, v), T.map(lambda x: (x, x), v)
 
 
-def probe_relevant(T: MonadInstance, X, b: Bound) -> LawReport:
-    """psi o diagonal = T(diagonal); failure witnesses variable duplication.
+def profile_monad(T: MonadInstance, X, b: Bound) -> MonadProfile:
+    """T's symmetry, relevance and affineness on one enumeration of the
+    fragment of carrier `X` within `b`.  A T that is not symmetric is refused.
 
-    The values are visited in canonical order, so the witness reported is
-    the canonically smallest and replays are stable across runs.
+    symmetric: T(swap) o psi = psi o swap on all pairs.  relevant: psi o
+    diagonal = T(diagonal); failure witnesses variable duplication.  affine:
+    T(!) = eta_1 o !; failure witnesses variable dropping.  Relevance visits
+    the values in canonical order, so its witness is the canonically
+    smallest and replays are stable across runs.
     """
     T.require_outer()
+    values = T.enumerate(tuple(X), b)
+    frag = f"{T.name} on {sorted(map(str, X))}"
+    symmetric = run_check(
+        "symmetric", itertools.product(values, repeat=2), symmetry_witness(T), frag
+    )
+    if not symmetric.ok:
+        raise NonSymmetricMonadError(
+            f"monad {T.name!r} failed the symmetry probe; lifting is unjustified"
+        )
 
-    def witness(v):
+    def relevance(v):
         lhs, rhs = relevance_sides(T, v)
         return {"value": v, "psi.diag": lhs, "T(diag)": rhs} if lhs != rhs else None
 
-    values = sorted(T.enumerate(tuple(X), b), key=canon_key)
-    frag = f"{T.name} on {sorted(map(str, X))}"
-    return run_check("relevant", itertools.product(values), witness, frag)
-
-
-def probe_affine(T: MonadInstance, X, b: Bound) -> LawReport:
-    """T(!) = eta_1 o !; failure witnesses variable dropping."""
-
-    def witness(v):
+    def affineness(v):
         lhs, rhs = T.map(lambda _: (), v), T.unit(())
         return {"value": v, "T(!)": lhs, "eta_1": rhs} if lhs != rhs else None
 
-    values = T.enumerate(tuple(X), b)
-    frag = f"{T.name} on {sorted(map(str, X))}"
-    return run_check("affine", itertools.product(values), witness, frag)
-
-
-def profile_monad(T: MonadInstance, X, b: Bound) -> MonadProfile:
+    ordered = sorted(values, key=canon_key)
     return MonadProfile(
-        symmetric=probe_symmetric(T, X, b),
-        relevant=probe_relevant(T, X, b),
-        affine=probe_affine(T, X, b),
+        symmetric=symmetric,
+        relevant=run_check("relevant", itertools.product(ordered), relevance, frag),
+        affine=run_check("affine", itertools.product(values), affineness, frag),
     )
 
 
@@ -239,16 +231,13 @@ def check_preservation(
 ) -> Verdict:
     """Decision cascade for 'does the lifting through T preserve e?'.
 
+    `profile` is T's `profile_monad`, which has refused a non-symmetric T.
     Brute force runs on the fragment of carrier `X` within `b`, over the
     algebras of the inner theory `theory`, which defaults to the equation
     alone.  `search(theory, size)` gives those algebras, a fresh
     `enumerate_algebras` by default; checks given one `shared_search()`
     share its searches.
     """
-    if not profile.symmetric.ok:
-        raise NonSymmetricMonadError(
-            f"monad {T.name!r} failed the symmetry probe; lifting is unjustified"
-        )
     if e.lhs == e.rhs:
         return Verdict(e, PRESERVED_SYNTACTIC, THM_IDENTITY)
 

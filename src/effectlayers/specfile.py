@@ -45,7 +45,7 @@ from .terms import (
     Var,
     equation,
 )
-from .theories import INNER_SEED, OUTER, LayerSpec, describe_equation
+from .theories import INNER_SEED, OUTER, LayerSpec, law_name
 from .values import Dist, MultiSet, SumAtom, ValueError_
 
 NORMALIZER_NAMES = {
@@ -350,11 +350,14 @@ def parse_spec(text: str) -> SpecFile:
     if not layers:
         t = ts.peek()
         raise SpecParseError("at least one inner seed layer is required", t.line, t.col)
-    # a program would read such an atom as the operation
+    # a program would read such an atom as the operation, a keyword or the
+    # empty word
     ops = {o.name for layer in layers for o in layer.theory.signature.ops}
     for t in atoms.values():
         if t.text in ops:
             raise SpecParseError(f"atom {t.text!r} names an operation", t.line, t.col)
+        if t.text == EMPTY_WORD or t.text in KEYWORDS:
+            raise SpecParseError(f"atom {t.text!r} is a reserved word", t.line, t.col)
     return SpecFile(tuple(atoms), tuple(layers))
 
 
@@ -392,16 +395,7 @@ def _parse_layer(ts: _Stream, role: str) -> LayerSpec:
             ts.expect("punct", "=")
             rhs = _parse_term(ts, sig, _var_leaf)
             ts.expect("punct", ";")
-            try:
-                e = equation(lhs, rhs)
-                pattern = describe_equation(e, sig)
-                if pattern != e.describe():
-                    e = equation(lhs, rhs, name=pattern)
-                equations.append(e)
-            except SpecParseError:
-                raise
-            except Exception as exc:
-                raise SpecParseError(str(exc), t.line, t.col)
+            equations.append(equation(lhs, rhs, name=law_name(lhs, rhs, sig)))
             continue
         if t.kind == "ident" and t.text == "normalizer":
             ts.next()

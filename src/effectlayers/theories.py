@@ -168,10 +168,11 @@ def _named_laws(sig: Signature) -> dict:
     return index
 
 
-def describe_equation(e: Equation, sig: Signature) -> str:
-    """Best-effort pattern name for reports; falls back to rendered terms."""
-    law = _named_laws(sig).get(_shape(e.lhs, e.rhs))
-    return _law_name(*law) if law else e.describe()
+def law_name(lhs: Term, rhs: Term, sig: Signature) -> str:
+    """The name of the law of `sig` that lhs = rhs is up to renaming, or ""
+    when it is no law."""
+    law = _named_laws(sig).get(_shape(lhs, rhs))
+    return _law_name(*law) if law else ""
 
 
 # ---------------------------------------------------------------------------

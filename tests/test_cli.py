@@ -215,6 +215,21 @@ class TestInputErrors:
         assert code == 3
         assert err.strip() == f"error: {line}:7: atom 'skip' names an operation"
 
+    @pytest.mark.parametrize("word", ["ε", "atoms", "layer", "op", "eq", "normalizer"])
+    @pytest.mark.parametrize(
+        "command", [["check"], ["eval", "-e", "a"]], ids=["check", "eval"]
+    )
+    def test_a_reserved_atom_name_exits_3(self, capsys, tmp_path, command, word):
+        # a program cannot write a keyword as an atom, and reads ε as the
+        # empty word
+        bad = tmp_path / "bad.layers"
+        text = Path(SPEC).read_text(encoding="utf-8")
+        bad.write_text(text.replace("atoms a b c;", f"atoms {word} a;"), encoding="utf-8")
+        line = text[: text.index("atoms a b c;")].count("\n") + 1
+        code, _, err = run(capsys, command[0], str(bad), *command[1:])
+        assert code == 3
+        assert err.strip() == f"error: {line}:7: atom {word!r} is a reserved word"
+
     @pytest.mark.parametrize("digit", ["²", "٣"])
     def test_non_ascii_digit_exits_3(self, capsys, tmp_path, digit):
         bad = tmp_path / "bad.layers"

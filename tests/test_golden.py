@@ -68,8 +68,8 @@ from effectlayers.theories import (
     SEQ,
     comm_monoid_theory,
     convex_theory,
-    describe_equation,
     idem_semiring_theory,
+    law_name,
     monoid_theory,
     recognize_theory,
     semilattice_theory,
@@ -154,7 +154,7 @@ def recognition_lines() -> str:
                 lines.append(
                     f"{label} - [{', '.join(eqs[i].name for i in gone)}]: {kind}"
                     + "".join(f" {role}={op.name}" for role, op in ops if op)
-                    + "".join(f" | {describe_equation(e, sig)}" for e in kept)
+                    + "".join(f" | {law_name(e.lhs, e.rhs, sig) or e.describe()}" for e in kept)
                     + "\n"
                 )
     return "".join(lines)

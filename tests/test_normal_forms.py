@@ -38,8 +38,8 @@ from effectlayers.terms import (
 from effectlayers.theories import (
     comm_monoid_theory,
     convex_theory,
-    describe_equation,
     idem_semiring_theory,
+    law_name,
     monoid_theory,
     semilattice_theory,
     semiring_theory,
@@ -708,6 +708,7 @@ def test_law_names_equal_the_alpha_matcher(sig):
     equations.append(equation(x, y))
     named = 0
     for e in equations:
-        assert describe_equation(e, sig) == _old_describe(e, sig), e.describe()
+        got = law_name(e.lhs, e.rhs, sig) or e.describe()
+        assert got == _old_describe(e, sig), e.describe()
         named += _old_pattern(e, sig) is not None
     assert named > len(equations) // 3

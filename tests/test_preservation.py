@@ -1,17 +1,21 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from effectlayers import pipeline, preservation
+from effectlayers.distlaw import verify_monoidal
 from effectlayers.monads import (
     Bound,
+    InnerOnlyMonadError,
     MonadInstance,
     fin_distribution,
     fin_powerset,
     lift,
     multiset,
+    symmetry_witness,
 )
 from effectlayers.preservation import (
     FALSIFIED,
@@ -23,7 +27,6 @@ from effectlayers.preservation import (
     THM_RELEVANT,
     UNKNOWN,
     NonSymmetricMonadError,
-    MonadProfile,
     _algebra_table,
     check_preservation,
     enumerate_algebras,
@@ -34,7 +37,6 @@ from effectlayers.specfile import parse_spec
 from effectlayers.terms import (
     FAIL,
     FiniteAlgebra,
-    LawReport,
     OpSymbol,
     Signature,
     Theory,
@@ -44,7 +46,10 @@ from effectlayers.terms import (
     find_violation,
 )
 from effectlayers.theories import (
+    INNER_SEED,
+    OUTER,
     PLUS,
+    LayerSpec,
     comm_monoid_theory,
     convex_theory,
     idem_semiring_theory,
@@ -54,6 +59,7 @@ from effectlayers.theories import (
     two_monoids_absorption_theory,
 )
 from effectlayers.values import sort_values
+from test_planted import biased_psi
 from test_terms import prepare_indices
 
 BUILDER_THEORIES = (
@@ -165,14 +171,48 @@ class TestCascade:
         assert v.status == FALSIFIED
         assert v.counterexample["lhs"] != v.counterexample["rhs"]
 
-    def test_non_symmetric_profile_refuses(self, profiles):
-        broken = MonadProfile(
-            symmetric=LawReport("symmetric", FAIL, {"lhs": 0, "rhs": 1}),
-            relevant=profiles["P"].relevant,
-            affine=profiles["P"].affine,
-        )
+    def test_non_symmetric_profile_refuses(self):
         with pytest.raises(NonSymmetricMonadError):
-            check_preservation(fin_powerset(), equation(app(PLUS, x, y), x), broken, X, B)
+            profile_monad(biased_psi(fin_powerset()), X, B)
+
+
+class TestOneProfile:
+    def test_the_profile_enumerates_the_fragment_once(self):
+        P = fin_powerset()
+        calls = []
+
+        def counting(carrier, b):
+            calls.append((carrier, b))
+            return P.enumerate(carrier, b)
+
+        profile_monad(replace(P, enumerate=counting), X, B)
+        assert calls == [(X, B)]
+
+    def test_a_non_symmetric_monad_is_an_inner_only_monad(self):
+        with pytest.raises(InnerOnlyMonadError):
+            profile_monad(biased_psi(fin_powerset()), X, B)
+
+    def test_a_seed_without_equations_still_refuses_a_non_symmetric_monad(self, monkeypatch):
+        choice = semilattice_theory()
+        original = pipeline.quotient_monad
+
+        def planted(theory, kind=None, bound=None):
+            S = original(theory, kind, bound=bound)
+            return replace(S, monad=biased_psi(S.monad)) if theory is choice else S
+
+        monkeypatch.setattr(pipeline, "quotient_monad", planted)
+        seed = LayerSpec("free", Theory(Signature((SEQ,)), ()), "GENERIC", INNER_SEED)
+        outer = LayerSpec("choice", choice, "SEMILATTICE", OUTER)
+        with pytest.raises(NonSymmetricMonadError):
+            compose_stack([seed, outer], atoms=X, bound=B, build_laws=False)
+
+    def test_sym_fails_with_the_profiles_witness(self):
+        T = biased_psi(fin_powerset())
+        (sym,) = [r for r in verify_monoidal(T, X, B) if r.axiom == "SYM"]
+        assert sym.status == FAIL
+        w = sym.counterexample
+        assert w == symmetry_witness(T)(w["u"], w["v"])
+        assert w["T(swap).psi"] != w["psi.swap"]
 
 
 class TestEnumerateAlgebras:

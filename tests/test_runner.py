@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from effectlayers.monads import Bound, fin_distribution, fin_powerset, multiset
-from effectlayers.preservation import probe_relevant, relevance_sides
+from effectlayers.preservation import profile_monad, relevance_sides
 from effectlayers.terms import (
     ARITH,
     FAIL,
@@ -119,7 +119,7 @@ def test_relevance_witness_is_the_canonically_smallest_failure(T, X):
     assert failures
     v = min(failures, key=canon_key)
     lhs, rhs = relevance_sides(T, v)
-    report = probe_relevant(T, X, b)
+    report = profile_monad(T, X, b).relevant
     assert report.status == FAIL
     assert report.counterexample == {"value": v, "psi.diag": lhs, "T(diag)": rhs}
 
