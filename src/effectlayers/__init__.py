@@ -20,7 +20,7 @@ from .monads import (
     free_term_monad,
     multiset,
 )
-from .normal_forms import CANONICAL_KINDS, QuotientMonad, quotient_monad
+from .normal_forms import QuotientMonad, quotient_monad
 from .pipeline import (
     CompositionReport,
     StageResult,

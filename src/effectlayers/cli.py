@@ -14,8 +14,12 @@ Exit codes:
                  is missing (drops do not count)
     eval         0
     all          2 = the distributive law was refused (compose and
-                 verify-laws), 3 = input error or inconclusive
+                 verify-laws), 3 = input error, input nested too deeply,
+                 a --json path that cannot be written, or inconclusive
                  normalization
+
+Each command is one row of `_COMMANDS`: its help and the builder of its
+report document, whose `exit_code` is the command's exit code.
 """
 
 from __future__ import annotations
@@ -42,18 +46,50 @@ from .specfile import SpecParseError, parse_program, parse_spec
 from .terms import ParamDivisionByZero, TermError
 from .values import ValueError_
 
+
+def _eval_document(report, spec, args) -> ReportDocument:
+    stage = args.stage if args.stage is not None else len(report.stages)
+    program = parse_program(args.program, spec.signature_at(stage), spec.atoms)
+    value = render_value(eval_term(report, program, stage, spec.atoms))
+    return ReportDocument(
+        {"kind": "eval", "program": args.program, "stage": stage, "value": value}
+    )
+
+
+# command -> (help, document builder); every document but eval's carries its
+# exit code, and eval prints its value alone
+_COMMANDS = {
+    "check": ("run preservation checks for every stage",
+              lambda report, spec, args: check_document(report)),
+    "compose": ("run the full composition pipeline",
+                lambda report, spec, args: composition_document(report)),
+    "verify-laws": ("verify distributive-law and monad axioms",
+                    lambda report, spec, args: laws_document(report)),
+    "eval": ("evaluate a closed program at a stage", _eval_document),
+}
+
+# input and runtime failures, each reported on one line with exit 3
+_FAILURES = (
+    OSError,
+    ValueError,  # a malformed bounds file, and json's decode errors
+    RecursionError,  # input nested too deeply
+    SpecParseError,
+    TermError,
+    ParamDivisionByZero,
+    ValueError_,
+    BoundExplosionError,
+    InnerOnlyMonadError,
+    InconclusiveNormalization,
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="effectlayers",
         description="compose algebraic effect layers and audit the resulting theory",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, help_ in (
-        ("check", "run preservation checks for every stage"),
-        ("compose", "run the full composition pipeline"),
-        ("verify-laws", "verify distributive-law and monad axioms"),
-        ("eval", "evaluate a closed program at a stage"),
-    ):
+    for name, (help_, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("spec", help="path to a .layers file")
         sp.add_argument("--bounds", help="JSON file overriding enumeration bounds")
@@ -111,11 +147,11 @@ def _json_text(value) -> str:
     return str(value) if isinstance(value, Decimal) else json.dumps(value)
 
 
-def _emit(doc: ReportDocument, json_path, stream) -> None:
+def _emit(doc: ReportDocument, json_path, text: str) -> None:
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
             fh.write(doc.to_json() + "\n")
-    print(doc.to_text(), file=stream)
+    print(text)
 
 
 def main(argv=None) -> int:
@@ -123,62 +159,20 @@ def main(argv=None) -> int:
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = parse_spec(fh.read())
-        bound = _load_bounds(args.bounds)
-    except (OSError, SpecParseError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-
-    try:
         report = compose_stack(
             spec.layers,
             atoms=spec.atoms,
-            bound=bound,
+            bound=_load_bounds(args.bounds),
             build_laws=args.command in ("compose", "verify-laws"),
         )
-        if args.command == "check":
-            doc = check_document(report)
-            _emit(doc, args.json_path, sys.stdout)
-            return doc.data["exit_code"]
-
-        if args.command == "compose":
-            doc = composition_document(report)
-            _emit(doc, args.json_path, sys.stdout)
-            return report.exit_code
-
-        if args.command == "verify-laws":
-            doc = laws_document(report)
-            _emit(doc, args.json_path, sys.stdout)
-            return doc.data["exit_code"]
-
-        # eval
-        stage = args.stage if args.stage is not None else len(report.stages)
-        program = parse_program(args.program, spec.signature_at(stage), spec.atoms)
-        value = eval_term(report, program, stage, spec.atoms)
-        print(render_value(value))
-        if args.json_path:
-            doc = ReportDocument(
-                {
-                    "kind": "eval",
-                    "program": args.program,
-                    "stage": stage,
-                    "value": render_value(value),
-                }
-            )
-            with open(args.json_path, "w", encoding="utf-8") as fh:
-                fh.write(doc.to_json() + "\n")
-        return 0
+        doc = _COMMANDS[args.command][1](report, spec, args)
+        text = doc.data["value"] if args.command == "eval" else doc.to_text()
+        _emit(doc, args.json_path, text)
+        return doc.data.get("exit_code", 0)
     except LawRefusedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        SpecParseError,
-        TermError,
-        ParamDivisionByZero,
-        ValueError_,
-        BoundExplosionError,
-        InnerOnlyMonadError,
-        InconclusiveNormalization,
-    ) as exc:
+    except _FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

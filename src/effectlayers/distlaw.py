@@ -18,13 +18,11 @@ over evenly spaced samples of their nested inputs.
 
 from __future__ import annotations
 
-import weakref
-from functools import cache, partial
+from functools import partial
 from itertools import product
-from dataclasses import dataclass, field
-from typing import Optional
-
+from dataclasses import dataclass
 from dataclasses import replace as _replace
+from typing import NamedTuple, Optional
 
 from .monads import (
     Bound,
@@ -65,12 +63,10 @@ class QuotientLaw:
         # dataclasses.replace lifts both through its own outer
         fused = lift_interp(self.outer, self.inner.algebra())
         object.__setattr__(self, "_fused", FiniteAlgebra((), fused).op)
-        # lambda of each S-value; a copy starts empty, and compose_stack
-        # empties it once the stage's law and monad checks are done.  It
-        # reads the law through a weak reference: in a reference cycle, a
-        # law would outlive its report until the cyclic collector ran
-        law = weakref.ref(self)
-        object.__setattr__(self, "fold", cache(lambda sv: law()._fold(sv)))
+        # lambda of each S-value, read and filled by `apply`; a copy starts
+        # empty, and compose_stack empties it once the stage's law and
+        # monad checks are done
+        object.__setattr__(self, "memo", {})
         ops = {o.name: partial(App, o) for o in self.inner.theory.signature.ops}
         lifted = lift_interp(self.outer, FiniteAlgebra((), ops))
         object.__setattr__(self, "_rho_ops", FiniteAlgebra((), lifted).op)
@@ -91,7 +87,11 @@ class QuotientLaw:
         of `sv` in the lifted algebra T(op_S) o psi^(k) with leaves T(eta_S);
         it equals T(q) o rho, against which the well-definedness check
         tests it."""
-        return self.fold(sv)
+        try:
+            return self.memo[sv]
+        except KeyError:
+            tv = self.memo[sv] = self._fold(sv)
+            return tv
 
     def _fold(self, sv):
         rep = self.inner.representative(sv)  # term over Const(T-value)
@@ -287,22 +287,13 @@ def _functions(domain, codomain):
 # ---------------------------------------------------------------------------
 # composite monad
 
-@dataclass(frozen=True)
-class CompositeMonad:
-    outer: MonadInstance  # T
-    inner: QuotientMonad  # S
-    law: QuotientLaw
-    monad: MonadInstance = field(init=False)
-
-    def __post_init__(self):
-        # S's mu through the inner quotient's table
-        T, S = self.outer, _replace(self.inner.monad, mult=self.inner.mult)
-        monad = composite(T, S, self.law.apply, f"{T.name}({S.name})")
-        object.__setattr__(self, "monad", monad)
+class CompositeMonad(NamedTuple):
+    monad: MonadInstance  # T∘S, determined by the law alone
 
 
 def compose(T: MonadInstance, S: QuotientMonad, law: QuotientLaw) -> CompositeMonad:
-    return CompositeMonad(T, S, law)
+    inner = _replace(S.monad, mult=S.mult)  # S's mu through the quotient's table
+    return CompositeMonad(composite(T, inner, law.apply, f"{T.name}({inner.name})"))
 
 
 def verify_monoidal(T: MonadInstance, X, b: Bound) -> list:

@@ -136,7 +136,8 @@ class MonadInstance:
     def require_outer(self):
         if self.lift is None:
             raise InnerOnlyMonadError(
-                f"monad {self.name!r} is non-commutative and can only be an inner layer"
+                f"monad {self.name!r} has no lifting kernel (ψ), so it can only be"
+                " an inner layer"
             )
 
     def fubini(self, u, v):

@@ -371,9 +371,6 @@ _KINDS = {
     "TWO_MONOIDS_ABSORB": (_tm_monad, _sum_of_words(_counted), _rep_words),
 }
 
-CANONICAL_KINDS = tuple(_KINDS)
-
-
 def quotient_monad(
     theory: Theory, kind: Optional[str] = None, bound: Optional[Bound] = None
 ) -> QuotientMonad:
@@ -556,13 +553,10 @@ def generic_quotient_monad(
     default_bound = bound or Bound()
 
     @functools.cache
-    def depth_bound(depth: int) -> Bound:  # building a Bound validates its grid
-        return replace(default_bound, max_term_depth=depth)
-
-    @functools.cache
     def term_closure(carrier: tuple, depth: int) -> CongruenceClosure:
-        # keyed on the depth, not the Bound, whose hash hashes its grid
-        return closure(carrier, depth_bound(depth))
+        # keyed on the depth, not the Bound, whose hash hashes its grid; a
+        # miss builds the Bound, which validates its grid
+        return closure(carrier, replace(default_bound, max_term_depth=depth))
 
     def norm_term(t: Term):
         carrier = tuple(sort_values(set(_consts(t))))
@@ -590,9 +584,8 @@ def generic_quotient_monad(
         lift=None,
         enumerate=enum,
     )
-    _, roles = recognize_theory(theory)
-
-    return _GenericQuotient("GENERIC", theory, roles, monad, norm_term)
+    # GENERIC reads no role
+    return _GenericQuotient("GENERIC", theory, Roles(), monad, norm_term)
 
 
 def _consts(t: Term):

@@ -274,7 +274,7 @@ def compose_stack(
             monad_reports = tuple(verify_monad(composite, X, b))
             # the carrier and the axioms never apply lambda; S's tables go
             # too, so no two checks' tables are held at once
-            law.fold.cache_clear()
+            law.memo.clear()
             S.clear_memos()
             carrier = _enum(composite.enumerate, X, b, cap=algebra_cap)
             axiom_reports = tuple(

@@ -39,7 +39,6 @@ from .terms import (
     find_violation,
     run_check,
 )
-from .theories import recognize_theory
 from .values import canon_key
 
 
@@ -291,10 +290,9 @@ def _lifted_models(T: MonadInstance, inner: Theory, X, b: Bound, search: Callabl
                     lifted_algebra(T, A, b),
                     f"lifted algebra on carrier size {size}",
                 )
-    kind, _ = recognize_theory(inner)
-    if kind == "GENERIC":
+    S = quotient_monad(inner)
+    if S.kind == "GENERIC":
         return
-    S = quotient_monad(inner, kind)
     try:
         carrier = tuple(S.monad.enumerate(tuple(X), b))
         if len(carrier) > _FREE_CARRIER_CAP:
@@ -303,8 +301,8 @@ def _lifted_models(T: MonadInstance, inner: Theory, X, b: Bound, search: Callabl
         LA = lifted_algebra(T, A, b)
     except BoundExplosionError:
         return
-    base = f"free {kind.lower()} algebra on atoms {sorted(map(str, X))}"
-    yield base, LA, f"lifted free {kind.lower()} algebra on {len(X)} atoms"
+    base = f"free {S.kind.lower()} algebra on atoms {sorted(map(str, X))}"
+    yield base, LA, f"lifted free {S.kind.lower()} algebra on {len(X)} atoms"
 
 
 def _counterexample(base_algebra, w: dict) -> dict:

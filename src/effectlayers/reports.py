@@ -21,8 +21,8 @@ from .values import Dist, MultiSet, SumAtom
 class ReportDocument:
     data: dict
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.data, indent=indent, ensure_ascii=False, sort_keys=False)
+    def to_json(self) -> str:
+        return json.dumps(self.data, indent=2, ensure_ascii=False)
 
     def to_text(self) -> str:
         return "\n".join(_text_lines(self.data, 0))

@@ -186,12 +186,6 @@ class MultiSet(_Weighted):
             for _ in range(n):
                 yield e
 
-    def union(self, other: "MultiSet") -> "MultiSet":
-        counts = dict(self._d)
-        for e, n in other._d.items():
-            counts[e] = counts.get(e, 0) + n
-        return MultiSet._trusted(counts)
-
 
 class Dist(_Weighted):
     """Finitely supported distribution with exact rational weights summing

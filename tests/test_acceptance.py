@@ -300,7 +300,7 @@ def _oracle_msets(t):
             {u + v: i * j for u, i in a.items() for v, j in b.items()}
         )
     if name == "+":
-        return a.union(b)
+        return MultiSet([*a, *b])  # each element counted once per copy
     raise AssertionError(f"unexpected op {name}")
 
 

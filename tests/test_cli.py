@@ -174,6 +174,31 @@ class TestInputErrors:
         code, _, err = run(capsys, "check", "/nonexistent.layers")
         assert code == 3 and "error" in err
 
+    def test_a_deep_program_exits_3(self, capsys):
+        # parsing and evaluation recurse once per level of nesting
+        program = ";".join(["a"] * 600)
+        code, out, err = run(capsys, "eval", SPEC, "-e", program, "--stage", "2")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_a_deep_equation_exits_3(self, capsys, tmp_path):
+        # exit 1 would say that equations were dropped
+        deep = ";".join(["x"] * 700)
+        spec = tmp_path / "deep.layers"
+        text = Path(SPEC).read_text(encoding="utf-8")
+        spec.write_text(
+            text.replace("eq x;skip = x;", f"eq {deep};skip = {deep};"), encoding="utf-8"
+        )
+        code, out, err = run(capsys, "check", str(spec))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_a_json_path_in_a_missing_directory_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "check.json"
+        code, out, err = run(capsys, "check", SPEC, "--json", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and str(path) in err
+
     def test_parse_error_is_located(self, capsys, tmp_path):
         bad = tmp_path / "bad.layers"
         bad.write_text("atoms a;\nlayer l {\n  op ;\n}\n")
@@ -369,6 +394,14 @@ _MIXED_SEED = (
 )
 
 
+# the monoid laws alone, for a test to put an outer layer above
+_MONOID_SEED = (
+    "atoms a b;\nlayer seed {\n"
+    '  op ";" : 2;\n  op "skip" : 0;\n'
+    "  eq x;skip = x;\n  eq skip;x = x;\n  eq x;(y;z) = (x;y);z;\n}\n"
+)
+
+
 class TestErrorPaths:
     def test_inconclusive_normalization_exits_3(self, capsys, tmp_path):
         # the closure's universe has no coin of weight 1/3
@@ -448,6 +481,27 @@ class TestErrorPaths:
         code, out, err = run(capsys, "eval", str(spec), "-e", "c", "--stage", "0")
         assert (code, out) == (3, "")
         assert err.strip() == "error: convex normal forms do not interpret 'c'"
+
+    @pytest.mark.parametrize(
+        "layer, name",
+        [
+            ('layer choice {\n  op "+" : 2;\n  eq x + y = y + x;\n}\n', "choice"),
+            ("layer empty { }\n", "empty"),
+        ],
+        ids=["commutative", "empty"],
+    )
+    def test_an_outer_layer_without_a_lifting_kernel_exits_3(
+        self, capsys, tmp_path, layer, name
+    ):
+        # a GENERIC monad has no ψ, whether or not its operations commute
+        spec = tmp_path / "generic.layers"
+        spec.write_text(_MONOID_SEED + layer, encoding="utf-8")
+        code, out, err = run(capsys, "check", str(spec))
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: monad 'generic({name})' has no lifting kernel (ψ),"
+            " so it can only be an inner layer\n"
+        )
 
     @pytest.mark.parametrize("command", ["compose", "verify-laws"])
     def test_refused_law_exits_2(self, capsys, tmp_path, command):

@@ -172,11 +172,11 @@ class TestFusedLambda:
         )
 
     def test_a_law_and_its_table_go_with_the_last_reference(self):
-        """λ's table refers to its law weakly: no reference cycle keeps a
+        """λ's table is a plain dict on its law: no reference cycle keeps a
         dropped law, and what its table holds, until the cyclic collector runs."""
         law, _ = monoid_over(fin_powerset())
         assert law.apply((frozenset({"a"}), frozenset({"a", "b"})))
-        assert law.fold.cache_info().currsize
+        assert law.memo
         ref = weakref.ref(law)
         gc.disable()
         try:

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effectlayers import theories
+from effectlayers import normal_forms, theories
 from effectlayers.distlaw import _enum, verify_monad
 from effectlayers.monads import Bound, free_term_monad
 from effectlayers.normal_forms import (
-    CANONICAL_KINDS,
     CongruenceClosure,
     InconclusiveNormalization,
     _mix_pair,
@@ -101,7 +100,7 @@ def small_carrier(q, cap=6):
 
 def test_every_kind_but_convex_has_its_laws_in_the_kind_table():
     # theories writes each kind's laws; normal_forms holds its monad
-    assert set(theories._KIND_LAWS) | {"CONVEX"} == set(CANONICAL_KINDS)
+    assert set(theories._KIND_LAWS) | {"CONVEX"} == set(normal_forms._KINDS)
 
 
 @pytest.mark.parametrize("build, kind", THEORIES, ids=[k for _, k in THEORIES])

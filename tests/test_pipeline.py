@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from effectlayers import pipeline, terms
-from effectlayers.distlaw import FAIL, PASS, LawReport, _enum
+from effectlayers.distlaw import FAIL, PASS, LawReport, QuotientLaw, _enum
 from effectlayers.pipeline import (
     INNER_SEED,
     OUTER,
@@ -135,25 +135,31 @@ class TestLambdaMemo:
     def test_no_stage_keeps_a_memo(self, choice_over_choice):
         stages = choice_over_choice.stages
         laws = [s.law for s in stages]
-        assert laws and all(
-            law is not None and law.fold.cache_info().currsize == 0 for law in laws
-        )
+        assert laws and all(law is not None and law.memo == {} for law in laws)
         for s in stages:
             for q in (s.inner_monad, s.outer_monad):
                 assert _table_sizes(q) == (0, 0, 0)
 
-    def test_cached_lambda_equals_the_first_call(self, choice_over_choice, small_bound):
+    def test_cached_lambda_equals_the_first_call(
+        self, choice_over_choice, small_bound, monkeypatch
+    ):
+        folds = []
+        fold = QuotientLaw._fold
+        monkeypatch.setattr(
+            QuotientLaw, "_fold", lambda law, sv: folds.append(sv) or fold(law, sv)
+        )
         for stage in choice_over_choice.stages:
             # a copy of S too: lambda fills S's operation table
             law = replace(stage.law, inner=replace(stage.law.inner))
-            assert law.fold.cache_info().currsize == 0 and law.fold is not stage.law.fold
+            assert law.memo == {} and law.memo is not stage.law.memo
             S, T = law.inner, law.outer
             for s in _enum(S.monad.enumerate, ("a", "b"), small_bound):
                 sv = S.monad.map(T.unit, s)  # a DL.1 input
                 first = law.apply(sv)
-                hits = law.fold.cache_info().hits
+                assert law.memo[sv] is first
+                n = len(folds)
                 assert law.apply(sv) is first  # read from the table
-                assert law.fold.cache_info().hits == hits + 1
+                assert len(folds) == n  # the second apply ran no fold
                 assert first == T.map(S.normalize, law.rho(S.representative(sv)))
 
 

@@ -279,10 +279,6 @@ class TestIntegerNumerators:
 
 
 class TestMultiSet:
-    def test_union_and_scale(self):
-        m = MultiSet(["x", "y", "x"])
-        assert m.union(MultiSet(["y"])) == MultiSet(["x", "x", "y", "y"])
-
     def test_equality_ignores_insertion_order(self):
         assert MultiSet(["x", "y"]) == MultiSet(["y", "x"])
 
