@@ -32,8 +32,8 @@ from .terms import (
     Signature,
     Term,
     TermError,
-    Var,
     map_consts,
+    rebuild,
 )
 from .values import Dist, MultiSet, sort_values
 
@@ -518,13 +518,15 @@ def fin_distribution() -> MonadInstance:
 
 def _graft(t: Term) -> Term:
     """Multiplication of the term monad: constants hold terms, graft them in."""
-    if isinstance(t, Const):
-        if not isinstance(t.value, Term):
+    return rebuild(t, _grafted)
+
+
+def _grafted(u):
+    if isinstance(u, Const):
+        if not isinstance(u.value, Term):
             raise TermError("term-monad mult expects terms at the leaves")
-        return t.value
-    if isinstance(t, Var):
-        return t
-    return App(t.op, tuple(_graft(a) for a in t.args), t.param)
+        return u.value
+    return u
 
 
 def _term_enumerate_factory(sig: Signature):

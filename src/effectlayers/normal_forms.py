@@ -48,6 +48,7 @@ from .terms import (
     interpret,
     map_consts,
     render_param,
+    subterms,
     tabled,
     term_depth,
     term_vars,
@@ -589,17 +590,11 @@ def generic_quotient_monad(
 
 
 def _consts(t: Term):
-    if isinstance(t, Const):
-        yield t.value
-    elif isinstance(t, App):
-        for a in t.args:
-            yield from _consts(a)
+    return (u.value for u, _ in subterms(t) if isinstance(u, Const))
 
 
 def _params(t: Term) -> set:
-    if isinstance(t, App):
-        return set().union({t.param} - {None}, *map(_params, t.args))
-    return set()
+    return {u.param for u, _ in subterms(t) if isinstance(u, App)} - {None}
 
 
 @dataclass(frozen=True)

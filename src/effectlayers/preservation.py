@@ -38,6 +38,7 @@ from .terms import (
     classify,
     find_violation,
     run_check,
+    subterms,
 )
 from .values import canon_key
 
@@ -281,9 +282,16 @@ def _lifted_models(T: MonadInstance, inner: Theory, X, b: Bound, search: Callabl
     """The lifted algebras brute force searches, each with its base
     algebra's description and its fragment: those of the inner theory's
     algebras up to `_MAX_BRUTE_CARRIER` elements, found by `search` (for a
-    parameter-free theory), then that of its free algebra over atoms X."""
+    parameter-free theory), then that of its free algebra over atoms X.
+    A carrier size whose tables of one operation outnumber `b.ceiling` is
+    refused before its search."""
     if not any(o.param for o in inner.signature.ops):
         for size in range(1, _MAX_BRUTE_CARRIER + 1):
+            for o in inner.signature.ops:  # size ** cells tables, maybe too many to build
+                cells = size ** o.arity
+                if size > 1 and (cells >= b.ceiling.bit_length() or size**cells > b.ceiling):
+                    what = f"the tables of {o.name!r} on {size} elements"
+                    raise BoundExplosionError(what, f"{size}^{cells}", b.ceiling)
             for A in search(inner, size):
                 yield (
                     _algebra_table(A, inner.signature),
@@ -315,16 +323,8 @@ def _counterexample(base_algebra, w: dict) -> dict:
 
 
 def _signature_of(e: Equation):
-    ops = {}
-
-    def walk(t):
-        if isinstance(t, App):
-            ops[t.op.name] = t.op
-            for a in t.args:
-                walk(a)
-
-    walk(e.lhs)
-    walk(e.rhs)
+    walk = itertools.chain(subterms(e.lhs), subterms(e.rhs))
+    ops = {u.op.name: u.op for u, _ in walk if isinstance(u, App)}
     return Signature(tuple(ops.values()))
 
 

@@ -185,71 +185,66 @@ def app(op: OpSymbol, *args, param=None) -> App:
     return App(op, tuple(args), param)
 
 
+def subterms(t: Term):
+    """Each subterm of `t` with its depth, `t` itself at 1, in pre-order.
+    The walk keeps its own stack, so a term of any depth is walked; it does
+    not enter a parameter."""
+    stack = [(t, 1)]
+    while stack:
+        u, d = stack.pop()
+        yield u, d
+        if isinstance(u, App):
+            stack.extend([(a, d + 1) for a in reversed(u.args)])
+
+
+def rebuild(t: Term, leaf: Callable, param: Optional[Callable] = None) -> Term:
+    """The fold of `t` into terms: `leaf(u)` at each variable or constant `u`,
+    and at an application its operation over the rebuilt arguments, its
+    parameter expression mapped by `param` when one is given."""
+    if not isinstance(t, App):
+        return leaf(t)
+    p = t.param
+    if param is not None and isinstance(p, Term):
+        p = param(p)
+    return App(t.op, tuple([rebuild(a, leaf, param) for a in t.args]), p)
+
+
 def term_vars(t: Term):
     """Distinct variable names of `t` in first-occurrence order."""
-    out = []
-    seen = set()
-    for x in term_args(t):
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return tuple(out)
+    return tuple(dict.fromkeys(term_args(t)))
 
 
 def term_args(t: Term):
     """Variable occurrences of `t`, left to right, with repetitions."""
-    if isinstance(t, Var):
-        return (t.name,)
-    if isinstance(t, Const):
-        return ()
-    return tuple(x for a in t.args for x in term_args(a))
+    return tuple([u.name for u, _ in subterms(t) if isinstance(u, Var)])
 
 
 def term_depth(t: Term) -> int:
-    if isinstance(t, (Var, Const)):
-        return 1
-    if not t.args:
-        return 1
-    return 1 + max(term_depth(a) for a in t.args)
+    return max(d for _, d in subterms(t))
 
 
 def term_params(t: Term):
     """Parameter variable names appearing anywhere in `t`."""
-    if isinstance(t, App):
-        own = set(term_vars(t.param)) if isinstance(t.param, Term) else set()
-        for a in t.args:
-            own |= term_params(a)
-        return own
-    return set()
+    params = [u.param for u, _ in subterms(t) if isinstance(u, App)]
+    return {x for p in params if isinstance(p, Term) for x in term_args(p)}
 
 
 def map_consts(t: Term, f) -> Term:
-    if isinstance(t, Const):
-        return Const(f(t.value))
-    if isinstance(t, Var):
-        return t
-    return App(t.op, tuple(map_consts(a, f) for a in t.args), t.param)
+    return rebuild(t, lambda u: Const(f(u.value)) if isinstance(u, Const) else u)
 
 
 def instantiate_params(t: Term, env: Mapping[str, Fraction]) -> Term:
     """Replace parameter expressions by concrete rationals (may raise
     ParamDivisionByZero, in which case the instance is skipped)."""
-    if isinstance(t, App):
-        p = t.param
-        if isinstance(p, Term):
-            p = eval_param(p, env)
-        return App(t.op, tuple(instantiate_params(a, env) for a in t.args), p)
-    return t
+    return rebuild(t, lambda u: u, lambda p: eval_param(p, env))
 
 
 # ---------------------------------------------------------------------------
 # parameter expressions (for families like the convex choice operators)
 
 # A parameter expression is a term over these four symbols, its variables
-# the parameter names and its constants rationals.  No walk over a term's
-# arguments enters its parameter (term_args, _check_wellformed,
-# theories._shape, normal_forms._consts, the closure universe), so they
-# meet no signature, named law or closure.
+# the parameter names and its constants rationals.  `subterms` does not
+# enter a parameter, so they meet no signature, named law or closure.
 ARITH = {name: OpSymbol(name, 2) for name in "+-*/"}
 _RATIONAL = {
     "+": lambda ab, _: ab[0] + ab[1],
@@ -333,11 +328,7 @@ class Equation:
 
 def equation(lhs: Term, rhs: Term, name: str = "", context=None) -> Equation:
     if context is None:
-        ctx = list(term_vars(lhs))
-        for x in term_vars(rhs):
-            if x not in ctx:
-                ctx.append(x)
-        context = tuple(ctx)
+        context = dict.fromkeys(term_vars(lhs) + term_vars(rhs))
     return Equation(tuple(context), lhs, rhs, name)
 
 
@@ -348,17 +339,11 @@ class Theory:
     name: str = ""
 
     def __post_init__(self):
+        sig = self.signature
         for e in self.equations:
-            _check_wellformed(e.lhs, self.signature)
-            _check_wellformed(e.rhs, self.signature)
-
-
-def _check_wellformed(t: Term, sig: Signature):
-    if isinstance(t, App):
-        if t.op.name not in sig or sig[t.op.name] != t.op:
-            raise TermError(f"operation {t.op.name!r} not declared in signature")
-        for a in t.args:
-            _check_wellformed(a, sig)
+            for u, _ in itertools.chain(subterms(e.lhs), subterms(e.rhs)):
+                if isinstance(u, App) and (u.op.name not in sig or sig[u.op.name] != u.op):
+                    raise TermError(f"operation {u.op.name!r} not declared in signature")
 
 
 def classify(e: Equation) -> SyntacticClass:

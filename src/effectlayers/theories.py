@@ -132,9 +132,9 @@ def _instances(f: OpSymbol, ops):
                 yield law, o
 
 
-def _law(name: str, f: OpSymbol, other=None, label: str = "") -> Equation:
+def _law(name: str, f: OpSymbol, other=None) -> Equation:
     lhs, rhs = _LAWS[name][2](f, other)
-    return equation(lhs, rhs, name=label or _law_name(name, f, other))
+    return equation(lhs, rhs, name=_law_name(name, f, other))
 
 
 def _shape(lhs: Term, rhs: Term) -> tuple:
@@ -220,15 +220,11 @@ _KIND_ROLES = {
 
 
 def _kind_theory(kind: str, **roles: OpSymbol) -> Theory:
-    """The theory of `kind` with the given operations in its roles.  A unit
-    law is labelled by its binary operation alone."""
+    """The theory of `kind` with the given operations in its roles."""
     name, laws = _KIND_LAWS[kind]
-    eqs = []
-    for law, f, o in laws:
-        label = f"{law}({roles[f].name})" if law.startswith("unit") else ""
-        eqs.append(_law(law, roles[f], roles.get(o), label))
+    eqs = tuple(_law(law, roles[f], roles.get(o)) for law, f, o in laws)
     sig = Signature(tuple(roles[r] for r in _KIND_ROLES[kind]))
-    return Theory(sig, tuple(eqs), name=name)
+    return Theory(sig, eqs, name=name)
 
 
 def monoid_theory(seq: OpSymbol = SEQ, unit: OpSymbol = SKIP) -> Theory:

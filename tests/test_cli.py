@@ -193,6 +193,20 @@ class TestInputErrors:
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_too_many_tables_for_brute_force_exit_3(self, capsys, tmp_path):
+        # a 5-ary f has 2^32 tables on two elements, over the ceiling
+        text = Path(SPEC).read_text(encoding="utf-8")
+        outer = text[text.index("layer nondeterminism") : text.index("layer probability")]
+        seed = 'layer seed {\n  op "f" : 5;\n  eq f(x, x, y, y, y) = f(y, y, x, x, x);\n}\n'
+        spec = tmp_path / "five.layers"
+        spec.write_text(f"atoms a b;\n{seed}{outer}", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(spec))
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: enumeration of the tables of 'f' on 2 elements would produce "
+            "2^32 values (ceiling 200000); tighten the bounds\n"
+        )
+
     def test_a_json_path_in_a_missing_directory_exits_3(self, capsys, tmp_path):
         path = tmp_path / "missing" / "check.json"
         code, out, err = run(capsys, "check", SPEC, "--json", str(path))

@@ -21,6 +21,7 @@ import pytest
 
 from effectlayers.distlaw import LawRefusedError
 from effectlayers.monads import Bound
+from effectlayers.normal_forms import InconclusiveNormalization
 from effectlayers.pipeline import INNER_SEED, OUTER, VERIFIED, LayerSpec, compose_stack
 from effectlayers.preservation import FALSIFIED, THM_LINEAR
 from effectlayers.specfile import parse_spec
@@ -173,3 +174,35 @@ def test_pair(pair):
 def test_shipped_stack():
     spec = parse_spec(SHIPPED_SPEC.read_text(encoding="utf-8"))
     _check(spec.layers, spec.atoms, SHIPPED)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 11: a GENERIC normal form changes with the closure's "
+    "depth, so q is no function of the class and DL.4 fails",
+)
+def test_a_generic_seed_whose_classes_merge_only_deeper():
+    # (y*y)*x = (x*y)*x is falsified and dropped; b*a = a*b follows from the
+    # other two only through terms deeper than b*a
+    star, e = OpSymbol("*", 2), OpSymbol("e", 0)
+    x, y, z, unit = Var("x"), Var("y"), Var("z"), app(e)
+    seed = Theory(
+        Signature((star, e)),
+        (
+            equation(app(star, app(star, y, y), x), app(star, app(star, x, y), x)),
+            equation(
+                app(star, app(star, z, x), app(star, unit, y)), app(star, y, app(star, z, x))
+            ),
+            equation(z, app(star, z, app(star, unit, unit))),
+        ),
+        name="seed",
+    )
+    layers = (
+        LayerSpec("seed", seed, None, INNER_SEED),
+        LayerSpec("dist", *OUTERS["dist"](), OUTER),
+    )
+    try:
+        report = compose_stack(layers, atoms=X, bound=BOUND, **CAPS)
+    except InconclusiveNormalization:
+        return
+    assert report.stages[0].status == VERIFIED

@@ -1,4 +1,5 @@
-"""The package's module graph is acyclic.
+"""The package's module graph is acyclic, and it imports only the
+standard library.
 
 Read from the source, as `test_runner.py` reads it: the top-level
 `from .x import` edges of `src/effectlayers/*.py` form a DAG.  The one
@@ -8,6 +9,7 @@ stands above `terms` and so cannot be imported at its top.
 
 import ast
 import graphlib
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "effectlayers"
@@ -83,3 +85,15 @@ def test_the_reader_and_the_reports_stand_below_the_pipeline():
     above = {"normal_forms", "distlaw", "preservation", "pipeline"}
     for module in ("specfile", "render", "reports"):
         assert not reached(module) & above, module
+
+
+def test_every_absolute_import_is_of_the_standard_library():
+    absolute = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                absolute |= {a.name.partition(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                absolute.add(node.module.partition(".")[0])
+    assert "fractions" in absolute
+    assert absolute <= sys.stdlib_module_names, absolute - sys.stdlib_module_names

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from effectlayers import terms
+from effectlayers import normal_forms, preservation, terms
 from effectlayers.render import render_term
 from effectlayers.specfile import _parse_param_expr, _Stream, _tokenize
 from effectlayers.terms import (
@@ -20,6 +20,7 @@ from effectlayers.terms import (
     SyntacticClass,
     Term,
     TermError,
+    Theory,
     Var,
     app,
     classify,
@@ -32,6 +33,7 @@ from effectlayers.terms import (
     tabled,
     term_args,
     term_depth,
+    term_params,
     term_vars,
 )
 from effectlayers.theories import PLUS, SEQ, SKIP, monoid_theory, semilattice_theory
@@ -65,6 +67,28 @@ class TestTermBasics:
     def test_depth_counts_variables_as_one(self):
         assert term_depth(x) == 1
         assert term_depth(app(SEQ, x, app(SEQ, y, z))) == 3
+
+    def test_every_walk_of_a_term_reads_a_5000_deep_one(self):
+        # l-weighted o over x;(x;(…;0)), 5,000 deep; nothing here hashes or
+        # compares the term, which recurse
+        o = OpSymbol("o", 2, param=True)
+        t = Const(0)
+        for _ in range(4998):
+            t = app(SEQ, x, t)
+        t = app(o, t, y, param=Var("l"))
+        assert term_depth(t) == 5000
+        assert term_args(t) == ("x",) * 4998 + ("y",)
+        assert term_vars(t) == ("x", "y")
+        assert term_params(t) == {"l"}
+        assert list(normal_forms._consts(t)) == [0]
+        assert normal_forms._params(t) == {Var("l")}
+        e = equation(t, app(o, y, x, param=Var("l")))
+        assert e.context == ("x", "y")
+        assert classify(e) is SyntacticClass.BALANCED
+        assert preservation._signature_of(e).ops == (o, SEQ)
+        assert Theory(Signature((SEQ, o)), (e,)).equations[0] is e
+        with pytest.raises(TermError, match="not declared"):
+            Theory(Signature((o,)), (e,))
 
     def test_prepare_indices_projects_the_context(self):
         t = app(SEQ, app(SEQ, Var("x1"), Var("x3")), app(SEQ, Var("x2"), Var("x1")))
